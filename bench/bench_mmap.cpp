@@ -2,19 +2,18 @@
 //
 // PANDA's reuse story (DESIGN.md §11) hinges on Index::open being
 // O(1) in index size: open_mmap maps the file and validates the
-// 256-byte header (CRC included), while the v2-era loader read every
+// 256-byte header (CRC included), while KdTree::load copies every
 // section into owned memory. The v4 format (DESIGN.md §13) adds
 // optional section checksums: `verified open ms` streams the file
 // once to verify them — the durability knob's cost — while the
-// unverified open stays O(1). This harness measures all three across
-// a size sweep, then
-// digest-gates queries through the mapped tree against the in-RAM
-// build and reports cold (first pass after open, pages faulting in)
-// and warm query throughput.
+// unverified open stays O(1). This harness measures all three on the
+// same v4 file across a size sweep, then digest-gates queries through
+// the mapped tree against the in-RAM build and reports cold (first
+// pass after open, pages faulting in) and warm query throughput.
 //
 // Emits BENCH_mmap.json next to the binary. Exit status is the gate:
 // 0 iff mapped-tree digests equal the owned build's AND the
-// unverified open stays faster than the v2 full read at the largest
+// unverified open stays faster than the owned load at the largest
 // size.
 //
 // Usage: bench_mmap [--smoke] [points] [queries]
@@ -62,9 +61,9 @@ std::uint64_t digest_table(const core::NeighborTable& table) {
 struct SizePoint {
   std::uint64_t points = 0;
   std::uint64_t index_bytes = 0;
-  double v3_open_ms = 0.0;       // unverified: header CRC only, O(1)
+  double open_ms = 0.0;          // unverified: header CRC only, O(1)
   double verified_open_ms = 0.0; // + one streaming pass of section CRCs
-  double v2_load_ms = 0.0;
+  double owned_load_ms = 0.0;    // verified open + copy into owned memory
 };
 
 double best_of_ms(int passes, auto&& fn) {
@@ -103,46 +102,44 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "bench_mmap: zero-copy open vs owned load, mapped-query throughput",
-      "DESIGN.md §11 (v3 aligned index format)");
+      "DESIGN.md §11 (v4 aligned index format)");
   std::printf("open cost sweep (best of 5 opens / 3 loads):\n");
   std::printf("%12s %14s %14s %14s %14s %10s\n", "points", "index bytes",
-              "open ms", "verified ms", "v2 load ms", "ratio");
+              "open ms", "verified ms", "load ms", "ratio");
 
   // ------------------------------------------------------------------
-  // Size sweep: v3 open latency must stay flat while the v2 full read
-  // grows with the index.
+  // Size sweep: the unverified open must stay flat while the owned
+  // load grows with the index.
   // ------------------------------------------------------------------
   std::vector<SizePoint> sweep;
   for (const std::uint64_t size : {n / 4, n / 2, n}) {
     const data::PointSet points = gen->generate_all(size);
     const core::KdTree tree =
         core::KdTree::build(points, core::BuildConfig{}, pool);
-    const std::string v3 = scratch + ".v3.kdt";
-    const std::string v2 = scratch + ".v2.kdt";
-    tree.save(v3);
-    tree.save_legacy_v2(v2);
+    const std::string file = scratch + ".kdt";
+    tree.save(file);
 
     SizePoint sp;
     sp.points = size;
-    sp.index_bytes = std::filesystem::file_size(v3);
-    sp.v3_open_ms = best_of_ms(5, [&] {
+    sp.index_bytes = std::filesystem::file_size(file);
+    sp.open_ms = best_of_ms(5, [&] {
       const core::KdTree mapped =
-          core::KdTree::open_mmap(v3, /*verify_sections=*/false);
+          core::KdTree::open_mmap(file, /*verify_sections=*/false);
       if (mapped.size() != size) std::abort();
     });
     sp.verified_open_ms = best_of_ms(5, [&] {
-      const core::KdTree mapped = core::KdTree::open_mmap(v3);
+      const core::KdTree mapped = core::KdTree::open_mmap(file);
       if (mapped.size() != size) std::abort();
     });
-    sp.v2_load_ms = best_of_ms(3, [&] {
-      const core::KdTree loaded = core::KdTree::load(v2);
+    sp.owned_load_ms = best_of_ms(3, [&] {
+      const core::KdTree loaded = core::KdTree::load(file);
       if (loaded.size() != size) std::abort();
     });
     sweep.push_back(sp);
     std::printf("%12s %14" PRIu64 " %14.4f %14.4f %14.3f %9.0fx\n",
                 bench::human_count(size).c_str(), sp.index_bytes,
-                sp.v3_open_ms, sp.verified_open_ms, sp.v2_load_ms,
-                sp.v2_load_ms / sp.v3_open_ms);
+                sp.open_ms, sp.verified_open_ms, sp.owned_load_ms,
+                sp.owned_load_ms / sp.open_ms);
   }
 
   // ------------------------------------------------------------------
@@ -154,15 +151,15 @@ int main(int argc, char** argv) {
   const data::PointSet points = gen->generate_all(n);
   const core::KdTree owned =
       core::KdTree::build(points, core::BuildConfig{}, pool);
-  const std::string v3 = scratch + ".v3.kdt";
-  owned.save(v3);
+  const std::string file = scratch + ".kdt";
+  owned.save(file);
 
   core::NeighborTable table;
   core::BatchWorkspace ws;
   owned.query_batch(queries, k, pool, table, ws);
   const std::uint64_t owned_digest = digest_table(table);
 
-  const core::KdTree mapped = core::KdTree::open_mmap(v3);
+  const core::KdTree mapped = core::KdTree::open_mmap(file);
   WallTimer cold_watch;
   mapped.query_batch(queries, k, pool, table, ws);
   const double cold_seconds = cold_watch.seconds();
@@ -186,11 +183,11 @@ int main(int argc, char** argv) {
               digests_match ? "identical" : "MISMATCH");
 
   const SizePoint& largest = sweep.back();
-  const bool open_gate = largest.v3_open_ms < largest.v2_load_ms;
+  const bool open_gate = largest.open_ms < largest.owned_load_ms;
   if (!open_gate) {
-    std::printf("GATE FAILED: v3 open (%.4f ms) not faster than v2 load "
+    std::printf("GATE FAILED: open (%.4f ms) not faster than owned load "
                 "(%.3f ms) at %" PRIu64 " points\n",
-                largest.v3_open_ms, largest.v2_load_ms, largest.points);
+                largest.open_ms, largest.owned_load_ms, largest.points);
   }
 
   FILE* json = std::fopen("BENCH_mmap.json", "w");
@@ -203,9 +200,9 @@ int main(int argc, char** argv) {
       std::fprintf(json,
                    "    {\"points\": %" PRIu64 ", \"index_bytes\": %" PRIu64
                    ", \"open_ms\": %.5f, \"verified_open_ms\": %.5f"
-                   ", \"v2_load_ms\": %.4f}%s\n",
-                   sweep[s].points, sweep[s].index_bytes, sweep[s].v3_open_ms,
-                   sweep[s].verified_open_ms, sweep[s].v2_load_ms,
+                   ", \"owned_load_ms\": %.4f}%s\n",
+                   sweep[s].points, sweep[s].index_bytes, sweep[s].open_ms,
+                   sweep[s].verified_open_ms, sweep[s].owned_load_ms,
                    s + 1 < sweep.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
@@ -220,7 +217,6 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_mmap.json\n");
   }
 
-  std::remove((scratch + ".v3.kdt").c_str());
-  std::remove((scratch + ".v2.kdt").c_str());
+  std::remove(file.c_str());
   return digests_match && open_gate ? 0 : 1;
 }

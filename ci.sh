@@ -40,6 +40,12 @@
 #                      test_checksum, test_kdtree_io, and test_storage
 #                      pin the CRC formats, torn-tail replay, and the
 #                      corruption matrices.
+#   ci.sh stress [N] — the tier-1 suite repeated under CPU contention:
+#                      ctest --repeat until-fail:N (default 20) while
+#                      busy loops (one per two cores) load the host, so
+#                      a test whose outcome depends on thread
+#                      scheduling fails here instead of passing by
+#                      luck. Opt-in: not part of the default flow.
 #   ci.sh tsan       — the concurrency suites (MPMC ring, serving
 #                      frontend, thread pool, mutable index) built
 #                      with -fsanitize=thread: data-race checks the
@@ -56,12 +62,13 @@
 #                      rot. bench_facade digest-gates the panda::Index
 #                      facade against direct engine calls; bench_mmap
 #                      digest-gates mapped-index queries against the
-#                      owned build and gates v3 open latency under the
-#                      v2 full read; bench_mutable digest-gates the
-#                      live forest against a from-scratch build and
-#                      gates the no-rebuild-stall + bounded-merge-
-#                      interference contract. Runs automatically at
-#                      the end of the default mode.
+#                      owned build and gates the unverified open under
+#                      an owned KdTree::load of the same v4 file;
+#                      bench_mutable digest-gates the live forest
+#                      against a from-scratch build and gates the
+#                      no-rebuild-stall + bounded-merge-interference
+#                      contract. Runs automatically at the end of the
+#                      default mode.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -204,6 +211,26 @@ if [[ "$MODE" == "crash" ]]; then
   exit 0
 fi
 
+if [[ "$MODE" == "stress" ]]; then
+  REPEAT="${2:-20}"
+  if [[ ! "$REPEAT" =~ ^[1-9][0-9]*$ ]]; then
+    echo "usage: ci.sh stress [N]  (N = repeats, a positive integer)" >&2
+    exit 1
+  fi
+  cmake -B build -S .
+  cmake --build build -j
+  LOADERS=()
+  trap 'kill "${LOADERS[@]}" 2>/dev/null || true' EXIT
+  for ((i = 0; i < ($(nproc) + 1) / 2; ++i)); do
+    (while :; do :; done) &
+    LOADERS+=("$!")
+  done
+  (cd build && ctest --output-on-failure -j "$(nproc)" \
+    --repeat "until-fail:${REPEAT}" --timeout 900)
+  echo "ci.sh: stress OK (${REPEAT} repeats under ${#LOADERS[@]} busy loops)"
+  exit 0
+fi
+
 if [[ "$MODE" == "tsan" ]]; then
   TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake -B build-tsan -S . \
@@ -271,7 +298,7 @@ if [[ "$MODE" == "bench-smoke" ]]; then
 fi
 
 if [[ "$MODE" != "default" ]]; then
-  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|tsan|bench-smoke]" >&2
+  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|stress [N]|tsan|bench-smoke]" >&2
   exit 1
 fi
 

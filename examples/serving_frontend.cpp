@@ -15,7 +15,7 @@
 //   3. the ServeStats panel prints what an SRE would watch: QPS,
 //      latency quantiles, queue depth, batch-size histogram.
 //
-// With --mmap <path> the service serves off a memory-mapped v3 index
+// With --mmap <path> the service serves off a memory-mapped v4 index
 // file instead of an owned in-RAM tree (building and saving the file
 // first when it does not exist yet). Open latency and resident set
 // are printed — the point of the mapped path is that both stay flat

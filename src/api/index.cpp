@@ -146,18 +146,6 @@ std::unique_ptr<Index> Index::build(const data::PointStorage& points,
 
 namespace {
 
-/// Version field of a kd-tree index file (0 when the file is too
-/// short to say — the loader's truncation diagnostics then apply).
-std::uint32_t peek_index_version(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PANDA_CHECK_MSG(in.good(), "cannot open for reading: " << path);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  return in.good() ? version : 0;
-}
-
 /// Dims field of a durable directory's MANIFEST — just enough parsing
 /// to size the MutableIndex; recovery re-reads and fully validates the
 /// file (CRC included).
@@ -176,10 +164,6 @@ std::uint32_t peek_manifest_dims(const std::string& manifest) {
                   "durable MANIFEST truncated: " << manifest);
   return dims;
 }
-
-}  // namespace
-
-namespace {
 
 std::unique_ptr<Index> wrap_opened_tree(core::KdTree tree,
                                         const IndexOptions& options) {
@@ -212,28 +196,12 @@ std::unique_ptr<Index> Index::open(const std::string& path,
     const std::uint32_t dims = peek_manifest_dims(path + "/MANIFEST");
     return api::make_mutable_index(static_cast<std::size_t>(dims), durable);
   }
-  if (peek_index_version(path) == 4) {
-    // Zero-copy: map + validate the header (CRC included), bind the
-    // query views. With verify_on_open the section checksums stream
-    // the file once; without it no section is read and open cost is
-    // O(1) in index size.
-    return wrap_opened_tree(
-        core::KdTree::open_mmap(path, options.verify_on_open), options);
-  }
-  // Older formats go through the loader — its diagnostics (missing
-  // file, truncation, version-1 refusal) surface verbatim. A v2/v3
-  // tree loads fine; convert it to v4 in place (save() is an atomic
-  // tmp-write + rename) so the next opens — and this one — are
-  // mmap-served.
-  core::KdTree tree = core::KdTree::load(path);
-  try {
-    tree.save(path);
-    return wrap_opened_tree(
-        core::KdTree::open_mmap(path, options.verify_on_open), options);
-  } catch (const std::exception&) {
-    // Read-only location: serve the owned tree, leave the file as-is.
-    return wrap_opened_tree(std::move(tree), options);
-  }
+  // Zero-copy: map + validate the header (CRC included), bind the
+  // query views. With verify_on_open the section checksums stream the
+  // file once; without it no section is read and open cost is O(1) in
+  // index size.
+  return wrap_opened_tree(
+      core::KdTree::open_mmap(path, options.verify_on_open), options);
 }
 
 }  // namespace panda

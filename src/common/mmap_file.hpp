@@ -1,6 +1,6 @@
 // Read-only memory-mapped files (DESIGN.md §11).
 //
-// MmapFile is the zero-copy backing of the storage-view layer: a v3
+// MmapFile is the zero-copy backing of the storage-view layer: a v4
 // kd-tree index or an aligned point file is opened by mapping it and
 // pointing spans into the map, so "loading" a billion-point index
 // costs one mmap syscall plus a header validation — no full-file read,

@@ -1,15 +1,7 @@
-// Wall-clock and per-phase timing.
-//
-// PhaseTimer is how the construction / query breakdowns of Figure 5
-// are produced: each pipeline stage brackets its work in a named phase
-// and the bench prints the accumulated percentages.
+// Wall-clock timing.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace panda {
 
@@ -28,67 +20,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates wall time into named phases. Phases may be entered many
-/// times; `seconds(name)` returns the total. Not thread-safe by design:
-/// each rank / thread owns its own PhaseTimer and results are merged
-/// explicitly (see merge_max / merge_sum).
-class PhaseTimer {
- public:
-  /// RAII guard: accumulates into `name` for its lifetime.
-  class Scope {
-   public:
-    Scope(PhaseTimer& timer, const std::string& name)
-        : timer_(timer), name_(name) {}
-    ~Scope() { timer_.add(name_, watch_.seconds()); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    PhaseTimer& timer_;
-    std::string name_;
-    WallTimer watch_;
-  };
-
-  Scope scope(const std::string& name) { return Scope(*this, name); }
-
-  void add(const std::string& name, double seconds) {
-    phases_[name] += seconds;
-  }
-
-  double seconds(const std::string& name) const {
-    auto it = phases_.find(name);
-    return it == phases_.end() ? 0.0 : it->second;
-  }
-
-  double total() const {
-    double t = 0.0;
-    for (const auto& [name, s] : phases_) t += s;
-    return t;
-  }
-
-  /// Phase names in insertion-independent (sorted) order.
-  std::vector<std::string> names() const {
-    std::vector<std::string> out;
-    out.reserve(phases_.size());
-    for (const auto& [name, s] : phases_) out.push_back(name);
-    return out;
-  }
-
-  void clear() { phases_.clear(); }
-
-  /// Per-phase max across ranks: models the slowest rank gating the
-  /// phase, which is what a barrier-separated breakdown measures.
-  static PhaseTimer merge_max(const std::vector<PhaseTimer>& timers);
-
-  /// Per-phase sum: aggregate CPU seconds across ranks/threads.
-  static PhaseTimer merge_sum(const std::vector<PhaseTimer>& timers);
-
-  const std::map<std::string, double>& phases() const { return phases_; }
-
- private:
-  std::map<std::string, double> phases_;
 };
 
 }  // namespace panda

@@ -41,7 +41,7 @@
 // Storage backing (DESIGN.md §11): the query kernels read the tree
 // through std::span views. A built or load()ed tree owns its arrays;
 // an open_mmap()ed tree binds the same views straight into a mapped
-// v3 index file — open cost is one mmap plus header validation, no
+// v4 index file — open cost is one mmap plus header validation, no
 // matter how many points the index holds. Either way the views are
 // immutable after construction, so KdTree is move-only (a copy would
 // alias the owner's buffers).
@@ -108,7 +108,7 @@ struct ExternalBuildOptions {
   /// Directory for the spill chunk files (scratch, removed when the
   /// build finishes). Empty: out_path + ".spill".
   std::string scratch_dir;
-  /// Where the v3 index file is written (required). The returned tree
+  /// Where the v4 index file is written (required). The returned tree
   /// is the zero-copy mapped view of this file.
   std::string out_path;
 };
@@ -175,7 +175,7 @@ class KdTree {
   /// Out-of-core build (DESIGN.md §11): routes `points` through a
   /// sampled top-level splitter into on-disk chunks sized to
   /// options.memory_budget_bytes, builds one in-RAM subtree per chunk,
-  /// and stitches the results directly into the v3 on-disk layout at
+  /// and stitches the results directly into the v4 on-disk layout at
   /// options.out_path. Returns the memory-mapped view of that file.
   /// Exact queries on the result are id-identical to an in-RAM build
   /// of the same points. `points` may be any storage backend; only
@@ -279,8 +279,6 @@ class KdTree {
   // -------------------------------------------------------------------
   // Single-query convenience: same semantics, results materialized as
   // std::vector (scratch comes from an internal per-thread workspace).
-  // The legacy vector-of-vectors *batch* shims live in
-  // core/compat.hpp as free functions.
   // -------------------------------------------------------------------
 
   /// k nearest neighbors of `query` (dims() floats) within metric
@@ -346,17 +344,11 @@ class KdTree {
   /// syscall, and errno text on I/O failure.
   void save(const std::string& path) const;
 
-  /// Writes the legacy v2 layout (packed sections, no offsets).
-  /// Exists so the v2 -> v4 migration path stays testable.
-  void save_legacy_v2(const std::string& path) const;
-
-  /// Loads a tree written by save() into owned memory (v4, v3, or
-  /// legacy v2). Queries on the loaded tree return bit-identical
-  /// results. v4 checksums (header + every section) are always
-  /// verified — load() reads the whole file anyway. Throws
-  /// panda::Error on I/O or format errors, including trees written by
-  /// the pre-hot/cold format (version 1), which cannot be represented
-  /// losslessly.
+  /// Loads a tree written by save() into owned memory: a copy out of
+  /// a fully verified open_mmap() mapping (header + every section
+  /// checksum), so queries on the loaded tree return bit-identical
+  /// results. Throws panda::Error on I/O or format errors, including
+  /// every version other than 4 ("rebuild and re-save the index").
   static KdTree load(const std::string& path);
 
   /// Opens a v4 index zero-copy: maps the file, validates the header
@@ -365,9 +357,8 @@ class KdTree {
   /// the map. With verify_sections (the default) every section CRC is
   /// checked too — a full sequential read; pass false to keep open
   /// cost independent of index size and trust the mapping (the header
-  /// CRC is always checked). Throws panda::Error on any mismatch;
-  /// v2/v3 files are refused with a convert hint (load() still reads
-  /// them into owned memory).
+  /// CRC is always checked). Throws panda::Error on any mismatch,
+  /// naming the offending header field or section.
   static KdTree open_mmap(const std::string& path,
                           bool verify_sections = true);
 
@@ -468,8 +459,7 @@ class KdTree {
   // packed_[s0*dims + d*st + i]; packed_ids_[s0+i] is its global id.
   std::span<const HotNode> nodes_;
   std::span<const LeafInfo> leaves_;
-  /// Hot node index of each leaf record (leaf_nodes_[leaves index]);
-  /// serialized in v3, recomputed from nodes_ on a legacy v2 load.
+  /// Hot node index of each leaf record (leaf_nodes_[leaves index]).
   std::span<const std::uint32_t> leaf_nodes_;
   std::span<const float> packed_;
   std::span<const std::uint64_t> packed_ids_;

@@ -49,11 +49,9 @@ namespace panda::core {
 namespace {
 
 using common::crc32c;
-using detail::align64;
-using detail::KdTreeHeaderV4;
-using detail::kKdTreeHeaderSpanV3;
+using detail::KdTreeHeader;
 using detail::kKdTreeMagic;
-using detail::kKdTreeVersionChecksummed;
+using detail::kKdTreeVersion;
 
 constexpr std::size_t kMaxSamplePoints = 65536;
 constexpr std::size_t kMaxChunks = 1024;
@@ -364,7 +362,7 @@ class ExternalBuilder {
   }
 
   /// Phase 4+5: per-chunk in-RAM builds, section renumbering into
-  /// temp files, then one sequential write of the v3 layout.
+  /// temp files, then one sequential write of the v4 layout.
   KdTree stitch(data::ChunkedStorage& spill, std::size_t levels) {
     const std::size_t dims = points_.dims();
     const std::size_t n_chunks = spill.chunk_count();
@@ -479,9 +477,9 @@ class ExternalBuilder {
                                              << points_.size() << " points");
 
     // Header + aggregate stats.
-    KdTreeHeaderV4 header{};
+    KdTreeHeader header{};
     header.magic = kKdTreeMagic;
-    header.version = kKdTreeVersionChecksummed;
+    header.version = kKdTreeVersion;
     header.dims = static_cast<std::uint32_t>(dims);
     header.node_count = top_count + tail_nodes;
     header.leaf_count = leaf_total;
@@ -497,19 +495,7 @@ class ExternalBuilder {
             ? 0.0
             : fill_total / static_cast<double>(leaf_total);
     header.config = config_;
-    header.nodes_off = kKdTreeHeaderSpanV3;
-    header.leaves_off =
-        align64(header.nodes_off + header.node_count * sizeof(HotNode));
-    header.leaf_nodes_off =
-        align64(header.leaves_off + header.leaf_count * sizeof(LeafInfo));
-    header.packed_off = align64(header.leaf_nodes_off +
-                                header.leaf_count * sizeof(std::uint32_t));
-    header.ids_off =
-        align64(header.packed_off + header.packed_count * sizeof(float));
-    header.local_idx_off =
-        align64(header.ids_off + header.id_count * sizeof(std::uint64_t));
-    header.file_size =
-        header.local_idx_off + header.id_count * sizeof(std::uint64_t);
+    detail::layout_sections(header);
 
     // Stream the file: a header with zeroed checksums first, section
     // CRCs accumulated as each tail is copied, then the finished

@@ -1,26 +1,21 @@
 // Persistence for built kd-trees.
 //
-// Format version 4 (the checksummed revision, see
-// core/kdtree_format.hpp): the v3 mmap layout — a 256-byte header
+// One format, version 4 (core/kdtree_format.hpp): a 256-byte header
 // recording a 64-byte-aligned offset per section (hot nodes, cold
 // leaf infos, the leaf-node map, packed SoA floats, packed ids, the
-// local-index map) — plus a CRC32C per section and over the header,
-// so torn writes and bit rot are detected instead of served.
-// open_mmap() binds the query views straight into a mapped file after
-// validating the header (and, unless the caller opts out, the section
-// checksums). Version-3 files (no checksums) and version-2 files
-// (packed sections) load into owned memory; version-1 files (the old
-// unified 32-byte Node records) are refused with a clear diagnostic —
-// the old layout cannot be loaded into the split representation
-// without a rebuild, and silently misreading it would corrupt every
-// query. All saves go through common::AtomicFileWriter: a crash mid-
-// save leaves the previous file intact, never a prefix.
+// local-index map), plus a CRC32C per section and over the header, so
+// torn writes and bit rot are detected instead of served. open_mmap()
+// is the one parser: it maps the file, validates the header (and,
+// unless the caller opts out, the section checksums) and binds the
+// query views straight into the map. load() copies the sections out
+// of a fully verified mapping. Every other version is refused with a
+// rebuild diagnostic. All saves go through common::AtomicFileWriter:
+// a crash mid-save leaves the previous file intact, never a prefix.
 #include <algorithm>
 #include <array>
-#include <cerrno>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
@@ -33,37 +28,22 @@ namespace panda::core {
 namespace {
 
 using common::crc32c;
-using detail::align64;
 using detail::byteswap64;
-using detail::KdTreeHeaderV2;
-using detail::KdTreeHeaderV3;
-using detail::KdTreeHeaderV4;
-using detail::kKdTreeHeaderSpanV3;
+using detail::kHotNodeBytes;
+using detail::KdTreeHeader;
+using detail::kKdTreeHeaderSpan;
 using detail::kKdTreeMagic;
 using detail::kKdTreeSectionCount;
 using detail::kKdTreeSectionNames;
-using detail::kKdTreeVersionAligned;
-using detail::kKdTreeVersionChecksummed;
-using detail::kKdTreeVersionHotCold;
+using detail::kKdTreeVersion;
+using detail::kLeafInfoBytes;
 using detail::kMaxKdTreeDims;
 
-constexpr std::uint32_t kLeafMarkerValue = 0xffffffffu;
-
-// Section element sizes, spelled as constants because HotNode /
-// LeafInfo are private to KdTree; save() static_asserts they match.
-constexpr std::uint64_t kHotNodeBytes = 12;
-constexpr std::uint64_t kLeafInfoBytes = 16;
-
-template <typename T>
-void read_raw(std::ifstream& in, T* data, std::size_t count) {
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(count * sizeof(T)));
-}
-
 /// Byte size of each checksummed section, in kKdTreeSectionNames
-/// order (live bytes only — no alignment padding).
-template <typename H>
-std::array<std::uint64_t, kKdTreeSectionCount> section_sizes(const H& h) {
+/// order (live bytes only — no alignment padding). Cannot wrap once
+/// read_header has bounded the counts by the file size.
+std::array<std::uint64_t, kKdTreeSectionCount> section_sizes(
+    const KdTreeHeader& h) {
   return {h.node_count * kHotNodeBytes,
           h.leaf_count * kLeafInfoBytes,
           h.leaf_count * sizeof(std::uint32_t),
@@ -72,94 +52,106 @@ std::array<std::uint64_t, kKdTreeSectionCount> section_sizes(const H& h) {
           h.id_count * sizeof(std::uint64_t)};
 }
 
-template <typename H>
-std::array<std::uint64_t, kKdTreeSectionCount> section_offsets(const H& h) {
+std::array<std::uint64_t, kKdTreeSectionCount> section_offsets(
+    const KdTreeHeader& h) {
   return {h.nodes_off,  h.leaves_off, h.leaf_nodes_off,
           h.packed_off, h.ids_off,    h.local_idx_off};
 }
 
-/// Structural header validation shared by v3 and v4 — everything that
-/// must hold before any section pointer is formed or any allocation
-/// is sized from a header field. `actual_size` is the real file size.
-template <typename H>
-void validate_structural(const H& h, std::uint64_t actual_size,
-                         const std::string& path) {
+/// Copies and validates the header of a mapped index: identity
+/// (magic, endianness, version), then every structural field against
+/// the file size — all before any section pointer is formed — and
+/// last the header CRC, so a corrupted named field still gets its
+/// named diagnostic. A CRC is not a MAC (a crafted header recomputes
+/// it), so the structural checks alone must keep every section inside
+/// the file: each count is bounded by the file size before it is
+/// multiplied, and each offset + size is checked without wrapping.
+KdTreeHeader read_header(const common::MmapFile& file) {
+  const std::string& path = file.path();
+  const std::uint64_t size = file.size();
+  KdTreeHeader h{};
+  if (size > 0) {
+    std::memcpy(&h, file.data(), std::min<std::uint64_t>(size, sizeof(h)));
+  }
+  // Magic and version sit at the same offsets in every revision, so a
+  // short file from another revision is refused by version rather
+  // than as truncated.
+  const bool identified =
+      size >= offsetof(KdTreeHeader, dims) && h.magic == kKdTreeMagic;
+  PANDA_CHECK_MSG(!identified || h.version == kKdTreeVersion,
+                  "unsupported kd-tree version "
+                      << h.version << " (expected " << kKdTreeVersion
+                      << "); rebuild and re-save the index: " << path);
+  PANDA_CHECK_MSG(size >= kKdTreeHeaderSpan,
+                  "kd-tree file too small for a header: " << path);
+  PANDA_CHECK_MSG(h.magic != byteswap64(kKdTreeMagic),
+                  "kd-tree file has byte-swapped magic (endianness "
+                  "mismatch — file written on a big-endian host?): "
+                      << path);
+  PANDA_CHECK_MSG(h.magic == kKdTreeMagic, "not a PANDA kd-tree: " << path);
   PANDA_CHECK_MSG(h.dims >= 1 && h.dims <= kMaxKdTreeDims,
                   "kd-tree header field 'dims' out of bounds ("
                       << h.dims << ", expected 1.." << kMaxKdTreeDims
                       << "): " << path);
-  PANDA_CHECK_MSG(h.file_size == actual_size,
+  PANDA_CHECK_MSG(h.file_size == size,
                   "kd-tree header field 'file_size' inconsistent ("
-                      << h.file_size << " recorded, " << actual_size
+                      << h.file_size << " recorded, " << size
                       << " actual): " << path);
+  const struct {
+    const char* name;
+    std::uint64_t count;
+    std::uint64_t elem_bytes;
+  } counts[] = {{"node_count", h.node_count, kHotNodeBytes},
+                {"leaf_count", h.leaf_count, kLeafInfoBytes},
+                {"packed_count", h.packed_count, sizeof(float)},
+                {"id_count", h.id_count, sizeof(std::uint64_t)}};
+  for (const auto& c : counts) {
+    PANDA_CHECK_MSG(c.count <= size / c.elem_bytes,
+                    "kd-tree header field '"
+                        << c.name << "' out of bounds (" << c.count
+                        << " elements cannot fit a " << size
+                        << "-byte file): " << path);
+  }
   // Child links and leaf references are 32-bit.
   PANDA_CHECK_MSG(h.node_count < 0xffffffffull &&
                       h.leaf_count < 0xffffffffull,
                   "kd-tree header node/leaf counts out of bounds: " << path);
   const auto offs = section_offsets(h);
-  for (const std::uint64_t off : offs) {
-    PANDA_CHECK_MSG(off % 64 == 0,
-                    "kd-tree header has misaligned section offsets: " << path);
-  }
   const auto sizes = section_sizes(h);
   for (std::size_t s = 0; s < kKdTreeSectionCount; ++s) {
-    const std::uint64_t end = offs[s] + sizes[s];
-    PANDA_CHECK_MSG(offs[s] >= kKdTreeHeaderSpanV3 && end >= offs[s] &&
-                        end <= actual_size,
-                    "kd-tree header section " << s
-                                              << " out of file bounds: "
-                                              << path);
+    PANDA_CHECK_MSG(offs[s] % 64 == 0,
+                    "kd-tree header has misaligned section offsets: " << path);
+    PANDA_CHECK_MSG(offs[s] >= kKdTreeHeaderSpan && offs[s] <= size &&
+                        sizes[s] <= size - offs[s],
+                    "kd-tree header field '"
+                        << kKdTreeSectionNames[s] << "_off' out of file "
+                        << "bounds (" << offs[s] << " + " << sizes[s]
+                        << " bytes, file has " << size << "): " << path);
   }
-}
-
-/// Checks the v4 header checksum (header bytes with the crc field
-/// zeroed). Runs after the structural checks so a corrupted named
-/// field still gets its named diagnostic.
-void verify_header_crc(const KdTreeHeaderV4& h, const std::string& path) {
-  KdTreeHeaderV4 copy = h;
+  KdTreeHeader copy = h;
   copy.header_crc = 0;
   const std::uint32_t computed = crc32c(&copy, sizeof(copy));
   PANDA_CHECK_MSG(computed == h.header_crc,
                   "kd-tree header checksum mismatch (stored 0x"
                       << std::hex << h.header_crc << ", computed 0x"
                       << computed << std::dec << "): " << path);
+  return h;
 }
 
-/// Checks one section's stored CRC against `computed`; the diagnostic
-/// names the section so corruption is attributable.
-void check_section_crc(const KdTreeHeaderV4& h, std::size_t s,
-                       std::uint32_t computed, const std::string& path) {
-  PANDA_CHECK_MSG(computed == h.section_crc[s],
-                  "kd-tree section '" << kKdTreeSectionNames[s]
-                                      << "' checksum mismatch (stored 0x"
-                                      << std::hex << h.section_crc[s]
-                                      << ", computed 0x" << computed
-                                      << std::dec << "): " << path);
-}
-
-/// Verifies every section CRC against the mapped/loaded bytes.
-void verify_section_crcs(const KdTreeHeaderV4& h, const std::byte* base,
-                         const std::string& path) {
+/// Verifies every section CRC against the mapped bytes; the
+/// diagnostic names the section so corruption is attributable.
+void verify_section_crcs(const KdTreeHeader& h, const common::MmapFile& file) {
   const auto offs = section_offsets(h);
   const auto sizes = section_sizes(h);
   for (std::size_t s = 0; s < kKdTreeSectionCount; ++s) {
-    check_section_crc(h, s, crc32c(base + offs[s], sizes[s]), path);
+    const std::uint32_t computed = crc32c(file.data() + offs[s], sizes[s]);
+    PANDA_CHECK_MSG(computed == h.section_crc[s],
+                    "kd-tree section '" << kKdTreeSectionNames[s]
+                                        << "' checksum mismatch (stored 0x"
+                                        << std::hex << h.section_crc[s]
+                                        << ", computed 0x" << computed
+                                        << std::dec << "): " << file.path());
   }
-}
-
-/// Section offsets for the tree described by `h` in the canonical
-/// (tightly packed, 64-aligned) order save() emits.
-template <typename H>
-void layout_sections(H& h) {
-  h.nodes_off = kKdTreeHeaderSpanV3;
-  h.leaves_off = align64(h.nodes_off + h.node_count * kHotNodeBytes);
-  h.leaf_nodes_off = align64(h.leaves_off + h.leaf_count * kLeafInfoBytes);
-  h.packed_off =
-      align64(h.leaf_nodes_off + h.leaf_count * sizeof(std::uint32_t));
-  h.ids_off = align64(h.packed_off + h.packed_count * sizeof(float));
-  h.local_idx_off =
-      align64(h.ids_off + h.id_count * sizeof(std::uint64_t));
-  h.file_size = h.local_idx_off + h.id_count * sizeof(std::uint64_t);
 }
 
 }  // namespace
@@ -172,9 +164,9 @@ void KdTree::save(const std::string& path) const {
   static_assert(sizeof(HotNode) == kHotNodeBytes);
   static_assert(sizeof(LeafInfo) == kLeafInfoBytes);
 
-  KdTreeHeaderV4 header{};
+  KdTreeHeader header{};
   header.magic = kKdTreeMagic;
-  header.version = kKdTreeVersionChecksummed;
+  header.version = kKdTreeVersion;
   header.dims = static_cast<std::uint32_t>(dims_);
   header.node_count = nodes_.size();
   header.leaf_count = leaves_.size();
@@ -182,7 +174,7 @@ void KdTree::save(const std::string& path) const {
   header.id_count = packed_ids_.size();
   header.stats = stats_;
   header.config = config_;
-  layout_sections(header);
+  detail::layout_sections(header);
   header.section_crc[0] = crc32c(nodes_.data(), nodes_.size_bytes());
   header.section_crc[1] = crc32c(leaves_.data(), leaves_.size_bytes());
   header.section_crc[2] = crc32c(leaf_nodes_.data(), leaf_nodes_.size_bytes());
@@ -211,171 +203,29 @@ void KdTree::save(const std::string& path) const {
   out.commit();
 }
 
-void KdTree::save_legacy_v2(const std::string& path) const {
-  KdTreeHeaderV2 header{};
-  header.magic = kKdTreeMagic;
-  header.version = kKdTreeVersionHotCold;
-  header.dims = static_cast<std::uint32_t>(dims_);
-  header.node_count = nodes_.size();
-  header.leaf_count = leaves_.size();
-  header.packed_count = packed_.size();
-  header.id_count = packed_ids_.size();
-  header.stats = stats_;
-  header.config = config_;
-
-  common::AtomicFileWriter out(path);
-  out.write(&header, sizeof(header));
-  out.write(nodes_.data(), nodes_.size_bytes());
-  out.write(leaves_.data(), leaves_.size_bytes());
-  out.write(packed_.data(), packed_.size_bytes());
-  out.write(packed_ids_.data(), packed_ids_.size_bytes());
-  out.write(packed_local_idx_.data(), packed_local_idx_.size_bytes());
-  out.commit();
-}
-
 KdTree KdTree::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    common::throw_io_error("cannot open kd-tree", path, "open", errno);
-  }
-  in.seekg(0, std::ios::end);
-  const std::uint64_t actual_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
-
-  // Magic and version sit at the same offsets in every format
-  // revision, so an old file is identified exactly, not as garbage.
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  read_raw(in, &magic, 1);
-  read_raw(in, &version, 1);
-  PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-  PANDA_CHECK_MSG(magic != byteswap64(kKdTreeMagic),
-                  "kd-tree file has byte-swapped magic (endianness "
-                  "mismatch — file written on a big-endian host?): "
-                      << path);
-  PANDA_CHECK_MSG(magic == kKdTreeMagic, "not a PANDA kd-tree: " << path);
-
-  if (version == kKdTreeVersionHotCold) {
-    in.seekg(0);
-    KdTreeHeaderV2 header{};
-    read_raw(in, &header, 1);
-    PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-
-    KdTree tree;
-    tree.dims_ = header.dims;
-    tree.stats_ = header.stats;
-    tree.config_ = header.config;
-    tree.own_.nodes.resize(header.node_count);
-    read_raw(in, tree.own_.nodes.data(), tree.own_.nodes.size());
-    tree.own_.leaves.resize(header.leaf_count);
-    read_raw(in, tree.own_.leaves.data(), tree.own_.leaves.size());
-    tree.own_.packed.resize(header.packed_count);
-    read_raw(in, tree.own_.packed.data(), tree.own_.packed.size());
-    tree.own_.packed_ids.resize(header.id_count);
-    read_raw(in, tree.own_.packed_ids.data(), tree.own_.packed_ids.size());
-    tree.own_.packed_local_idx.resize(header.id_count);
-    read_raw(in, tree.own_.packed_local_idx.data(),
-             tree.own_.packed_local_idx.size());
-    PANDA_CHECK_MSG(in.good(), "truncated payload: " << path);
-    // v2 does not serialize leaf_nodes: rebuild the leaf-record ->
-    // hot-node map from the node array.
-    tree.own_.leaf_nodes.resize(tree.own_.leaves.size());
-    for (std::uint32_t v = 0; v < tree.own_.nodes.size(); ++v) {
-      if (tree.own_.nodes[v].dim == kLeafMarkerValue) {
-        tree.own_.leaf_nodes[tree.own_.nodes[v].child] = v;
-      }
-    }
-    tree.rebind_owned();
-    return tree;
-  }
-
-  PANDA_CHECK_MSG(version == kKdTreeVersionAligned ||
-                      version == kKdTreeVersionChecksummed,
-                  "unsupported kd-tree version "
-                      << version << " (expected "
-                      << kKdTreeVersionChecksummed
-                      << "); rebuild and re-save the index");
-
-  KdTreeHeaderV4 header{};
-  in.seekg(0);
-  if (version == kKdTreeVersionChecksummed) {
-    read_raw(in, &header, 1);
-    PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-    validate_structural(header, actual_size, path);
-    verify_header_crc(header, path);
-  } else {
-    // v3: same layout fields, no checksums to verify.
-    KdTreeHeaderV3 h3{};
-    read_raw(in, &h3, 1);
-    PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-    validate_structural(h3, actual_size, path);
-    header.dims = h3.dims;
-    header.node_count = h3.node_count;
-    header.leaf_count = h3.leaf_count;
-    header.packed_count = h3.packed_count;
-    header.id_count = h3.id_count;
-    header.nodes_off = h3.nodes_off;
-    header.leaves_off = h3.leaves_off;
-    header.leaf_nodes_off = h3.leaf_nodes_off;
-    header.packed_off = h3.packed_off;
-    header.ids_off = h3.ids_off;
-    header.local_idx_off = h3.local_idx_off;
-    header.stats = h3.stats;
-    header.config = h3.config;
-  }
-
+  const KdTree mapped = open_mmap(path, /*verify_sections=*/true);
   KdTree tree;
-  tree.dims_ = header.dims;
-  tree.stats_ = header.stats;
-  tree.config_ = header.config;
-  std::size_t section = 0;
-  auto read_section = [&](auto& vec, std::uint64_t off, std::uint64_t count) {
-    vec.resize(count);
-    in.seekg(static_cast<std::streamoff>(off));
-    read_raw(in, vec.data(), vec.size());
-    if (version == kKdTreeVersionChecksummed && in.good()) {
-      using Elem = typename std::remove_reference_t<decltype(vec)>::value_type;
-      check_section_crc(header, section,
-                        crc32c(vec.data(), vec.size() * sizeof(Elem)), path);
-    }
-    ++section;
-  };
-  read_section(tree.own_.nodes, header.nodes_off, header.node_count);
-  read_section(tree.own_.leaves, header.leaves_off, header.leaf_count);
-  read_section(tree.own_.leaf_nodes, header.leaf_nodes_off,
-               header.leaf_count);
-  read_section(tree.own_.packed, header.packed_off, header.packed_count);
-  read_section(tree.own_.packed_ids, header.ids_off, header.id_count);
-  read_section(tree.own_.packed_local_idx, header.local_idx_off,
-               header.id_count);
-  PANDA_CHECK_MSG(in.good(), "truncated payload: " << path);
+  tree.dims_ = mapped.dims_;
+  tree.stats_ = mapped.stats_;
+  tree.config_ = mapped.config_;
+  tree.own_.nodes.assign(mapped.nodes_.begin(), mapped.nodes_.end());
+  tree.own_.leaves.assign(mapped.leaves_.begin(), mapped.leaves_.end());
+  tree.own_.leaf_nodes.assign(mapped.leaf_nodes_.begin(),
+                              mapped.leaf_nodes_.end());
+  tree.own_.packed.assign(mapped.packed_.begin(), mapped.packed_.end());
+  tree.own_.packed_ids.assign(mapped.packed_ids_.begin(),
+                              mapped.packed_ids_.end());
+  tree.own_.packed_local_idx.assign(mapped.packed_local_idx_.begin(),
+                                    mapped.packed_local_idx_.end());
   tree.rebind_owned();
   return tree;
 }
 
 KdTree KdTree::open_mmap(const std::string& path, bool verify_sections) {
   auto file = common::MmapFile::open(path);
-  PANDA_CHECK_MSG(file->size() >= kKdTreeHeaderSpanV3,
-                  "kd-tree file too small for a header: " << path);
-  KdTreeHeaderV4 header{};
-  std::memcpy(&header, file->data(), sizeof(header));
-  PANDA_CHECK_MSG(header.magic != byteswap64(kKdTreeMagic),
-                  "kd-tree file has byte-swapped magic (endianness "
-                  "mismatch — file written on a big-endian host?): "
-                      << path);
-  PANDA_CHECK_MSG(header.magic == kKdTreeMagic,
-                  "not a PANDA kd-tree: " << path);
-  PANDA_CHECK_MSG(header.version == kKdTreeVersionChecksummed,
-                  "kd-tree file " << path << " is format version "
-                                  << header.version
-                                  << "; open_mmap needs version "
-                                  << kKdTreeVersionChecksummed
-                                  << " (load() and save() to convert)");
-  validate_structural(header, file->size(), path);
-  verify_header_crc(header, path);
-  if (verify_sections) {
-    verify_section_crcs(header, file->data(), path);
-  }
+  const KdTreeHeader header = read_header(*file);
+  if (verify_sections) verify_section_crcs(header, *file);
 
   KdTree tree;
   tree.dims_ = header.dims;

@@ -63,6 +63,14 @@ std::uint64_t batch_grain(std::uint64_t n, int threads,
   return std::clamp<std::uint64_t>(target, 1, max_grain);
 }
 
+/// Leaf-scan scratch slots a batch warms per thread: the padded bucket
+/// capacity (no built leaf holds more), bounded by the slot count so a
+/// loaded header's config cannot size it past the index itself.
+std::size_t max_leaf_stride(const BuildConfig& config, std::size_t slots) {
+  return simd::padded_count(
+      std::min<std::size_t>(config.bucket_size, slots));
+}
+
 /// Batches at or below this size run inline on the caller thread: a
 /// pool fan-out (wake + join of every worker) costs more than the
 /// queries themselves at serving-frontend micro-batch sizes, and the
@@ -373,7 +381,8 @@ void KdTree::query_sq_batch(const data::PointSet& queries, std::size_t k,
   if (nodes_.empty()) return;
 
   const std::uint64_t n = queries.size();
-  ws.prepare(pool.size(), dims_);
+  ws.prepare(pool.size(), dims_, k,
+             max_leaf_stride(config_, packed_ids_.size()));
   for (auto& t : ws.per_thread) t.stats = QueryStats{};
 
   // Shared context behind a single pointer: the pool lambdas capture
@@ -504,7 +513,8 @@ void KdTree::query_self_batch(std::size_t k, parallel::ThreadPool& pool,
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   results.reset_topk(stats_.points, k);
   if (nodes_.empty()) return;
-  ws.prepare(pool.size(), dims_);
+  ws.prepare(pool.size(), dims_, k,
+             max_leaf_stride(config_, packed_ids_.size()));
   for (auto& t : ws.per_thread) t.stats = QueryStats{};
 
   // The packed leaves are already the bucket-contiguous schedule: no
@@ -733,7 +743,8 @@ void KdTree::query_radius_batch(const data::PointSet& queries,
     return;
   }
 
-  ws.prepare(pool.size(), dims_);
+  ws.prepare(pool.size(), dims_, 1,
+             max_leaf_stride(config_, packed_ids_.size()));
   for (auto& t : ws.per_thread) {
     t.stats = QueryStats{};
     t.staging.clear();

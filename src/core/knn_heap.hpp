@@ -68,8 +68,12 @@ class KnnHeap {
     PANDA_CHECK(k >= 1);
     k_ = k;
     heap_.clear();
-    if (heap_.capacity() < k) heap_.reserve(k);
+    reserve(k);
   }
+
+  /// Grows the backing storage to cover k candidates without touching
+  /// the current contents (no allocator traffic once it does).
+  void reserve(std::size_t k) { heap_.reserve(k); }
 
   std::size_t k() const { return k_; }
   std::size_t size() const { return heap_.size(); }

@@ -1210,7 +1210,7 @@ data::PointSet MutableIndex::live_points() const {
 }
 
 void MutableIndex::save(const std::string& path) const {
-  // Compact-on-save: the artifact is always one packed v3 tree with
+  // Compact-on-save: the artifact is always one packed v4 tree with
   // zero tombstones, built over the pinned snapshot's live points in
   // ascending-id order. The in-memory forest is untouched (save is
   // const and concurrent-safe); Index::open seeds a fresh forest's

@@ -168,7 +168,7 @@ class MutableIndex {
                const BuildConfig& build,
                std::shared_ptr<parallel::ThreadPool> pool);
   /// Seeds the forest with an already-built tree at its size-matched
-  /// level (the Index::open path: a saved v3 file becomes the largest
+  /// level (the Index::open path: a saved v4 file becomes the largest
   /// level and new writes stack on top). The seed's ids must be
   /// unique.
   MutableIndex(KdTree seed, const MutableConfig& config,
@@ -243,7 +243,7 @@ class MutableIndex {
 
   /// Persists the state as of the call: gathers the live points from
   /// the current snapshot, builds one packed tree (zero tombstones,
-  /// ascending-id point order), and saves it as a v3 file — the
+  /// ascending-id point order), and saves it as a v4 file — the
   /// compact-on-save contract of Index::save. The in-memory forest is
   /// untouched; Index::open seeds a new forest from the file.
   void save(const std::string& path) const;

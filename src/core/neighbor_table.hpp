@@ -21,7 +21,7 @@
 //
 // Reads are uniform across modes: row(i) is the ascending-sorted
 // (dist², id) span of query i. to_vectors() materializes the classic
-// vector-of-vectors for compatibility shims and tests.
+// vector-of-vectors for tests and benches.
 #pragma once
 
 #include <cstddef>
@@ -127,7 +127,7 @@ class NeighborTable {
 
   std::size_t count(std::size_t i) const { return row(i).size(); }
 
-  /// Compatibility materialization for vector-of-vectors callers.
+  /// Vector-of-vectors copy of every row (tests and benches).
   std::vector<std::vector<Neighbor>> to_vectors() const {
     std::vector<std::vector<Neighbor>> out(rows_);
     for (std::size_t i = 0; i < rows_; ++i) {

@@ -67,13 +67,19 @@ struct QueryWorkspace {
     std::uint32_t thread = 0;
   };
 
-  /// Sizes the dimension-dependent buffers and pre-reserves the
-  /// traversal stack. Idempotent and allocation-free once warm.
-  void prepare(std::size_t dims) {
+  /// Sizes the dimension-dependent buffers, the heap for `k`
+  /// neighbors, and the leaf-scan scratch for blocks of up to
+  /// `leaf_stride` slots, and pre-reserves the traversal stack.
+  /// Idempotent and allocation-free once warm.
+  void prepare(std::size_t dims, std::size_t k = 1,
+               std::size_t leaf_stride = 0) {
     if (offsets.size() < dims) offsets.resize(dims);
     if (query.size() < dims) query.resize(dims);
     if (stack.capacity() == 0) stack.reserve(128);
     if (undo.capacity() == 0) undo.reserve(128);
+    heap.reserve(k);
+    if (dist.size() < leaf_stride) dist.resize(leaf_stride);
+    if (lanes.size() < leaf_stride) lanes.resize(leaf_stride);
   }
 
   KnnHeap heap{1};
@@ -92,12 +98,16 @@ struct QueryWorkspace {
 /// steady-state query_sq_batch / query_radius_batch calls make zero
 /// allocator calls.
 struct BatchWorkspace {
-  /// Sizes per-thread workspaces for `threads` pool threads over
-  /// `dims`-dimensional data. Idempotent, allocation-free once warm.
-  void prepare(int threads, std::size_t dims) {
+  /// Sizes every per-thread workspace for `threads` pool threads
+  /// (QueryWorkspace::prepare arguments). Warming all of them up front,
+  /// not just the ones the chunk schedule happens to hand work, keeps
+  /// the warm capacity independent of thread scheduling. Idempotent,
+  /// allocation-free once warm.
+  void prepare(int threads, std::size_t dims, std::size_t k = 1,
+               std::size_t leaf_stride = 0) {
     const auto t = static_cast<std::size_t>(threads);
     if (per_thread.size() < t) per_thread.resize(t);
-    for (auto& ws : per_thread) ws.prepare(dims);
+    for (auto& ws : per_thread) ws.prepare(dims, k, leaf_stride);
   }
 
   std::vector<QueryWorkspace> per_thread;

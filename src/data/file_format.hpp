@@ -1,22 +1,17 @@
 // On-disk layout of the PANDA point-file format (data/io.hpp).
 //
-// Shared between the serializer (io.cpp) and the zero-copy view
-// (MmapStorage in storage.cpp); nothing outside src/data should need
-// these definitions. Three revisions exist:
+// Shared between the writer (io.cpp) and the one parser (MmapStorage
+// in storage.cpp, which load_points copies out of); nothing outside
+// src/data should need these definitions.
 //
-//   v1 (legacy)  — 24-byte packed header, ids and coordinate arrays
-//                  butted directly against it. Readable by
-//                  load_points, refused by MmapStorage (arrays are
-//                  not alignment-guaranteed).
-//   v2 (aligned) — 64-byte header block; the id array and every
-//                  per-dimension coordinate array start at 64-byte-
-//                  aligned offsets recorded in the header, so a
-//                  mapped file serves SIMD-aligned spans in place.
-//   v3 (checksummed) — the v2 layout plus CRC32C integrity: a header
-//                  CRC, an ids-section CRC, and a coords CRC over the
-//                  live bytes of every dimension array (padding
-//                  excluded). Header block grows to 128 bytes; the v2
-//                  field offsets are unchanged. See DESIGN.md §13.
+// One version is readable: 3, the checksummed aligned layout. A
+// 128-byte header block is followed by the id array and one array per
+// dimension, each at a 64-byte-aligned offset recorded in the header
+// (so a mapped file serves SIMD-aligned spans in place), plus CRC32C
+// integrity: a header CRC, an ids-section CRC, and a coords CRC over
+// the live bytes of every dimension array (padding excluded). See
+// DESIGN.md §11.1, §13. Every other version is refused with one
+// "re-save" diagnostic.
 //
 // All integers little-endian; a byte-swapped magic is diagnosed as an
 // endianness mismatch rather than "not a point file".
@@ -28,47 +23,19 @@
 namespace panda::data::detail {
 
 inline constexpr std::uint64_t kPointsMagic = 0x50414e4441505453ULL;
-inline constexpr std::uint32_t kPointsVersionLegacy = 1;
-inline constexpr std::uint32_t kPointsVersionAligned = 2;
-inline constexpr std::uint32_t kPointsVersionChecksummed = 3;
+inline constexpr std::uint32_t kPointsVersion = 3;
 
 /// Upper bound on believable dimensionality: a corrupt header must
 /// fail this check rather than drive a huge allocation.
 inline constexpr std::uint32_t kMaxPointDims = 4096;
 
-/// v1 header, written packed (no trailing padding on disk).
-struct PointsHeaderV1 {
-  std::uint64_t magic;
-  std::uint32_t version;
-  std::uint32_t dims;
-  std::uint64_t count;
-};
-inline constexpr std::size_t kPointsHeaderV1Bytes = 24;
-
-/// v2 header; the file reserves kPointsHeaderSpan bytes for it
-/// (zero-padded) so the first section can start 64-aligned.
-struct PointsHeaderV2 {
-  std::uint64_t magic;
-  std::uint32_t version;
-  std::uint32_t dims;
-  std::uint64_t count;
-  std::uint64_t ids_off;            // 64-aligned
-  std::uint64_t coords_off;         // 64-aligned; dim d at coords_off +
-                                    // d * coord_stride_bytes
-  std::uint64_t coord_stride_bytes; // 64-aligned, >= count * 4
-  std::uint64_t file_size;          // total bytes, for validation
-};
-inline constexpr std::size_t kPointsHeaderSpan = 64;
-static_assert(sizeof(PointsHeaderV2) <= kPointsHeaderSpan);
-
-/// v3 header: the v2 fields at their v2 offsets, then the integrity
-/// checksums. `ids_crc` covers count * 8 id bytes; `coords_crc`
+/// The header. `ids_crc` covers count * 8 id bytes; `coords_crc`
 /// covers the live count * 4 bytes of each dimension array, chained
 /// dim 0 → dims-1 (stride padding excluded). `header_crc` covers the
-/// first sizeof(PointsHeaderV3) bytes with the header_crc field
-/// itself zeroed. The header block grows to kPointsHeaderSpanV3 so
-/// the id array still starts 64-aligned.
-struct PointsHeaderV3 {
+/// first sizeof(PointsHeader) bytes with the header_crc field itself
+/// zeroed. The file reserves kPointsHeaderSpan bytes for the header
+/// (zero-padded) so the id array starts 64-aligned.
+struct PointsHeader {
   std::uint64_t magic;
   std::uint32_t version;
   std::uint32_t dims;
@@ -83,10 +50,8 @@ struct PointsHeaderV3 {
   std::uint32_t coords_crc;
   std::uint32_t reserved;
 };
-inline constexpr std::size_t kPointsHeaderSpanV3 = 128;
-static_assert(sizeof(PointsHeaderV3) <= kPointsHeaderSpanV3);
-static_assert(offsetof(PointsHeaderV3, file_size) ==
-              offsetof(PointsHeaderV2, file_size));
+inline constexpr std::size_t kPointsHeaderSpan = 128;
+static_assert(sizeof(PointsHeader) <= kPointsHeaderSpan);
 
 inline constexpr std::uint64_t align64(std::uint64_t x) {
   return (x + 63) & ~std::uint64_t{63};

@@ -1,83 +1,24 @@
 #include "data/io.hpp"
 
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
-#include <vector>
 
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
-#include "common/error.hpp"
 #include "data/file_format.hpp"
+#include "data/storage.hpp"
 
 namespace panda::data {
 
-namespace {
-
-using common::crc32c;
-using detail::align64;
-using detail::kMaxPointDims;
-using detail::kPointsHeaderSpan;
-using detail::kPointsHeaderSpanV3;
-using detail::kPointsHeaderV1Bytes;
-using detail::kPointsMagic;
-using detail::kPointsVersionAligned;
-using detail::kPointsVersionChecksummed;
-using detail::kPointsVersionLegacy;
-using detail::PointsHeaderV1;
-using detail::PointsHeaderV2;
-using detail::PointsHeaderV3;
-
-/// Shared header validation: magic (with the endianness diagnosis)
-/// and dims bounds — everything that must hold before believing any
-/// size field.
-void validate_magic_and_dims(std::uint64_t magic, std::uint32_t dims,
-                             const std::string& path) {
-  PANDA_CHECK_MSG(magic != detail::byteswap64(kPointsMagic),
-                  "point file has byte-swapped magic (endianness "
-                  "mismatch — file written on a big-endian host?): "
-                      << path);
-  PANDA_CHECK_MSG(magic == kPointsMagic, "not a PANDA point file: " << path);
-  PANDA_CHECK_MSG(dims >= 1 && dims <= kMaxPointDims,
-                  "point file header field 'dims' out of bounds ("
-                      << dims << ", expected 1.." << kMaxPointDims
-                      << "): " << path);
-}
-
-/// Structural checks shared by the v2 and v3 readers (the v3 header is
-/// a field superset at the same offsets).
-template <typename H>
-void validate_layout(const H& header, std::uint64_t actual_size,
-                     const std::string& path) {
-  PANDA_CHECK_MSG(header.file_size == actual_size,
-                  "point file header field 'file_size' inconsistent ("
-                      << header.file_size << " recorded, " << actual_size
-                      << " actual): " << path);
-  PANDA_CHECK_MSG(header.ids_off % 64 == 0 && header.coords_off % 64 == 0 &&
-                      header.coord_stride_bytes % 64 == 0,
-                  "point file header has misaligned section offsets: "
-                      << path);
-  PANDA_CHECK_MSG(
-      header.coord_stride_bytes >= header.count * sizeof(float) &&
-          header.ids_off + header.count * sizeof(std::uint64_t) <=
-              header.coords_off &&
-          header.coords_off + header.dims * header.coord_stride_bytes <=
-              actual_size,
-      "point file header field 'count' inconsistent with section layout: "
-          << path);
-}
-
-}  // namespace
-
 void save_points(const PointSet& points, const std::string& path) {
+  using common::crc32c;
+  using detail::align64;
   const std::uint64_t count = points.size();
-  PointsHeaderV3 header{};
-  header.magic = kPointsMagic;
-  header.version = kPointsVersionChecksummed;
+  detail::PointsHeader header{};
+  header.magic = detail::kPointsMagic;
+  header.version = detail::kPointsVersion;
   header.dims = static_cast<std::uint32_t>(points.dims());
   header.count = count;
-  header.ids_off = kPointsHeaderSpanV3;
+  header.ids_off = detail::kPointsHeaderSpan;
   header.coords_off = align64(header.ids_off + count * sizeof(std::uint64_t));
   header.coord_stride_bytes = align64(count * sizeof(float));
   header.file_size =
@@ -108,122 +49,11 @@ void save_points(const PointSet& points, const std::string& path) {
 }
 
 PointSet load_points(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    common::throw_io_error("cannot open point file", path, "open", errno);
-  }
-  in.seekg(0, std::ios::end);
-  const std::uint64_t actual_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
-
-  // Magic and version sit at the same offsets in every revision, so an
-  // old or foreign file is identified exactly, not read as garbage.
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-
-  if (version == kPointsVersionLegacy && magic == kPointsMagic) {
-    in.seekg(0);
-    PointsHeaderV1 header{};
-    static_assert(sizeof(header) == kPointsHeaderV1Bytes);
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-    PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-    validate_magic_and_dims(header.magic, header.dims, path);
-    // The count field drives every allocation below: require it to be
-    // exactly consistent with the file's size first.
-    const std::uint64_t expected =
-        kPointsHeaderV1Bytes +
-        header.count * (sizeof(std::uint64_t) + header.dims * sizeof(float));
-    PANDA_CHECK_MSG(expected == actual_size,
-                    "point file header field 'count' inconsistent with file "
-                    "size (count "
-                        << header.count << " implies " << expected
-                        << " bytes, file has " << actual_size
-                        << "): " << path);
-
-    PointSet points(header.dims, header.count);
-    {
-      std::vector<std::uint64_t> ids(header.count);
-      in.read(reinterpret_cast<char*>(ids.data()),
-              static_cast<std::streamsize>(ids.size() *
-                                           sizeof(std::uint64_t)));
-      for (std::size_t i = 0; i < ids.size(); ++i) points.set_id(i, ids[i]);
-    }
-    for (std::size_t d = 0; d < header.dims; ++d) {
-      auto coords = points.coordinate(d);
-      in.read(reinterpret_cast<char*>(coords.data()),
-              static_cast<std::streamsize>(coords.size_bytes()));
-    }
-    PANDA_CHECK_MSG(in.good(), "truncated payload: " << path);
-    return points;
-  }
-
-  validate_magic_and_dims(magic, 1, path);  // magic/endianness first
-  PANDA_CHECK_MSG(version == kPointsVersionAligned ||
-                      version == kPointsVersionChecksummed,
-                  "unsupported point file version " << version << ": "
-                                                    << path);
-  in.seekg(0);
-  PointsHeaderV3 header{};
-  if (version == kPointsVersionChecksummed) {
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-    PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-    validate_magic_and_dims(header.magic, header.dims, path);
-    validate_layout(header, actual_size, path);
-    PointsHeaderV3 copy = header;
-    copy.header_crc = 0;
-    const std::uint32_t computed = crc32c(&copy, sizeof(copy));
-    PANDA_CHECK_MSG(computed == header.header_crc,
-                    "point file header checksum mismatch (stored 0x"
-                        << std::hex << header.header_crc << ", computed 0x"
-                        << computed << std::dec << "): " << path);
-  } else {
-    PointsHeaderV2 h2{};
-    in.read(reinterpret_cast<char*>(&h2), sizeof(h2));
-    PANDA_CHECK_MSG(in.good(), "truncated header: " << path);
-    validate_magic_and_dims(h2.magic, h2.dims, path);
-    validate_layout(h2, actual_size, path);
-    header.dims = h2.dims;
-    header.count = h2.count;
-    header.ids_off = h2.ids_off;
-    header.coords_off = h2.coords_off;
-    header.coord_stride_bytes = h2.coord_stride_bytes;
-  }
-
-  PointSet points(header.dims, header.count);
-  {
-    in.seekg(static_cast<std::streamoff>(header.ids_off));
-    std::vector<std::uint64_t> ids(header.count);
-    in.read(reinterpret_cast<char*>(ids.data()),
-            static_cast<std::streamsize>(ids.size() * sizeof(std::uint64_t)));
-    if (version == kPointsVersionChecksummed && in.good()) {
-      const std::uint32_t computed =
-          crc32c(ids.data(), ids.size() * sizeof(std::uint64_t));
-      PANDA_CHECK_MSG(computed == header.ids_crc,
-                      "point file section 'ids' checksum mismatch (stored 0x"
-                          << std::hex << header.ids_crc << ", computed 0x"
-                          << computed << std::dec << "): " << path);
-    }
-    for (std::size_t i = 0; i < ids.size(); ++i) points.set_id(i, ids[i]);
-  }
-  std::uint32_t coords_crc = 0;
-  for (std::size_t d = 0; d < header.dims; ++d) {
-    in.seekg(static_cast<std::streamoff>(header.coords_off +
-                                         d * header.coord_stride_bytes));
-    auto coords = points.coordinate(d);
-    in.read(reinterpret_cast<char*>(coords.data()),
-            static_cast<std::streamsize>(coords.size_bytes()));
-    coords_crc = crc32c(coords.data(), coords.size_bytes(), coords_crc);
-  }
-  PANDA_CHECK_MSG(in.good(), "truncated payload: " << path);
-  if (version == kPointsVersionChecksummed) {
-    PANDA_CHECK_MSG(coords_crc == header.coords_crc,
-                    "point file section 'coords' checksum mismatch (stored 0x"
-                        << std::hex << header.coords_crc << ", computed 0x"
-                        << coords_crc << std::dec << "): " << path);
-  }
+  // One parser: a fully verified mapping (header + both section
+  // checksums), then one copy into owned memory.
+  const MmapStorage mapped(path, /*verify_sections=*/true);
+  PointSet points(mapped.dims());
+  mapped.read_chunk(0, points, nullptr);
   return points;
 }
 

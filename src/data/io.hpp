@@ -3,10 +3,10 @@
 // The paper stores its science data as HDF5 one-array-per-property;
 // HDF5 is not available offline, so PANDA ships a self-describing
 // little-endian binary format with the same one-array-per-property
-// layout. Format v2 (the aligned revision, see data/file_format.hpp)
-// places the id array and every coordinate array at 64-byte-aligned
-// offsets so MmapStorage can serve the file zero-copy; v1 files
-// remain loadable into owned memory.
+// layout. Format v3 (see data/file_format.hpp) places the id array
+// and every coordinate array at 64-byte-aligned offsets so
+// MmapStorage can serve the file zero-copy, and checksums the header
+// and both sections with CRC32C.
 //
 // Headers are validated BEFORE any allocation: magic (including the
 // byte-swapped endianness case), version, dims bounds, and the
@@ -21,12 +21,13 @@
 
 namespace panda::data {
 
-/// Writes `points` to `path` in format v2 (aligned). Throws
-/// panda::Error on I/O failure.
+/// Writes `points` to `path` in format v3, replacing any existing
+/// file atomically. Throws panda::Error on I/O failure.
 void save_points(const PointSet& points, const std::string& path);
 
-/// Reads a PointSet written by save_points (v1 or v2). Throws
-/// panda::Error on I/O failure or format mismatch.
+/// Reads a PointSet written by save_points: a copy out of a fully
+/// verified MmapStorage. Throws panda::Error on I/O failure, a
+/// checksum or header mismatch, or any version other than 3.
 PointSet load_points(const std::string& path);
 
 }  // namespace panda::data

@@ -1,6 +1,7 @@
 #include "data/storage.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -50,61 +51,92 @@ PointSet PointStorage::to_point_set() const {
 // MmapStorage
 // ---------------------------------------------------------------------
 
+namespace {
+
+/// Copies and validates the header of a mapped point file: identity
+/// (magic, endianness, version), then every structural field against
+/// the file size — all before any span is formed — and last the
+/// header CRC, so a corrupted named field still gets its named
+/// diagnostic. A CRC is not a MAC (a crafted header recomputes it),
+/// so the structural checks alone must keep every section inside the
+/// file: each count is bounded by the file size before it is
+/// multiplied, and each offset + size is checked without wrapping.
+detail::PointsHeader read_points_header(const common::MmapFile& file) {
+  using namespace detail;
+  const std::string& path = file.path();
+  const std::uint64_t size = file.size();
+  PointsHeader h{};
+  if (size > 0) {
+    std::memcpy(&h, file.data(), std::min<std::uint64_t>(size, sizeof(h)));
+  }
+  // Magic and version sit at the same offsets in every revision, so a
+  // short file from another revision is refused by version rather
+  // than as truncated.
+  const bool identified =
+      size >= offsetof(PointsHeader, dims) && h.magic == kPointsMagic;
+  PANDA_CHECK_MSG(!identified || h.version == kPointsVersion,
+                  "unsupported point file version "
+                      << h.version << " (expected " << kPointsVersion
+                      << "); re-save it with save_points: " << path);
+  PANDA_CHECK_MSG(size >= kPointsHeaderSpan,
+                  "point file too small for a header: " << path);
+  PANDA_CHECK_MSG(h.magic != byteswap64(kPointsMagic),
+                  "point file has byte-swapped magic (endianness "
+                  "mismatch — file written on a big-endian host?): "
+                      << path);
+  PANDA_CHECK_MSG(h.magic == kPointsMagic,
+                  "not a PANDA point file: " << path);
+  PANDA_CHECK_MSG(h.dims >= 1 && h.dims <= kMaxPointDims,
+                  "point file header field 'dims' out of bounds ("
+                      << h.dims << ", expected 1.." << kMaxPointDims
+                      << "): " << path);
+  PANDA_CHECK_MSG(h.file_size == size,
+                  "point file header field 'file_size' inconsistent ("
+                      << h.file_size << " recorded, " << size
+                      << " actual): " << path);
+  PANDA_CHECK_MSG(h.count <= size / sizeof(std::uint64_t),
+                  "point file header field 'count' out of bounds ("
+                      << h.count << " points cannot fit a " << size
+                      << "-byte file): " << path);
+  PANDA_CHECK_MSG(h.coord_stride_bytes <= size / h.dims,
+                  "point file header field 'coord_stride_bytes' out of "
+                  "bounds ("
+                      << h.coord_stride_bytes << " x " << h.dims
+                      << " dims exceeds the " << size << "-byte file): "
+                      << path);
+  PANDA_CHECK_MSG(h.ids_off % 64 == 0 && h.coords_off % 64 == 0 &&
+                      h.coord_stride_bytes % 64 == 0,
+                  "point file header has misaligned section offsets: "
+                      << path);
+  PANDA_CHECK_MSG(h.ids_off >= kPointsHeaderSpan &&
+                      h.ids_off <= h.coords_off &&
+                      h.count <= (h.coords_off - h.ids_off) /
+                                     sizeof(std::uint64_t),
+                  "point file header field 'ids_off' out of bounds ("
+                      << h.ids_off << "): " << path);
+  PANDA_CHECK_MSG(h.coords_off <= size &&
+                      h.dims * h.coord_stride_bytes <= size - h.coords_off,
+                  "point file header field 'coords_off' out of bounds ("
+                      << h.coords_off << "): " << path);
+  PANDA_CHECK_MSG(h.coord_stride_bytes >= h.count * sizeof(float),
+                  "point file header field 'count' inconsistent with "
+                  "section layout: "
+                      << path);
+  PointsHeader copy = h;
+  copy.header_crc = 0;
+  const std::uint32_t computed = common::crc32c(&copy, sizeof(copy));
+  PANDA_CHECK_MSG(computed == h.header_crc,
+                  "point file header checksum mismatch (stored 0x"
+                      << std::hex << h.header_crc << ", computed 0x"
+                      << computed << std::dec << "): " << path);
+  return h;
+}
+
+}  // namespace
+
 MmapStorage::MmapStorage(const std::string& path, bool verify_sections)
     : file_(common::MmapFile::open(path)) {
-  using namespace detail;
-  PANDA_CHECK_MSG(file_->size() >= kPointsHeaderSpan,
-                  "point file too small for a header: " << path);
-  PointsHeaderV3 header{};
-  std::memcpy(&header, file_->data(), sizeof(PointsHeaderV2));
-  PANDA_CHECK_MSG(header.magic != byteswap64(kPointsMagic),
-                  "point file has byte-swapped magic (endianness "
-                  "mismatch): "
-                      << path);
-  PANDA_CHECK_MSG(header.magic == kPointsMagic,
-                  "not a PANDA point file: " << path);
-  PANDA_CHECK_MSG(header.version != kPointsVersionLegacy,
-                  "point file " << path
-                                << " is format v1 (unaligned) — re-save it "
-                                   "with save_points to enable mmap");
-  PANDA_CHECK_MSG(header.version == kPointsVersionAligned ||
-                      header.version == kPointsVersionChecksummed,
-                  "unsupported point file version " << header.version << ": "
-                                                    << path);
-  const bool checksummed = header.version == kPointsVersionChecksummed;
-  if (checksummed) {
-    PANDA_CHECK_MSG(file_->size() >= kPointsHeaderSpanV3,
-                    "point file too small for a header: " << path);
-    std::memcpy(&header, file_->data(), sizeof(header));
-  }
-  PANDA_CHECK_MSG(header.dims >= 1 && header.dims <= kMaxPointDims,
-                  "point file header field 'dims' out of bounds ("
-                      << header.dims << "): " << path);
-  PANDA_CHECK_MSG(header.file_size == file_->size(),
-                  "point file header field 'file_size' inconsistent ("
-                      << header.file_size << " recorded, " << file_->size()
-                      << " actual): " << path);
-  PANDA_CHECK_MSG(header.ids_off % 64 == 0 && header.coords_off % 64 == 0 &&
-                      header.coord_stride_bytes % 64 == 0,
-                  "point file has misaligned section offsets: " << path);
-  PANDA_CHECK_MSG(
-      header.coord_stride_bytes >= header.count * sizeof(float) &&
-          header.ids_off + header.count * sizeof(std::uint64_t) <=
-              header.coords_off &&
-          header.coords_off + header.dims * header.coord_stride_bytes <=
-              file_->size(),
-      "point file header field 'count' inconsistent with section layout: "
-          << path);
-  if (checksummed) {
-    PointsHeaderV3 copy = header;
-    copy.header_crc = 0;
-    const std::uint32_t computed = common::crc32c(&copy, sizeof(copy));
-    PANDA_CHECK_MSG(computed == header.header_crc,
-                    "point file header checksum mismatch (stored 0x"
-                        << std::hex << header.header_crc << ", computed 0x"
-                        << computed << std::dec << "): " << path);
-  }
-
+  const detail::PointsHeader header = read_points_header(*file_);
   dims_ = header.dims;
   count_ = header.count;
   const std::byte* base = file_->data();
@@ -115,7 +147,7 @@ MmapStorage::MmapStorage(const std::string& path, bool verify_sections)
         base + header.coords_off + d * header.coord_stride_bytes);
   }
 
-  if (checksummed && verify_sections) {
+  if (verify_sections) {
     const std::uint32_t ids_crc =
         common::crc32c(ids_, count_ * sizeof(std::uint64_t));
     PANDA_CHECK_MSG(ids_crc == header.ids_crc,

@@ -9,7 +9,7 @@
 //
 //   OwnedStorage   — owns a PointSet; the classical in-RAM case.
 //   MmapStorage    — zero-copy spans into a memory-mapped aligned
-//                    point file (data::io format v2); opening a
+//                    point file (data::io format v3); opening a
 //                    100 GB dataset costs one mmap, pages fault in
 //                    as kernels touch them.
 //   ChunkedStorage — a build-time spill file: points partitioned
@@ -130,20 +130,19 @@ class OwnedStorage final : public PointStorage {
   PointSet set_;
 };
 
-/// Zero-copy view over an aligned point file (data::io format v2):
+/// Zero-copy view over an aligned point file (data::io format v3):
 /// the id array and every per-dimension coordinate array sit at
 /// 64-byte-aligned offsets, so the spans point straight into the map.
-/// Version-1 files (unaligned) are refused with a re-save hint —
-/// load_points still reads them into owned memory.
+/// The one point-file parser — load_points copies out of it. Every
+/// other version is refused with a re-save hint.
 class MmapStorage final : public PointStorage {
  public:
   /// Maps `path` and validates its header (magic, version, dims and
-  /// count bounds, section offsets/alignment against the file size;
-  /// for checksummed v3 files also the header CRC, plus the id/coord
-  /// section CRCs unless `verify_sections` is false — legacy v2 files
-  /// carry no checksums and are served as-is).
-  /// Throws panda::Error on any mismatch, before touching the data
-  /// pages.
+  /// count bounds, section offsets/alignment against the file size,
+  /// header CRC), plus the id/coord section CRCs unless
+  /// `verify_sections` is false. Throws panda::Error naming the
+  /// offending field or section on any mismatch; no span is formed
+  /// before the header passes.
   explicit MmapStorage(const std::string& path, bool verify_sections = true);
 
   std::size_t dims() const override { return dims_; }

@@ -7,9 +7,7 @@
 // distributed query protocol, an in-process SPMD cluster runtime, and
 // the baselines the paper evaluates against — all behind the
 // panda::Index facade (api/index.hpp). See README.md for a quickstart
-// and DESIGN.md for the architecture. Deliberately absent:
-// core/compat.hpp (the legacy vector-of-vectors shims) is opt-in by
-// explicit include, so the umbrella stops advertising it.
+// and DESIGN.md for the architecture.
 #pragma once
 
 #include "api/index.hpp"

@@ -1,5 +1,5 @@
 // Unit tests for src/common: RNG determinism and statistics, seed
-// derivation, sampling helpers, timers, and error macros.
+// derivation, sampling helpers, the wall timer, and error macros.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,48 +186,6 @@ TEST(WallTimer, MeasuresElapsedTime) {
   EXPECT_GE(t.seconds(), 0.015);
   t.reset();
   EXPECT_LT(t.seconds(), 0.015);
-}
-
-TEST(PhaseTimer, AccumulatesNamedPhases) {
-  PhaseTimer timer;
-  timer.add("a", 1.0);
-  timer.add("a", 0.5);
-  timer.add("b", 2.0);
-  EXPECT_DOUBLE_EQ(timer.seconds("a"), 1.5);
-  EXPECT_DOUBLE_EQ(timer.seconds("b"), 2.0);
-  EXPECT_DOUBLE_EQ(timer.seconds("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(timer.total(), 3.5);
-}
-
-TEST(PhaseTimer, ScopeAddsElapsed) {
-  PhaseTimer timer;
-  {
-    auto scope = timer.scope("work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GT(timer.seconds("work"), 0.005);
-}
-
-TEST(PhaseTimer, MergeMaxTakesSlowestRank) {
-  PhaseTimer a;
-  a.add("x", 1.0);
-  a.add("y", 5.0);
-  PhaseTimer b;
-  b.add("x", 3.0);
-  const auto merged = PhaseTimer::merge_max({a, b});
-  EXPECT_DOUBLE_EQ(merged.seconds("x"), 3.0);
-  EXPECT_DOUBLE_EQ(merged.seconds("y"), 5.0);
-}
-
-TEST(PhaseTimer, MergeSumAggregates) {
-  PhaseTimer a;
-  a.add("x", 1.0);
-  PhaseTimer b;
-  b.add("x", 3.0);
-  b.add("z", 1.0);
-  const auto merged = PhaseTimer::merge_sum({a, b});
-  EXPECT_DOUBLE_EQ(merged.seconds("x"), 4.0);
-  EXPECT_DOUBLE_EQ(merged.seconds("z"), 1.0);
 }
 
 TEST(ErrorMacros, CheckThrowsWithContext) {

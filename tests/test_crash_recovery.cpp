@@ -15,6 +15,13 @@
 // landed (foreground append, group-commit fsync, background seal's
 // tree save / manifest commit / WAL rotation), so one verifier covers
 // the whole schedule matrix.
+//
+// Schedules armed at a background site are counted deterministically:
+// the child quiesces the index after every acknowledged batch, so
+// seals neither coalesce nor outlive the child and the armed hit lands
+// at the same event on every run, however loaded the host. A second,
+// non-quiescing run of each such schedule keeps the racing
+// interleavings under the same durability check.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -134,6 +141,9 @@ TEST(CrashChild, IngestUntilKilled) {
   if (dir == nullptr) GTEST_SKIP() << "crash-harness child entry point";
   const char* ack_path = std::getenv("PANDA_CRASH_ACK");
   ASSERT_NE(ack_path, nullptr);
+  // Drain background seals/merges after every acked batch, so their
+  // failpoint hits are counted rather than raced.
+  const bool quiesce = std::getenv("PANDA_CRASH_QUIESCE") != nullptr;
   // O_APPEND + write(2): acknowledgements reach the kernel before the
   // next batch starts, so they survive the _Exit exactly like a
   // client's acked RPC survives its server's kill -9.
@@ -154,6 +164,7 @@ TEST(CrashChild, IngestUntilKilled) {
     const std::string line = std::to_string(b) + "\n";
     ASSERT_EQ(::write(ack_fd, line.data(), line.size()),
               static_cast<::ssize_t>(line.size()));
+    if (quiesce) index.quiesce();
   }
   ::close(ack_fd);
   // Reaching here means the schedule's failpoint never fired in the
@@ -319,6 +330,16 @@ class CrashRecoveryTest : public ::testing::Test {
     verify_recovery(dir_ / "index", run.last_acked);
   }
 
+  /// A schedule armed at a background site (tree save, MANIFEST
+  /// commit, WAL rotation): once counted — the child quiesces after
+  /// every acked batch, so the kill must fire — and once racing, where
+  /// seals may coalesce or outlive the child and the kill may or may
+  /// not land, but recovery must hold either way.
+  void run_background_schedule(const std::string& spec) {
+    run_schedule("PANDA_CRASH_QUIESCE=1 PANDA_CRASH_ARM='" + spec + "'");
+    run_schedule("PANDA_CRASH_ARM='" + spec + "'", /*expect_kill=*/false);
+  }
+
   fs::path dir_;
 };
 
@@ -348,21 +369,17 @@ TEST_F(CrashRecoveryTest, KilledAtGroupCommitFsync) {
 TEST_F(CrashRecoveryTest, KilledDuringTreeSaveAndManifestCommit) {
   // atomic_file.* sites fire inside the background seal: the tree
   // save's writes/fsync and the manifest's atomic replace.
-  for (const std::string site :
-       {std::string("atomic_file.write=abort@0"),
-        std::string("atomic_file.write=abort@1"),
-        std::string("atomic_file.write=abort@5"),
-        std::string("atomic_file.fsync=abort@0"),
-        std::string("atomic_file.fsync=abort@1"),
-        std::string("atomic_file.rename=abort@0"),
-        std::string("atomic_file.rename=abort@1"),
-        std::string("atomic_file.dirsync=abort@0")}) {
-    run_schedule("PANDA_CRASH_ARM='" + site + "'");
+  for (const char* site :
+       {"atomic_file.write=abort@0", "atomic_file.write=abort@1",
+        "atomic_file.write=abort@5", "atomic_file.fsync=abort@0",
+        "atomic_file.fsync=abort@1", "atomic_file.rename=abort@0",
+        "atomic_file.rename=abort@1", "atomic_file.dirsync=abort@0"}) {
+    run_background_schedule(site);
   }
 }
 
 TEST_F(CrashRecoveryTest, KilledAtWalRotation) {
-  run_schedule("PANDA_CRASH_ARM='wal.create=abort@0'");
+  run_background_schedule("wal.create=abort@0");
 }
 
 TEST_F(CrashRecoveryTest, EnvironmentActivatedSchedule) {

@@ -75,7 +75,7 @@ TEST_P(ExternalBuild, IdExactAgainstInRamBuild) {
     expect_identical_queries(in_ram, external, queries, k);
   }
 
-  // The written file is a self-sufficient v3 index: a fresh zero-copy
+  // The written file is a self-sufficient v4 index: a fresh zero-copy
   // open answers identically.
   const KdTree reopened = KdTree::open_mmap(out);
   expect_identical_queries(in_ram, reopened, queries, 5);

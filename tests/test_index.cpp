@@ -550,7 +550,7 @@ TEST(FacadeOpen, MutableSaveOpenRoundTrip) {
   ASSERT_EQ(built->erase(doomed), 3u);
 
   // save() compacts the forest (buffer, trees, tombstones) into one
-  // v3 file; the file round-trips under either engine.
+  // v4 file; the file round-trips under either engine.
   const std::string path = temp_path("panda_mutable_roundtrip.kdt");
   built->save(path);
 

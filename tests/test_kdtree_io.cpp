@@ -1,9 +1,10 @@
 // Tests for kd-tree persistence: save/load round trips preserve query
 // results bit-for-bit; v4 files open zero-copy via mmap; malformed
-// inputs are rejected with header diagnostics; a single flipped byte
-// in any section is caught by the CRC32C checksums with a
-// section-naming diagnostic; legacy versions take their documented
-// paths (v2/v3 convert on open, v1 is refused).
+// inputs are rejected with header diagnostics, including crafted
+// headers whose counts or offsets wrap 64-bit arithmetic; a single
+// flipped byte in any section is caught by the CRC32C checksums with
+// a section-naming diagnostic; every other version is refused by
+// every reader with one diagnostic.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "api/index.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "core/kdtree.hpp"
 #include "core/kdtree_format.hpp"
@@ -41,6 +43,34 @@ void patch_file(const std::string& path, std::uint64_t off, const void* bytes,
   ASSERT_TRUE(f.good());
   f.seekp(static_cast<std::streamoff>(off));
   f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(n));
+}
+
+detail::KdTreeHeader read_header(const std::string& path) {
+  detail::KdTreeHeader header{};
+  std::ifstream in(path, std::ios::binary);
+  in.read(reinterpret_cast<char*>(&header), sizeof(header));
+  EXPECT_TRUE(in.good()) << path;
+  return header;
+}
+
+/// Writes `header` back with a freshly computed header CRC — what a
+/// crafted file would carry, since a CRC is not a MAC.
+void write_header_with_crc(const std::string& path,
+                           detail::KdTreeHeader header) {
+  header.header_crc = 0;
+  header.header_crc = common::crc32c(&header, sizeof(header));
+  patch_file(path, 0, &header, sizeof(header));
+}
+
+/// Every reader of an index path: the owned loader, the mapped open
+/// with and without section checks, and the facade.
+template <typename Check>
+void for_every_reader(const std::string& path, Check&& check) {
+  check("load", error_of([&] { KdTree::load(path); }));
+  check("open_mmap", error_of([&] { KdTree::open_mmap(path); }));
+  check("open_mmap(unverified)",
+        error_of([&] { KdTree::open_mmap(path, false); }));
+  check("Index::open", error_of([&] { Index::open(path); }));
 }
 
 void expect_identical_queries(const KdTree& a, const KdTree& b,
@@ -159,7 +189,7 @@ TEST(KdTreeIo, MmapOpenMatchesOwnedLoadExactly) {
   parallel::ThreadPool pool(4);
   const KdTree original = KdTree::build(points, BuildConfig{}, pool);
 
-  const std::string path = ::testing::TempDir() + "/panda_tree_v3.kdt";
+  const std::string path = ::testing::TempDir() + "/panda_tree_v4.kdt";
   original.save(path);
   const KdTree mapped = KdTree::open_mmap(path);
   EXPECT_TRUE(mapped.mapped());
@@ -186,7 +216,7 @@ TEST(KdTreeIo, MmapRejectsTruncatedFile) {
   const data::PointSet points = gen->generate_all(2000);
   parallel::ThreadPool pool(2);
   const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
-  const std::string path = ::testing::TempDir() + "/panda_tree_v3_trunc.kdt";
+  const std::string path = ::testing::TempDir() + "/panda_tree_v4_trunc.kdt";
   tree.save(path);
   {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -218,7 +248,7 @@ TEST(KdTreeIo, MmapRejectsBadAndByteSwappedMagic) {
   const data::PointSet points = gen->generate_all(1000);
   parallel::ThreadPool pool(2);
   const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
-  const std::string path = ::testing::TempDir() + "/panda_tree_v3_magic.kdt";
+  const std::string path = ::testing::TempDir() + "/panda_tree_v4_magic.kdt";
 
   tree.save(path);
   const std::uint64_t garbage = 0x1122334455667788ULL;
@@ -242,10 +272,10 @@ TEST(KdTreeIo, MmapRejectsMisalignedSectionOffsets) {
   const data::PointSet points = gen->generate_all(1000);
   parallel::ThreadPool pool(2);
   const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
-  const std::string path = ::testing::TempDir() + "/panda_tree_v3_align.kdt";
+  const std::string path = ::testing::TempDir() + "/panda_tree_v4_align.kdt";
   tree.save(path);
 
-  // nodes_off lives at byte 56 of the v3 header (after magic, version,
+  // nodes_off lives at byte 56 of the header (after magic, version,
   // dims, four counts, file_size). Knock it off the 64-byte grid.
   std::uint64_t nodes_off = 0;
   {
@@ -272,67 +302,85 @@ TEST(KdTreeIo, MmapRejectsMisalignedSectionOffsets) {
   std::remove(path.c_str());
 }
 
-TEST(KdTreeIo, VersionOneIsRefusedVerbatimThroughIndexOpen) {
-  // Hand-write a version-1 stub: correct magic, version 1, padding.
-  const std::string path = ::testing::TempDir() + "/panda_tree_v1.kdt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::uint64_t magic = 0x50414e44414b4454ULL;
-    const std::uint32_t version = 1;
-    out.write(reinterpret_cast<const char*>(&magic), 8);
-    out.write(reinterpret_cast<const char*>(&version), 4);
-    const char zeros[244] = {};
-    out.write(zeros, sizeof(zeros));
+TEST(KdTreeIo, OtherVersionsAreRefusedByEveryReader) {
+  const auto gen = data::make_generator("gmm", 85);
+  const data::PointSet points = gen->generate_all(3000);
+  parallel::ThreadPool pool(2);
+  const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
+  const std::string path = ::testing::TempDir() + "/panda_tree_vN.kdt";
+  for (const std::uint32_t version : {1u, 2u, 3u, 5u}) {
+    // A full-size file whose version field (with a consistent header
+    // CRC) says N: the version is diagnosed before any layout check.
+    tree.save(path);
+    detail::KdTreeHeader header = read_header(path);
+    header.version = version;
+    write_header_with_crc(path, header);
+    const std::string want = "unsupported kd-tree version " +
+                             std::to_string(version) +
+                             " (expected 4); rebuild and re-save the index";
+    for_every_reader(path, [&](const char* reader, const std::string& msg) {
+      EXPECT_NE(msg.find(want), std::string::npos)
+          << reader << " on version " << version << ": " << msg;
+    });
+
+    // A file shorter than the v4 header span still gets the version
+    // diagnostic, not a truncation one.
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      const std::uint64_t magic = detail::kKdTreeMagic;
+      out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+      out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+      const char zeros[36] = {};
+      out.write(zeros, sizeof(zeros));
+    }
+    for_every_reader(path, [&](const char* reader, const std::string& msg) {
+      EXPECT_NE(msg.find(want), std::string::npos)
+          << reader << " on a short version " << version << " file: " << msg;
+    });
   }
-  const std::string want =
-      "unsupported kd-tree version 1 (expected 4); rebuild and re-save "
-      "the index";
-  EXPECT_NE(error_of([&] { KdTree::load(path); }).find(want),
-            std::string::npos);
-  // The facade surfaces the loader's diagnostic verbatim.
-  EXPECT_NE(error_of([&] { Index::open(path); }).find(want),
-            std::string::npos);
   std::remove(path.c_str());
 }
 
-TEST(KdTreeIo, VersionTwoConvertsOnOpenAndMatchesOracle) {
-  const auto gen = data::make_generator("gmm", 85);
-  const data::PointSet points = gen->generate_all(8000);
-  const data::PointSet queries = gen->generate_all(150);
-  parallel::ThreadPool pool(4);
-  const KdTree original = KdTree::build(points, BuildConfig{}, pool);
-
-  const std::string path = ::testing::TempDir() + "/panda_tree_v2.kdt";
-  original.save_legacy_v2(path);
-  // A v2 file is not mappable...
-  EXPECT_NE(error_of([&] { KdTree::open_mmap(path); })
-                .find("format version 2"),
-            std::string::npos);
-  // ...but Index::open converts it in place and serves it mapped.
-  const auto index = Index::open(path);
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::uint64_t magic = 0;
-    std::uint32_t version = 0;
-    in.read(reinterpret_cast<char*>(&magic), 8);
-    in.read(reinterpret_cast<char*>(&version), 4);
-    EXPECT_EQ(version, 4u) << "convert-on-open left the file at v2";
-  }
-
-  // Results through the converted index match a brute-force oracle.
-  IndexOptions brute;
-  brute.engine = IndexOptions::Engine::BruteForce;
-  const auto oracle = Index::build(points, brute);
-  std::vector<float> q(points.dims());
-  for (std::uint64_t i = 0; i < queries.size(); ++i) {
-    queries.copy_point(i, q.data());
-    const auto a = oracle->knn(q, 9);
-    const auto b = index->knn(q, 9);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      ASSERT_EQ(a[j].id, b[j].id);
-      ASSERT_EQ(a[j].dist2, b[j].dist2);
-    }
+TEST(KdTreeIo, WrappedHeaderFieldsAreRefusedByEveryReader) {
+  // Counts and offsets chosen so that count * element size or
+  // offset + size wraps 64 bits back onto the real layout, under a
+  // recomputed header CRC (a CRC is not a MAC). Every reader must throw
+  // a panda::Error naming the field.
+  const auto gen = data::make_generator("uniform", 87);
+  const data::PointSet points = gen->generate_all(2000);
+  parallel::ThreadPool pool(2);
+  const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
+  const std::string path = ::testing::TempDir() + "/panda_tree_wrap.kdt";
+  const struct {
+    const char* field;
+    void (*craft)(detail::KdTreeHeader&);
+  } cases[] = {
+      {"'id_count'",
+       [](detail::KdTreeHeader& h) { h.id_count += std::uint64_t{1} << 61; }},
+      {"'packed_count'",
+       [](detail::KdTreeHeader& h) {
+         h.packed_count += std::uint64_t{1} << 62;
+       }},
+      {"'node_count'",
+       [](detail::KdTreeHeader& h) {
+         h.node_count += std::uint64_t{1} << 62;
+       }},
+      {"'ids_off'",
+       [](detail::KdTreeHeader& h) { h.ids_off = ~std::uint64_t{63}; }},
+      {"'local_idx_off'",
+       [](detail::KdTreeHeader& h) {
+         h.local_idx_off = detail::align64(h.file_size) + 64;
+       }},
+  };
+  for (const auto& c : cases) {
+    tree.save(path);
+    detail::KdTreeHeader header = read_header(path);
+    c.craft(header);
+    write_header_with_crc(path, header);
+    for_every_reader(path, [&](const char* reader, const std::string& msg) {
+      EXPECT_NE(msg.find(c.field), std::string::npos)
+          << reader << " on a crafted " << c.field << ": " << msg;
+    });
   }
   std::remove(path.c_str());
 }
@@ -345,13 +393,8 @@ TEST(KdTreeIo, EveryFlippedSectionByteIsCaughtAndNamed) {
   const std::string path = ::testing::TempDir() + "/panda_tree_flip.kdt";
   tree.save(path);
 
-  detail::KdTreeHeaderV4 header{};
-  {
-    std::ifstream in(path, std::ios::binary);
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-    ASSERT_TRUE(in.good());
-    ASSERT_EQ(header.version, detail::kKdTreeVersionChecksummed);
-  }
+  const detail::KdTreeHeader header = read_header(path);
+  ASSERT_EQ(header.version, detail::kKdTreeVersion);
   const std::uint64_t offsets[detail::kKdTreeSectionCount] = {
       header.nodes_off,  header.leaves_off, header.leaf_nodes_off,
       header.packed_off, header.ids_off,    header.local_idx_off};
@@ -394,7 +437,7 @@ TEST(KdTreeIo, FlippedHeaderByteFailsHeaderChecksum) {
   tree.save(path);
   // The stats block is not structurally validated, so a flip there is
   // caught by the header CRC (and by nothing else).
-  const std::uint64_t off = offsetof(detail::KdTreeHeaderV4, stats);
+  const std::uint64_t off = offsetof(detail::KdTreeHeader, stats);
   std::uint8_t byte = 0;
   {
     std::ifstream in(path, std::ios::binary);
@@ -427,23 +470,6 @@ TEST(KdTreeIo, SaveToUnwritablePathNamesPathAndSyscall) {
   EXPECT_NE(msg.find(path), std::string::npos) << msg;
   EXPECT_NE(msg.find("open failed"), std::string::npos) << msg;
   EXPECT_NE(msg.find("No such file or directory"), std::string::npos) << msg;
-  // The legacy writer goes through the same atomic-replace path.
-  const std::string legacy = error_of([&] { tree.save_legacy_v2(path); });
-  EXPECT_NE(legacy.find("open failed"), std::string::npos) << legacy;
-}
-
-TEST(KdTreeIo, LegacyV2LoadStillRoundTrips) {
-  const auto gen = data::make_generator("uniform", 86);
-  const data::PointSet points = gen->generate_all(3000);
-  const data::PointSet queries = gen->generate_all(50);
-  parallel::ThreadPool pool(2);
-  const KdTree original = KdTree::build(points, BuildConfig{}, pool);
-  const std::string path = ::testing::TempDir() + "/panda_tree_v2_load.kdt";
-  original.save_legacy_v2(path);
-  const KdTree loaded = KdTree::load(path);
-  EXPECT_FALSE(loaded.mapped());
-  expect_identical_queries(original, loaded, queries, 5);
-  std::remove(path.c_str());
 }
 
 }  // namespace

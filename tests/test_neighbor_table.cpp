@@ -1,12 +1,10 @@
 // NeighborTable + native flat-path agreement tests (DESIGN.md §9).
 //
 // The native entry points (query_sq_batch into a table, query_self_batch,
-// query_radius_batch, query_sq_into) must be id-exact against the
-// classic vector-of-vectors shims — now free functions in
-// core/compat.hpp, and this suite is the one retained shim-vs-table
-// agreement gate — across datasets, k values, and both bounded and
-// unbounded pruning; plus the hot/cold node-layout save/load round
-// trip and the refusal of the pre-split format.
+// query_radius_batch, query_sq_into) must be id- and dist²-exact
+// against the brute-force oracle across datasets, k values, and both
+// bounded and unbounded pruning; plus the hot/cold node-layout
+// save/load round trip and the refusal of the pre-split format.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,10 +12,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/compat.hpp"
 #include "panda.hpp"
 
 namespace {
@@ -31,10 +29,22 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// Asserts `row` equals the first `count` entries of `want`, id- and
+/// dist²-exact.
+void expect_prefix(std::span<const Neighbor> row,
+                   const std::vector<Neighbor>& want, std::size_t count,
+                   std::uint64_t query) {
+  ASSERT_EQ(row.size(), count) << "query " << query;
+  for (std::size_t j = 0; j < count; ++j) {
+    EXPECT_EQ(row[j].id, want[j].id) << "query " << query << " pos " << j;
+    EXPECT_EQ(row[j].dist2, want[j].dist2) << "query " << query;
+  }
+}
+
 struct Agreement : ::testing::TestWithParam<
                        std::tuple<const char*, std::size_t>> {};
 
-TEST_P(Agreement, TableMatchesShimRows) {
+TEST_P(Agreement, TableMatchesOracleRows) {
   const auto [dataset, k] = GetParam();
   const std::uint64_t n = 4000;
   const auto gen = data::make_generator(dataset, 777);
@@ -42,21 +52,17 @@ TEST_P(Agreement, TableMatchesShimRows) {
   parallel::ThreadPool pool(4);
   const core::KdTree tree =
       core::KdTree::build(points, core::BuildConfig{}, pool);
+  std::vector<std::vector<Neighbor>> oracle;
+  baselines::brute_force_batch(points, points, k, pool, oracle);
+  ASSERT_EQ(oracle.size(), n);
 
-  // Unbounded: native table vs vector-of-vectors shim.
+  // Unbounded: native table vs the oracle.
   core::NeighborTable table;
   core::BatchWorkspace ws;
   tree.query_sq_batch(points, k, pool, table, ws);
-  std::vector<std::vector<Neighbor>> shim;
-  core::compat::query_sq_batch(tree, points, k, pool, shim);
-  ASSERT_EQ(table.size(), shim.size());
+  ASSERT_EQ(table.size(), n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto row = table[i];
-    ASSERT_EQ(row.size(), shim[i].size()) << "query " << i;
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      EXPECT_EQ(row[j].id, shim[i][j].id) << "query " << i << " pos " << j;
-      EXPECT_EQ(row[j].dist2, shim[i][j].dist2);
-    }
+    expect_prefix(table[i], oracle[i], oracle[i].size(), i);
   }
 
   // The self-join kernel answers the same workload row-for-row.
@@ -64,51 +70,35 @@ TEST_P(Agreement, TableMatchesShimRows) {
   tree.query_self_batch(k, pool, self_table, ws);
   ASSERT_EQ(self_table.size(), n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto a = self_table[i];
-    const auto b = table[i];
-    ASSERT_EQ(a.size(), b.size()) << "query " << i;
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a[j].id, b[j].id) << "query " << i << " pos " << j;
-      EXPECT_EQ(a[j].dist2, b[j].dist2);
-    }
+    expect_prefix(self_table[i], oracle[i], oracle[i].size(), i);
   }
 
   // Radius-bounded: per-query (r'², k-th id) bounds exactly as the
-  // distributed remote stage uses them — table vs shim.
+  // distributed remote stage uses them. The bound is strict under the
+  // (dist², id) order, so a bounded row is the oracle row minus its
+  // k-th entry.
   std::vector<float> radius2s(n);
   std::vector<std::uint64_t> bound_ids(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto row = table[i];
-    radius2s[i] = row.size() == k ? row.back().dist2 : kInf;
-    bound_ids[i] = row.size() == k ? row.back().id : ~std::uint64_t{0};
+    ASSERT_EQ(oracle[i].size(), k) << "query " << i;
+    radius2s[i] = oracle[i].back().dist2;
+    bound_ids[i] = oracle[i].back().id;
   }
   core::NeighborTable bounded;
   tree.query_sq_batch(points, k, pool, bounded, ws, radius2s, bound_ids);
-  std::vector<std::vector<Neighbor>> bounded_shim;
-  core::compat::query_sq_batch(tree, points, k, pool, bounded_shim,
-                               radius2s, bound_ids);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto row = bounded[i];
-    ASSERT_EQ(row.size(), bounded_shim[i].size()) << "query " << i;
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      EXPECT_EQ(row[j].id, bounded_shim[i][j].id);
-      EXPECT_EQ(row[j].dist2, bounded_shim[i][j].dist2);
-    }
+    expect_prefix(bounded[i], oracle[i], k - 1, i);
   }
 
-  // Single-query native vs shim.
+  // Single-query native vs the oracle.
   core::QueryWorkspace qws;
   std::vector<Neighbor> out(k);
   std::vector<float> q(points.dims());
   for (std::uint64_t i = 0; i < 64; ++i) {
-    points.copy_point(i * (n / 64), q.data());
+    const std::uint64_t p = i * (n / 64);
+    points.copy_point(p, q.data());
     const std::size_t count = tree.query_sq_into(q, k, kInf, qws, out);
-    const auto expected = tree.query_sq(q, k, kInf);
-    ASSERT_EQ(count, expected.size());
-    for (std::size_t j = 0; j < count; ++j) {
-      EXPECT_EQ(out[j].id, expected[j].id);
-      EXPECT_EQ(out[j].dist2, expected[j].dist2);
-    }
+    expect_prefix({out.data(), count}, oracle[p], oracle[p].size(), p);
   }
 }
 
@@ -200,8 +190,8 @@ TEST(KdTreeFormatV2, SaveLoadRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded.stats().leaves, tree.stats().leaves);
 
   // Bit-identical query results on all native paths, including the
-  // self-join kernel (exercises the recomputed leaf-node map and the
-  // serialized slot map).
+  // self-join kernel (exercises the serialized leaf-node and slot
+  // maps).
   core::NeighborTable a;
   core::NeighborTable b;
   core::BatchWorkspace ws;

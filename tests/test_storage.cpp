@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "data/file_format.hpp"
@@ -61,6 +62,33 @@ void patch_file(const std::string& path, std::uint64_t off, const void* bytes,
   f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(n));
 }
 
+/// The header of a saved point file.
+detail::PointsHeader read_points_header(const std::string& path) {
+  detail::PointsHeader header{};
+  std::ifstream in(path, std::ios::binary);
+  in.read(reinterpret_cast<char*>(&header), sizeof(header));
+  return header;
+}
+
+/// Writes `header` back with a freshly computed header CRC — what a
+/// crafted file would carry, since a CRC is not a MAC.
+void write_header_with_crc(const std::string& path,
+                           detail::PointsHeader header) {
+  header.header_crc = 0;
+  header.header_crc = common::crc32c(&header, sizeof(header));
+  patch_file(path, 0, &header, sizeof(header));
+}
+
+/// Every reader of a point-file path: the owned loader and the mapped
+/// view with and without section checks.
+template <typename Check>
+void for_every_reader(const std::string& path, Check&& check) {
+  check("load_points", error_of([&] { load_points(path); }));
+  check("MmapStorage", error_of([&] { MmapStorage m(path); }));
+  check("MmapStorage(unverified)",
+        error_of([&] { MmapStorage m(path, false); }));
+}
+
 TEST(Storage, ViewAndOwnedMatchTheSet) {
   const PointSet points = make_points(500);
   const PointSetView view(points);
@@ -106,32 +134,81 @@ TEST(Storage, MmapServesTheAlignedFileZeroCopy) {
   std::remove(path.c_str());
 }
 
-TEST(Storage, MmapRefusesLegacyV1WithResaveHint) {
-  // Hand-write a v1 (unaligned) file: 24-byte header, ids, coords.
-  const std::string path = ::testing::TempDir() + "/panda_points_v1.pts";
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::uint64_t magic = 0x50414e4441505453ULL;
-    const std::uint32_t version = 1, dims = 2;
-    const std::uint64_t count = 3;
-    out.write(reinterpret_cast<const char*>(&magic), 8);
-    out.write(reinterpret_cast<const char*>(&version), 4);
-    out.write(reinterpret_cast<const char*>(&dims), 4);
-    out.write(reinterpret_cast<const char*>(&count), 8);
-    const std::uint64_t ids[3] = {7, 8, 9};
-    const float coords[6] = {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f};
-    out.write(reinterpret_cast<const char*>(ids), sizeof(ids));
-    out.write(reinterpret_cast<const char*>(coords), sizeof(coords));
+TEST(Storage, OtherVersionsAreRefusedByEveryReader) {
+  const PointSet points = make_points(200);
+  const std::string path = ::testing::TempDir() + "/panda_points_vN.pts";
+  for (const std::uint32_t version : {1u, 2u, 4u}) {
+    // A full-size file whose version field (with a consistent header
+    // CRC) says N: the version is diagnosed before any layout check.
+    save_points(points, path);
+    detail::PointsHeader header = read_points_header(path);
+    header.version = version;
+    write_header_with_crc(path, header);
+    const std::string want = "unsupported point file version " +
+                             std::to_string(version) +
+                             " (expected 3); re-save it with save_points";
+    for_every_reader(path, [&](const char* reader, const std::string& msg) {
+      EXPECT_NE(msg.find(want), std::string::npos)
+          << reader << " on version " << version << ": " << msg;
+    });
+
+    // A file shorter than the header span — like the 24-byte-header
+    // v1 layout — still gets the version diagnostic.
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      const std::uint64_t magic = detail::kPointsMagic;
+      const std::uint32_t dims = 2;
+      const std::uint64_t count = 1;
+      const std::uint64_t id = 7;
+      const float coords[2] = {0.1f, 0.2f};
+      out.write(reinterpret_cast<const char*>(&magic), 8);
+      out.write(reinterpret_cast<const char*>(&version), 4);
+      out.write(reinterpret_cast<const char*>(&dims), 4);
+      out.write(reinterpret_cast<const char*>(&count), 8);
+      out.write(reinterpret_cast<const char*>(&id), 8);
+      out.write(reinterpret_cast<const char*>(coords), sizeof(coords));
+    }
+    for_every_reader(path, [&](const char* reader, const std::string& msg) {
+      EXPECT_NE(msg.find(want), std::string::npos)
+          << reader << " on a short version " << version << " file: " << msg;
+    });
   }
-  // load_points still reads it into owned memory...
-  const PointSet loaded = load_points(path);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded.id(1), 8u);
-  EXPECT_FLOAT_EQ(loaded.at(2, 1), 0.6f);
-  // ...but the zero-copy view refuses, naming the fix.
-  const std::string msg = error_of([&] { MmapStorage m(path); });
-  EXPECT_NE(msg.find("v1"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("re-save"), std::string::npos) << msg;
+  std::remove(path.c_str());
+}
+
+TEST(Storage, WrappedHeaderFieldsAreRefusedByEveryReader) {
+  // Counts and offsets chosen so that count * element size or
+  // offset + size wraps 64 bits, under a recomputed header CRC (a CRC
+  // is not a MAC): unchecked, they drive an unbounded allocation or
+  // spans outside the map. Every reader must throw a panda::Error
+  // naming the field.
+  const PointSet points = make_points(300);
+  const std::string path = ::testing::TempDir() + "/panda_points_wrap.pts";
+  const struct {
+    const char* field;
+    void (*craft)(detail::PointsHeader&);
+  } cases[] = {
+      {"'count'",
+       [](detail::PointsHeader& h) { h.count += std::uint64_t{1} << 62; }},
+      {"'ids_off'",
+       [](detail::PointsHeader& h) { h.ids_off = ~std::uint64_t{63}; }},
+      {"'coords_off'",
+       [](detail::PointsHeader& h) { h.coords_off = ~std::uint64_t{63}; }},
+      {"'coord_stride_bytes'",
+       [](detail::PointsHeader& h) {
+         h.coord_stride_bytes = std::uint64_t{1} << 62;
+       }},
+  };
+  for (const auto& c : cases) {
+    save_points(points, path);
+    detail::PointsHeader header = read_points_header(path);
+    c.craft(header);
+    write_header_with_crc(path, header);
+    for_every_reader(path, [&](const char* reader, const std::string& msg) {
+      EXPECT_NE(msg.find(c.field), std::string::npos)
+          << reader << " on a crafted " << c.field << ": " << msg;
+    });
+  }
   std::remove(path.c_str());
 }
 
@@ -188,8 +265,8 @@ TEST(Storage, HeaderValidationNamesTheOffendingField) {
   EXPECT_NE(error_of([&] { MmapStorage m(path); }).find("'file_size'"),
             std::string::npos);
 
-  // Misaligned ids_off (offset 24): v2 is the aligned revision, so
-  // both readers enforce the 64-byte contract.
+  // Misaligned ids_off (offset 24): the format is aligned, so both
+  // readers enforce the 64-byte contract.
   save_points(points, path);
   const std::uint64_t odd_off = 65;
   patch_file(path, 24, &odd_off, 8);
@@ -259,14 +336,6 @@ TEST(Storage, ChunkedRoundTripsRoutedPoints) {
   EXPECT_FALSE(probe.good());
 }
 
-/// First 128 bytes of a saved v3 point file.
-detail::PointsHeaderV3 read_points_header(const std::string& path) {
-  detail::PointsHeaderV3 header{};
-  std::ifstream in(path, std::ios::binary);
-  in.read(reinterpret_cast<char*>(&header), sizeof(header));
-  return header;
-}
-
 void flip_file_byte(const std::string& path, std::uint64_t off) {
   std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
   ASSERT_TRUE(f.good());
@@ -282,7 +351,7 @@ TEST(Storage, EveryFlippedPointFileSectionByteIsCaughtAndNamed) {
   const PointSet points = make_points(500);
   const std::string path = ::testing::TempDir() + "/panda_points_flip.pts";
   save_points(points, path);
-  const detail::PointsHeaderV3 header = read_points_header(path);
+  const detail::PointsHeader header = read_points_header(path);
   ASSERT_EQ(header.version, 3u);
 
   const struct {
@@ -320,7 +389,7 @@ TEST(Storage, FlippedPointFileHeaderByteFailsHeaderChecksum) {
   // The reserved field is not structurally validated — only the
   // header CRC can catch it, and it must do so even with section
   // verification off (the header is always checked).
-  flip_file_byte(path, offsetof(detail::PointsHeaderV3, reserved));
+  flip_file_byte(path, offsetof(detail::PointsHeader, reserved));
   for (const bool verify : {true, false}) {
     const std::string msg = error_of([&] { MmapStorage m(path, verify); });
     EXPECT_NE(msg.find("point file header checksum mismatch"),
