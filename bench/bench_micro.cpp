@@ -32,8 +32,8 @@ void BM_BucketDistancesSimd(benchmark::State& state) {
   std::vector<float> query(dims, 0.5f);
   std::vector<float> out(stride);
   for (auto _ : state) {
-    simd::squared_distances_padded(query.data(), bucket.data(), stride, dims,
-                                   out.data());
+    simd::squared_distances_soa(query.data(), bucket.data(), stride, stride,
+                                dims, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

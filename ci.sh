@@ -46,6 +46,13 @@
 #                      a test whose outcome depends on thread
 #                      scheduling fails here instead of passing by
 #                      luck. Opt-in: not part of the default flow.
+#   ci.sh native     — the full tier-1 suite built with -DPANDA_NATIVE=ON
+#                      (-march=native plus LTO) into build-native/, so
+#                      a machine-tuned build is held to the same
+#                      bit-exact oracles as the portable one (the FMA
+#                      contraction -march=native would allow is off in
+#                      every target). Opt-in: not part of the default
+#                      flow.
 #   ci.sh tsan       — the concurrency suites (MPMC ring, serving
 #                      frontend, thread pool, mutable index) built
 #                      with -fsanitize=thread: data-race checks the
@@ -231,6 +238,14 @@ if [[ "$MODE" == "stress" ]]; then
   exit 0
 fi
 
+if [[ "$MODE" == "native" ]]; then
+  cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release -DPANDA_NATIVE=ON
+  cmake --build build-native -j
+  (cd build-native && ctest --output-on-failure -j --timeout 900)
+  echo "ci.sh: native OK"
+  exit 0
+fi
+
 if [[ "$MODE" == "tsan" ]]; then
   TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake -B build-tsan -S . \
@@ -298,7 +313,7 @@ if [[ "$MODE" == "bench-smoke" ]]; then
 fi
 
 if [[ "$MODE" != "default" ]]; then
-  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|stress [N]|tsan|bench-smoke]" >&2
+  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|stress [N]|native|tsan|bench-smoke]" >&2
   exit 1
 fi
 

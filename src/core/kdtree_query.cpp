@@ -17,6 +17,7 @@
 // signatures without per-call scratch allocations.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 
 #include "common/error.hpp"
@@ -108,7 +109,6 @@ void KdTree::scan_leaf(const LeafInfo& leaf, const float* query, KnnHeap& heap,
   const std::uint64_t stride = simd::padded_count(leaf.count);
   if (stride == 0) return;
   if (ws.dist.size() < stride) ws.dist.resize(stride);
-  if (ws.lanes.size() < stride) ws.lanes.resize(stride);
   const float* block = packed_.data() + leaf.packed_begin * dims_;
   // Hint the id row in now: the offer loop below reads it on every
   // admission, and the fetch overlaps the distance kernel.
@@ -116,39 +116,39 @@ void KdTree::scan_leaf(const LeafInfo& leaf, const float* query, KnnHeap& heap,
   for (std::uint64_t b = 0; b < leaf.count; b += 8) {
     __builtin_prefetch(ids + b);
   }
-  // Branch-free over the full padded width: sentinel lanes produce
-  // +inf distances and are rejected by the bound check below.
-  simd::squared_distances_padded_inline(query, block, stride, dims_,
-                                        ws.dist.data());
+  // Live lanes only: the leaf's points rounded up to one lane group.
+  // Lanes past leaf.count never reach the heap.
+  simd::squared_distances_inline(query, block, stride,
+                                 simd::live_lanes(leaf.count), dims_,
+                                 ws.dist.data());
   stats.leaves_visited += 1;
   stats.points_scanned += leaf.count;
-  // Branchless candidate compaction: buckets the traversal opens
-  // border the query ball, so the per-lane bound test is inherently
-  // unpredictable and a conditional branch here mispredicts constantly
-  // (the dominant leaf-scan cost before this form). The bound is read
-  // once — offers below re-validate against the tightening bound, so
-  // the admitted set is unchanged. Non-strict: a candidate exactly at
-  // the bound can still win its tie by id — offer() applies the full
-  // (dist², id) comparison.
   const float bound = heap.bound();
   const float* d2s = ws.dist.data();
   if (bound == std::numeric_limits<float>::infinity()) {
     // Unbounded heap (first bucket of an unseeded query): every lane
-    // passes, so compaction would be pure overhead.
+    // passes, so the mask would be pure overhead.
     for (std::uint64_t i = 0; i < leaf.count; ++i) {
       heap.offer(d2s[i], ids[i]);
     }
     return;
   }
-  std::uint32_t* lanes = ws.lanes.data();
-  std::size_t m = 0;
-  for (std::uint64_t i = 0; i < leaf.count; ++i) {
-    lanes[m] = static_cast<std::uint32_t>(i);
-    m += d2s[i] <= bound ? 1 : 0;
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::uint32_t i = lanes[j];
-    heap.offer(d2s[i], ids[i]);
+  // Bitmask selection: buckets the traversal opens border the query
+  // ball, so a per-lane admission branch mispredicts constantly; the
+  // bound test runs as a SIMD compare instead and only set lanes are
+  // offered, in lane order. The bound is read once — offers re-validate
+  // against the tightening bound, so the admitted set is unchanged.
+  // Non-strict: a candidate exactly at the bound can still win its tie
+  // by id — offer() applies the full (dist², id) comparison.
+  for (std::uint64_t base = 0; base < leaf.count; base += simd::kMaskWord) {
+    const std::size_t n =
+        std::min<std::uint64_t>(simd::kMaskWord, leaf.count - base);
+    for (std::uint64_t mask = simd::lanes_at_most(d2s + base, n, bound);
+         mask != 0; mask &= mask - 1) {
+      const std::uint64_t i = base + static_cast<std::uint64_t>(
+                                         std::countr_zero(mask));
+      heap.offer(d2s[i], ids[i]);
+    }
   }
 }
 
@@ -666,7 +666,9 @@ void KdTree::search_radius(std::uint32_t node_index, const float* query,
     if (stride == 0) return;
     if (dist.size() < stride) dist.resize(stride);
     const float* block = packed_.data() + leaf.packed_begin * dims_;
-    simd::squared_distances_padded(query, block, stride, dims_, dist.data());
+    simd::squared_distances_inline(query, block, stride,
+                                   simd::live_lanes(leaf.count), dims_,
+                                   dist.data());
     stats.leaves_visited += 1;
     stats.points_scanned += leaf.count;
     for (std::uint64_t i = 0; i < leaf.count; ++i) {

@@ -79,7 +79,6 @@ struct QueryWorkspace {
     if (undo.capacity() == 0) undo.reserve(128);
     heap.reserve(k);
     if (dist.size() < leaf_stride) dist.resize(leaf_stride);
-    if (lanes.size() < leaf_stride) lanes.resize(leaf_stride);
   }
 
   KnnHeap heap{1};
@@ -89,7 +88,6 @@ struct QueryWorkspace {
   std::vector<FarEntry> stack;       // explicit traversal stack
   std::vector<UndoEntry> undo;       // offsets[] undo log
   std::vector<Neighbor> staging;     // variable-length row staging
-  std::vector<std::uint32_t> lanes;  // leaf-scan candidate compaction
   QueryStats stats;                  // per-thread batch accumulation
 };
 

@@ -1,5 +1,15 @@
 #include "simd/distance.hpp"
 
+#include "common/error.hpp"
+
+// The AVX2 variant needs x86-64 and the GCC/Clang target attribute and
+// __builtin_cpu_supports; elsewhere the baseline is the only variant.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PANDA_SIMD_AVX2_VARIANT 1
+#else
+#define PANDA_SIMD_AVX2_VARIANT 0
+#endif
+
 namespace panda::simd {
 
 float squared_distance(const float* a, const float* b, std::size_t dims) {
@@ -13,60 +23,69 @@ float squared_distance(const float* a, const float* b, std::size_t dims) {
 
 namespace {
 
-// The fixed-dims kernels live in the header (detail::distances_fixed)
-// so the leaf-scan hot loop can inline them; this TU dispatches to the
-// same template.
-using detail::distances_fixed;
+using Kernel = void (*)(const float*, const float*, std::size_t, std::size_t,
+                        std::size_t, float*);
 
-void distances_generic(const float* __restrict query,
-                       const float* __restrict bucket, std::size_t stride,
-                       std::size_t count, std::size_t dims,
-                       float* __restrict out) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = 0.0f;
-  for (std::size_t d = 0; d < dims; ++d) {
-    const float q = query[d];
-    const float* __restrict row = bucket + d * stride;
-    for (std::size_t i = 0; i < count; ++i) {
-      const float diff = q - row[i];
-      out[i] += diff * diff;
-    }
-  }
+void distances_baseline(const float* query, const float* bucket,
+                        std::size_t stride, std::size_t count,
+                        std::size_t dims, float* out) {
+  detail::distances_table(query, bucket, stride, count, dims, out);
+}
+
+#if PANDA_SIMD_AVX2_VARIANT
+// The same table compiled for AVX2: its always_inline kernels take this
+// function's target, so the vectorizer emits 8-lane code. The target
+// enables no FMA, so each multiply and add stays separately rounded.
+[[gnu::target("avx2")]] void distances_avx2(const float* query,
+                                            const float* bucket,
+                                            std::size_t stride,
+                                            std::size_t count,
+                                            std::size_t dims, float* out) {
+  detail::distances_table(query, bucket, stride, count, dims, out);
+}
+#endif
+
+Kernel kernel_for(Isa isa) {
+#if PANDA_SIMD_AVX2_VARIANT
+  if (isa == Isa::kAvx2) return distances_avx2;
+#endif
+  (void)isa;
+  return distances_baseline;
 }
 
 }  // namespace
 
+bool isa_supported(Isa isa) {
+  if (isa == Isa::kBaseline) return true;
+#if PANDA_SIMD_AVX2_VARIANT
+  // Safe before main(): a static initializer may be the first caller.
+  __builtin_cpu_init();
+  // libgcc/compiler-rt also check that the OS saves the YMM state.
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+Isa active_isa() {
+  static const Isa isa =
+      isa_supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kBaseline;
+  return isa;
+}
+
+void squared_distances_on(Isa isa, const float* query, const float* bucket,
+                          std::size_t stride, std::size_t count,
+                          std::size_t dims, float* out) {
+  PANDA_CHECK_MSG(isa_supported(isa),
+                  "distance kernel ISA variant not supported on this host");
+  kernel_for(isa)(query, bucket, stride, count, dims, out);
+}
+
 void squared_distances_soa(const float* query, const float* bucket,
                            std::size_t stride, std::size_t count,
                            std::size_t dims, float* out) {
-  switch (dims) {
-    case 1:
-      distances_fixed<1>(query, bucket, stride, count, out);
-      return;
-    case 2:
-      distances_fixed<2>(query, bucket, stride, count, out);
-      return;
-    case 3:
-      distances_fixed<3>(query, bucket, stride, count, out);
-      return;
-    case 4:
-      distances_fixed<4>(query, bucket, stride, count, out);
-      return;
-    case 10:
-      distances_fixed<10>(query, bucket, stride, count, out);
-      return;
-    case 15:
-      distances_fixed<15>(query, bucket, stride, count, out);
-      return;
-    default:
-      distances_generic(query, bucket, stride, count, dims, out);
-      return;
-  }
-}
-
-void squared_distances_padded(const float* query, const float* bucket,
-                              std::size_t stride, std::size_t dims,
-                              float* out) {
-  squared_distances_soa(query, bucket, stride, stride, dims, out);
+  static const Kernel kernel = kernel_for(active_isa());
+  kernel(query, bucket, stride, count, dims, out);
 }
 
 void squared_distances_reference(const float* query, const float* bucket,

@@ -154,30 +154,57 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 5, 32),
                        ::testing::Values(1, 4)));
 
-class BucketSizeSweep : public ::testing::TestWithParam<std::uint32_t> {};
+class BucketSizeSweep
+    : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
+};
 
 TEST_P(BucketSizeSweep, ExactForAnyBucketSize) {
-  const std::uint32_t bucket = GetParam();
-  const auto gen = data::make_generator("cosmo", 23);
+  // Buckets past 64 points drive multi-word lane masks through the leaf
+  // scan, and dayabay's 10 dims take the out-of-line, ISA-dispatched
+  // kernel; the single-query and both batch entry points must still
+  // match the oracle.
+  const auto [dataset, bucket] = GetParam();
+  const auto gen = data::make_generator(dataset, 23);
   const PointSet points = gen->generate_all(3000);
   const PointSet queries = gen->generate_all(100);
+  const std::size_t k = 5;
   parallel::ThreadPool pool(4);
   BuildConfig config;
   config.bucket_size = bucket;
   const KdTree tree = KdTree::build(points, config, pool);
+  const std::string context =
+      std::string(dataset) + " bucket=" + std::to_string(bucket);
 
+  std::vector<std::vector<Neighbor>> expected;
+  baselines::brute_force_batch(points, queries, k, pool, expected);
+  core::NeighborTable table;
+  core::BatchWorkspace ws;
+  tree.query_sq_batch(queries, k, pool, table, ws);
+  const auto batched = table.to_vectors();
+  std::vector<float> q(points.dims());
   for (std::uint64_t i = 0; i < queries.size(); ++i) {
-    std::vector<float> q(3);
     queries.copy_point(i, q.data());
-    const auto expected = baselines::brute_force_knn(points, q, 5);
-    const auto actual = tree.query(q, 5);
-    expect_same_distances(actual, expected,
-                          "bucket=" + std::to_string(bucket));
+    expect_same_distances(tree.query(q, k), expected[i],
+                          context + " query " + std::to_string(i));
+    expect_same_distances(batched[i], expected[i],
+                          context + " batch query " + std::to_string(i));
+  }
+
+  std::vector<std::vector<Neighbor>> expected_self;
+  baselines::brute_force_batch(points, points, k, pool, expected_self);
+  tree.query_self_batch(k, pool, table, ws);
+  const auto self = table.to_vectors();
+  ASSERT_EQ(self.size(), points.size()) << context;
+  for (std::uint64_t i = 0; i < points.size(); ++i) {
+    expect_same_distances(self[i], expected_self[i],
+                          context + " self " + std::to_string(i));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Buckets, BucketSizeSweep,
-                         ::testing::Values(1, 2, 8, 16, 32, 64, 256));
+INSTANTIATE_TEST_SUITE_P(
+    Buckets, BucketSizeSweep,
+    ::testing::Combine(::testing::Values("cosmo", "dayabay"),
+                       ::testing::Values(1, 2, 8, 16, 32, 64, 256)));
 
 TEST(KdTreeQuery, KLargerThanNReturnsAllPoints) {
   parallel::ThreadPool pool(2);

@@ -1,12 +1,17 @@
 // Unit tests for src/simd: distance kernels validated against the
-// scalar reference over a parameter sweep, padding semantics, and the
-// sub-interval searcher checked against std::upper_bound.
+// scalar reference over a parameter sweep, padding semantics, the ISA
+// variants and the live-lane call checked bit for bit against the
+// oracle's arithmetic, the lane mask against the scalar predicate, and
+// the sub-interval searcher checked against std::upper_bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/error.hpp"
@@ -82,13 +87,170 @@ TEST(SquaredDistancesPadded, PaddingLanesAreHuge) {
   }
   const float query[3] = {0.0f, 0.0f, 0.0f};
   std::vector<float> out(stride, 0.0f);
-  squared_distances_padded(query, bucket.data(), stride, dims, out.data());
+  squared_distances_padded_inline(query, bucket.data(), stride, dims,
+                                  out.data());
   for (std::size_t i = 0; i < count; ++i) {
     EXPECT_NEAR(out[i], 3 * 0.25f * 0.25f, 1e-6f);
   }
   for (std::size_t i = count; i < stride; ++i) {
     // Sentinel coordinates overflow to +inf in float.
     EXPECT_TRUE(std::isinf(out[i])) << "lane " << i;
+  }
+}
+
+TEST(LiveLanes, RoundsUpToLaneGroupWithinThePaddedRow) {
+  EXPECT_EQ(live_lanes(0), 0u);
+  EXPECT_EQ(live_lanes(1), kLaneGroup);
+  EXPECT_EQ(live_lanes(8), 8u);
+  EXPECT_EQ(live_lanes(9), 16u);
+  EXPECT_EQ(live_lanes(20), 24u);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    EXPECT_GE(live_lanes(n), n);
+    EXPECT_LE(live_lanes(n), padded_count(n)) << n;
+  }
+}
+
+/// A padded SoA bucket of `count` normal points plus its query. The
+/// seed varies with the shape so every case sees different values.
+struct Bucket {
+  std::size_t dims;
+  std::size_t stride;
+  AlignedVector<float> soa;
+  std::vector<float> query;
+};
+
+Bucket make_bucket(std::size_t dims, std::size_t count) {
+  Bucket b{dims, padded_count(count), {}, std::vector<float>(dims)};
+  b.soa.assign(b.stride * dims, kPadSentinel);
+  Rng rng(dims * 7919 + count);
+  for (std::size_t d = 0; d < dims; ++d) {
+    for (std::size_t i = 0; i < count; ++i) {
+      b.soa[d * b.stride + i] = static_cast<float>(rng.normal());
+    }
+  }
+  for (auto& q : b.query) q = static_cast<float>(rng.normal());
+  return b;
+}
+
+/// The brute-force oracle's arithmetic: AoS squared_distance of lane i.
+float oracle_lane(const Bucket& b, std::size_t i) {
+  std::vector<float> point(b.dims);
+  for (std::size_t d = 0; d < b.dims; ++d) point[d] = b.soa[d * b.stride + i];
+  return squared_distance(b.query.data(), point.data(), b.dims);
+}
+
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+class KernelContractSweep
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(KernelContractSweep, Avx2AndBaselineAgreeBitForBit) {
+  if (!isa_supported(Isa::kAvx2)) GTEST_SKIP() << "host has no AVX2";
+  const auto [dims, count] = GetParam();
+  const Bucket b = make_bucket(dims, count);
+  // Canary past `count`: a variant must write exactly `count` lanes.
+  std::vector<float> base(count + 1, -1.0f);
+  std::vector<float> avx2(count + 1, -1.0f);
+  squared_distances_on(Isa::kBaseline, b.query.data(), b.soa.data(),
+                       b.stride, count, dims, base.data());
+  squared_distances_on(Isa::kAvx2, b.query.data(), b.soa.data(), b.stride,
+                       count, dims, avx2.data());
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_TRUE(same_bits(avx2[i], base[i]))
+        << "dims=" << dims << " count=" << count << " lane " << i << ": "
+        << avx2[i] << " vs " << base[i];
+    // Both equal the oracle's AoS arithmetic, bit for bit.
+    ASSERT_TRUE(same_bits(base[i], oracle_lane(b, i)))
+        << "dims=" << dims << " count=" << count << " lane " << i;
+  }
+  EXPECT_EQ(base[count], -1.0f);
+  EXPECT_EQ(avx2[count], -1.0f);
+}
+
+TEST_P(KernelContractSweep, LiveLaneCallMatchesReference) {
+  // The leaf-scan call: count rounded up to a lane group, which for
+  // counts such as 7, 17 and 33 stops short of the padded stride.
+  const auto [dims, count] = GetParam();
+  const Bucket b = make_bucket(dims, count);
+  const std::size_t lanes = live_lanes(count);
+  std::vector<float> out(b.stride, -1.0f);
+  squared_distances_inline(b.query.data(), b.soa.data(), b.stride, lanes,
+                           dims, out.data());
+  std::vector<float> reference(count);
+  squared_distances_reference(b.query.data(), b.soa.data(), b.stride, count,
+                              dims, reference.data());
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_NEAR(out[i], reference[i], 1e-5f * std::max(1.0f, reference[i]))
+        << "dims=" << dims << " count=" << count << " lane " << i;
+    EXPECT_TRUE(same_bits(out[i], oracle_lane(b, i)))
+        << "dims=" << dims << " count=" << count << " lane " << i;
+  }
+  for (std::size_t i = count; i < lanes; ++i) {
+    EXPECT_TRUE(std::isinf(out[i])) << "sentinel lane " << i;
+  }
+  for (std::size_t i = lanes; i < b.stride; ++i) {
+    EXPECT_EQ(out[i], -1.0f) << "lane " << i << " is past the live lanes";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsAndCounts, KernelContractSweep,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                         13, 14, 15, 16, 23, 28),
+                       ::testing::Values(1, 7, 8, 9, 15, 16, 17, 31, 32, 33,
+                                         64)));
+
+TEST(IsaDispatch, ActiveVariantIsSupported) {
+  EXPECT_TRUE(isa_supported(Isa::kBaseline));
+  EXPECT_TRUE(isa_supported(active_isa()));
+  EXPECT_EQ(active_isa(),
+            isa_supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kBaseline);
+}
+
+/// lanes_at_most over a whole scan, one 64-lane word at a time, exactly
+/// as the kd-tree leaf scan calls it.
+std::vector<bool> mask_scan(const std::vector<float>& d2, std::size_t count,
+                            float bound) {
+  std::vector<bool> set(count, false);
+  for (std::size_t base = 0; base < count; base += kMaskWord) {
+    const std::size_t n = std::min(kMaskWord, count - base);
+    const std::uint64_t mask = lanes_at_most(d2.data() + base, n, bound);
+    if (n < kMaskWord) {
+      EXPECT_EQ(mask >> n, 0u) << "bits past count at base " << base;
+    }
+    for (std::size_t i = 0; i < n; ++i) set[base + i] = (mask >> i) & 1u;
+  }
+  return set;
+}
+
+TEST(LanesAtMost, EqualsScalarPredicate) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(4242);
+  for (const std::size_t count :
+       {1, 2, 7, 8, 9, 31, 63, 64, 65, 100, 127, 128, 129, 200, 256}) {
+    for (const float bound : {0.0f, 0.5f, 1.0f, 3.25f, inf, nan}) {
+      // Past `count`, up to the kernel's live width, lanes hold 0, which
+      // passes every non-NaN bound: they must still come back clear.
+      std::vector<float> d2(live_lanes(count), 0.0f);
+      for (std::size_t i = 0; i < count; ++i) {
+        switch (i % 6) {
+          case 0: d2[i] = bound; break;  // exactly at the bound
+          case 1: d2[i] = inf; break;    // +inf sentinel lane
+          case 2: d2[i] = nan; break;    // NaN lane
+          case 3: d2[i] = std::nextafter(bound, inf); break;
+          default: d2[i] = static_cast<float>(rng.uniform(0.0, 4.0)); break;
+        }
+      }
+      const std::vector<bool> set = mask_scan(d2, count, bound);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(set[i], d2[i] <= bound)
+            << "count=" << count << " bound=" << bound << " lane " << i
+            << " d2=" << d2[i];
+      }
+    }
   }
 }
 
