@@ -66,7 +66,9 @@ namespace panda {
 struct IndexOptions {
   enum class Engine {
     /// Single node: the three-phase parallel core::KdTree build and
-    /// the leaf-block-batched query kernels (DESIGN.md §3, §9).
+    /// the batch query kernels — one pool fan-out of per-query
+    /// traversals, and the packed-leaf schedule for self-KNN
+    /// (DESIGN.md §3, §9).
     Local,
     /// Distributed: a persistent in-process cluster session
     /// (net::Cluster) builds a dist::DistKdTree once and then answers
@@ -185,8 +187,8 @@ struct SearchWorkspace {
   core::BatchWorkspace batch;
   /// Uniform-radius staging of the radius_into convenience overload.
   std::vector<float> radii;
-  /// Forest-query scratch of the Mutable adapter (per-tree tables,
-  /// buffer-scan heap, merge staging). Untouched by other adapters.
+  /// Forest-query scratch of the Mutable adapter (per-thread query
+  /// workspaces and row-merge buffers). Untouched by other adapters.
   core::ForestWorkspace forest;
 };
 

@@ -146,6 +146,16 @@ enum class TraversalPolicy {
 // QueryStats lives in core/query_workspace.hpp (the workspace carries
 // the per-thread accumulator); it is re-exported here for callers.
 
+/// Batches at or below these sizes run inline on the caller, in the
+/// tree kernels and the forest alike (parallel::for_chunks'
+/// inline_max): a pool fan-out (wake + join of every worker) costs
+/// more than the queries themselves at serving micro-batch sizes.
+/// Radius queries get the lower cutoff: a fixed-radius scan visits
+/// many buckets and returns unbounded rows, so a micro-batch of them
+/// is heavy enough to be worth the fan-out.
+inline constexpr std::uint64_t kInlineKnnBatch = 64;
+inline constexpr std::uint64_t kInlineRadiusBatch = 16;
+
 class KdTree {
  public:
   KdTree() = default;
@@ -213,15 +223,12 @@ class KdTree {
                             QueryStats* stats = nullptr,
                             std::uint64_t radius_bound_id = 0) const;
 
-  /// Leaf-block-batched KNN over `queries` into a flat NeighborTable
-  /// (top-k mode, stride k), the bulk entry point of the all-KNN
-  /// engine and the serving backend. Queries are grouped by the leaf
-  /// bucket their descent lands in and processed in bucket-contiguous
-  /// order: each query primes its heap by scanning the shared home
-  /// bucket first (one SIMD block, hot in cache across the group) and
-  /// then runs the root traversal with that already-tight bound,
-  /// skipping the home leaf — amortizing descent and leaf scans across
-  /// co-located queries. Results are identical to per-query query_sq.
+  /// Batched KNN over `queries` into a flat NeighborTable (top-k mode,
+  /// stride k), the bulk entry point of the all-KNN engine and the
+  /// serving backend: one parallel::for_chunks fan-out answers query i
+  /// with query_sq_into into row i, the same per-query path the forest
+  /// takes (DESIGN.md §9.2, §12.4). Results are identical to per-query
+  /// query_sq.
   ///
   /// radius2s/radius_bound_ids give per-query pruning bounds with the
   /// query_sq_into semantics above (both empty = unbounded; when
@@ -239,12 +246,13 @@ class KdTree {
   /// `results` holds the k nearest indexed neighbors of build-time
   /// point i (the point itself included as its own 0-distance
   /// neighbor). Results are id-identical to query_sq_batch over the
-  /// original build PointSet, but the descent and ordering phases
-  /// vanish: the packed leaves ARE the bucket-contiguous schedule,
-  /// each query's home bucket is the bucket it lives in, and query
-  /// coordinates are gathered from the (cache-hot) packed block
-  /// instead of the caller's PointSet. This is stage 2 of the bulk
-  /// all-KNN engine (DESIGN.md §7, §9).
+  /// original build PointSet, but the schedule is the packed leaves
+  /// themselves: queries run leaf by leaf, each first scans the
+  /// (L1-hot) bucket it lives in for a tight initial bound and then
+  /// traverses from the root skipping that leaf, and query coordinates
+  /// are gathered from the packed block instead of the caller's
+  /// PointSet. This is stage 2 of the bulk all-KNN engine (DESIGN.md
+  /// §7, §9).
   void query_self_batch(std::size_t k, parallel::ThreadPool& pool,
                         NeighborTable& results, BatchWorkspace& ws,
                         QueryStats* stats = nullptr) const;
@@ -325,6 +333,12 @@ class KdTree {
   /// query point (the tree depth along the query's path).
   std::uint32_t path_depth(std::span<const float> query) const;
 
+  /// Leaf-scan scratch slots a query on this tree needs (the
+  /// leaf_stride of QueryWorkspace::prepare): the padded bucket
+  /// capacity, bounded by the slot count so a loaded header's config
+  /// cannot size it past the index itself.
+  std::size_t leaf_stride() const;
+
   /// Appends every indexed point (global id + coordinates, de-padded
   /// from the packed SoA leaf blocks) to `out`, leaf-contiguous order.
   /// out.dims() must equal dims(). This is how the mutable tier's
@@ -401,9 +415,6 @@ class KdTree {
   /// identical to the classic recursion.
   void search_exact(const float* query, KnnHeap& heap, QueryWorkspace& ws,
                     QueryStats& stats, std::uint32_t skip_node = kNoNode) const;
-  /// Leaf index the plain descent for `query` ends at (kNoNode when
-  /// the tree is empty).
-  std::uint32_t home_leaf(const float* query) const;
   void search_budgeted(std::uint32_t node_index, const float* query,
                        KnnHeap& heap, float region_dist2, float* offsets,
                        QueryWorkspace& ws, std::uint64_t& leaf_budget,
@@ -416,10 +427,10 @@ class KdTree {
                     QueryStats& stats) const;
   void scan_leaf(const LeafInfo& leaf, const float* query, KnnHeap& heap,
                  QueryWorkspace& ws, QueryStats& stats) const;
-  /// One batched query: prime with the home leaf, traverse skipping
-  /// it, extract into the table row.
-  void batch_query_one(std::uint64_t i, std::size_t k, float radius2,
-                       std::uint64_t bound_id, std::uint32_t home,
+  /// One self-join query (query_self_batch): prime with the home leaf
+  /// the query point lives in, traverse skipping it, extract into the
+  /// table row.
+  void batch_query_one(std::uint64_t i, std::size_t k, std::uint32_t home,
                        QueryWorkspace& ws, NeighborTable& results,
                        QueryStats& stats) const;
 

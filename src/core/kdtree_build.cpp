@@ -1,6 +1,5 @@
 // Three-phase parallel kd-tree construction (paper Section III-A).
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -99,17 +98,14 @@ class KdTreeBuilder {
 
     // Phase 2: thread-parallel depth-first subtrees.
     std::vector<std::vector<BuildNode>> subtrees(frontier.size());
-    {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(frontier.size());
-      for (std::size_t s = 0; s < frontier.size(); ++s) {
-        tasks.push_back([this, s, &frontier, &subtrees] {
-          const Frontier& f = frontier[s];
-          build_serial(subtrees[s], f.lo, f.hi, f.depth);
+    parallel::parallel_for_dynamic(
+        pool_, 0, frontier.size(), 1,
+        [&](int, std::uint64_t a, std::uint64_t b) {
+          for (std::uint64_t s = a; s < b; ++s) {
+            const Frontier& f = frontier[s];
+            build_serial(subtrees[s], f.lo, f.hi, f.depth);
+          }
         });
-      }
-      parallel::parallel_tasks(pool_, tasks);
-    }
     // Merge subtree node arrays into the global array. Local index 0
     // is the frontier node itself; locals j >= 1 map to base + j - 1.
     for (std::size_t s = 0; s < frontier.size(); ++s) {

@@ -16,7 +16,6 @@
 // route through a per-thread workspace so legacy callers keep the old
 // signatures without per-call scratch allocations.
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 
@@ -54,52 +53,14 @@ std::size_t strip_radius_sentinels(const Neighbor* row, std::size_t count,
   return count;
 }
 
-/// Dynamic-scheduling grain: caps at `max_grain` (the classic 64/256)
-/// but splits small batches across the pool so a 64-request serving
-/// batch does not serialize onto one thread.
+/// Dynamic-scheduling grain: caps at `max_grain` (64 queries, or 8
+/// leaves for the self-join) but splits small batches across the pool
+/// so a 64-request serving batch does not serialize onto one thread.
 std::uint64_t batch_grain(std::uint64_t n, int threads,
                           std::uint64_t max_grain) {
   const std::uint64_t target =
       n / (static_cast<std::uint64_t>(threads) * 4 + 1);
   return std::clamp<std::uint64_t>(target, 1, max_grain);
-}
-
-/// Leaf-scan scratch slots a batch warms per thread: the padded bucket
-/// capacity (no built leaf holds more), bounded by the slot count so a
-/// loaded header's config cannot size it past the index itself.
-std::size_t max_leaf_stride(const BuildConfig& config, std::size_t slots) {
-  return simd::padded_count(
-      std::min<std::size_t>(config.bucket_size, slots));
-}
-
-/// Batches at or below this size run inline on the caller thread: a
-/// pool fan-out (wake + join of every worker) costs more than the
-/// queries themselves at serving-frontend micro-batch sizes, and the
-/// chunk scheduling is identical either way (the caller is pool
-/// thread 0).
-constexpr std::uint64_t kInlineBatchThreshold = 64;
-
-/// Radius queries use a lower inline cutoff: a single fixed-radius
-/// scan visits many buckets and returns unbounded rows, so a
-/// micro-batch of them is heavy enough to be worth the fan-out.
-constexpr std::uint64_t kInlineRadiusThreshold = 16;
-
-/// Dispatches the chunk-scheduling body either across the pool or —
-/// for batches at or below `inline_threshold` and for size-1 pools —
-/// inline on the caller. A busy pool (another caller mid-fan-out, e.g.
-/// a different serving shard's batch) also runs inline: the body
-/// self-schedules chunks, so one invocation covers the whole range,
-/// and scanning on this core beats sleeping behind someone else's
-/// kernel (DESIGN.md §8).
-template <typename Body>
-void dispatch_batch(parallel::ThreadPool& pool, std::uint64_t n,
-                    const Body& body,
-                    std::uint64_t inline_threshold = kInlineBatchThreshold) {
-  if (n <= inline_threshold || pool.size() == 1) {
-    body(0);
-    return;
-  }
-  if (!pool.try_run(body)) body(0);
 }
 
 }  // namespace
@@ -179,7 +140,7 @@ void KdTree::search_exact(const float* query, KnnHeap& heap,
   std::uint64_t nodes_visited = 0;
   float pruning_bound = heap.bound() * kBoundSlack;
   for (;;) {
-    // Near-child descent chain. Batched queries prime the heap with
+    // Near-child descent chain. Self-join queries prime the heap with
     // their home leaf up front; rescanning it here would offer every
     // bucket point twice.
     while (cur != skip_node) {
@@ -235,16 +196,6 @@ void KdTree::search_exact(const float* query, KnnHeap& heap,
       }
     }
   }
-}
-
-std::uint32_t KdTree::home_leaf(const float* query) const {
-  if (nodes_.empty()) return kNoNode;
-  std::uint32_t v = 0;
-  while (!is_leaf(nodes_[v])) {
-    const HotNode& n = nodes_[v];
-    v = n.child + (query[n.dim] < n.split ? 0u : 1u);
-  }
-  return v;
 }
 
 void KdTree::search_paper(const float* query, KnnHeap& heap,
@@ -337,16 +288,11 @@ std::vector<Neighbor> KdTree::query_sq(std::span<const float> query,
   return out;
 }
 
-void KdTree::batch_query_one(std::uint64_t i, std::size_t k, float radius2,
-                             std::uint64_t bound_id, std::uint32_t home,
-                             QueryWorkspace& ws, NeighborTable& results,
-                             QueryStats& stats) const {
+void KdTree::batch_query_one(std::uint64_t i, std::size_t k,
+                             std::uint32_t home, QueryWorkspace& ws,
+                             NeighborTable& results, QueryStats& stats) const {
   KnnHeap& heap = ws.heap;
   heap.reset(k);
-  const bool seeded = radius2 < kInf;
-  if (seeded) {
-    for (std::size_t s = 0; s < k; ++s) heap.offer(radius2, bound_id);
-  }
   const float* q = ws.query.data();
   // Prime with the home bucket, then run the root traversal with that
   // already-tight bound, skipping the primed leaf.
@@ -354,12 +300,7 @@ void KdTree::batch_query_one(std::uint64_t i, std::size_t k, float radius2,
   std::fill(ws.offsets.begin(),
             ws.offsets.begin() + static_cast<std::ptrdiff_t>(dims_), 0.0f);
   search_exact(q, heap, ws, stats, home);
-  Neighbor* row = results.slot(i).data();
-  std::size_t count = heap.extract_sorted_into(row);
-  if (seeded) {
-    count = strip_radius_sentinels(row, count, radius2, bound_id);
-  }
-  results.set_count(i, count);
+  results.set_count(i, heap.extract_sorted_into(results.slot(i).data()));
 }
 
 void KdTree::query_sq_batch(const data::PointSet& queries, std::size_t k,
@@ -381,127 +322,23 @@ void KdTree::query_sq_batch(const data::PointSet& queries, std::size_t k,
   if (nodes_.empty()) return;
 
   const std::uint64_t n = queries.size();
-  ws.prepare(pool.size(), dims_, k,
-             max_leaf_stride(config_, packed_ids_.size()));
+  ws.prepare(pool.size(), dims_, k, leaf_stride());
   for (auto& t : ws.per_thread) t.stats = QueryStats{};
-
-  // Shared context behind a single pointer: the pool lambdas capture
-  // only `&ctx`, which fits std::function's small-object storage — the
-  // whole dispatch chain stays allocation-free.
-  struct Ctx {
-    const KdTree* tree;
-    const data::PointSet* queries;
-    NeighborTable* results;
-    BatchWorkspace* ws;
-    const float* radius2s;
-    const std::uint64_t* bound_ids;
-    std::size_t k;
-    std::uint64_t n;
-    std::uint64_t grain;
-    TraversalPolicy policy;
-    std::atomic<std::uint64_t> next{0};
-  } ctx{this,
-        &queries,
-        &results,
-        &ws,
-        bounded ? radius2s.data() : nullptr,
-        bounded ? radius_bound_ids.data() : nullptr,
-        k,
-        n,
-        batch_grain(n, pool.size(), 64),
-        policy,
-        {}};
-
-  if (policy != TraversalPolicy::Exact) {
-    // PaperFormula keeps no incremental offsets to prime; it exists
-    // for the recall ablation only, so take the per-query path.
-    dispatch_batch(pool, n, [c = &ctx](int tid) {
-      QueryWorkspace& w = c->ws->per_thread[static_cast<std::size_t>(tid)];
-      for (;;) {
-        // order: relaxed — work-stealing chunk counter; claims need
-        // atomicity only, the batch completion barrier orders results.
-        const std::uint64_t lo =
-            c->next.fetch_add(c->grain, std::memory_order_relaxed);
-        if (lo >= c->n) break;
-        const std::uint64_t hi = std::min(lo + c->grain, c->n);
+  const float* r2s = bounded ? radius2s.data() : nullptr;
+  const std::uint64_t* bound_ids = bounded ? radius_bound_ids.data() : nullptr;
+  parallel::for_chunks(
+      pool, n, batch_grain(n, pool.size(), 64), kInlineKnnBatch,
+      [&](int tid, std::uint64_t lo, std::uint64_t hi) {
+        QueryWorkspace& w = ws.per_thread[static_cast<std::size_t>(tid)];
         for (std::uint64_t i = lo; i < hi; ++i) {
-          c->queries->copy_point(i, w.query.data());
-          const float r2 = c->radius2s != nullptr ? c->radius2s[i] : kInf;
-          const std::uint64_t bid =
-              c->bound_ids != nullptr ? c->bound_ids[i] : 0;
-          const std::size_t count = c->tree->query_sq_into(
-              std::span<const float>(w.query.data(), c->tree->dims_), c->k,
-              r2, w, c->results->slot(i), c->policy, &w.stats, bid);
-          c->results->set_count(i, count);
+          queries.copy_point(i, w.query.data());
+          const std::size_t count = query_sq_into(
+              std::span<const float>(w.query.data(), dims_), k,
+              r2s != nullptr ? r2s[i] : kInf, w, results.slot(i), policy,
+              &w.stats, bound_ids != nullptr ? bound_ids[i] : 0);
+          results.set_count(i, count);
         }
-      }
-    });
-    if (stats != nullptr) {
-      for (const auto& t : ws.per_thread) *stats += t.stats;
-    }
-    return;
-  }
-
-  // Phase 1: the home leaf of every query (pure descent, no heap
-  // work).
-  if (ws.home.size() < n) ws.home.resize(n);
-  ctx.grain = batch_grain(n, pool.size(), 256);
-  dispatch_batch(pool, n, [c = &ctx](int tid) {
-    QueryWorkspace& w = c->ws->per_thread[static_cast<std::size_t>(tid)];
-    for (;;) {
-      // order: relaxed — work-stealing chunk counter; claims need
-      // atomicity only, the batch completion barrier orders results.
-      const std::uint64_t lo =
-          c->next.fetch_add(c->grain, std::memory_order_relaxed);
-      if (lo >= c->n) break;
-      const std::uint64_t hi = std::min(lo + c->grain, c->n);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        c->queries->copy_point(i, w.query.data());
-        c->ws->home[i] = c->tree->home_leaf(w.query.data());
-      }
-    }
-  });
-
-  // Phase 2: bucket-contiguous order — co-located queries run
-  // back-to-back so the shared home bucket stays hot (ties broken by
-  // query index to keep the schedule deterministic).
-  if (ws.order.size() < n) ws.order.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) ws.order[i] = i;
-  std::sort(ws.order.begin(), ws.order.begin() + static_cast<std::ptrdiff_t>(n),
-            [home = ws.home.data()](std::uint64_t a, std::uint64_t b) {
-              return home[a] != home[b] ? home[a] < home[b] : a < b;
-            });
-
-  // Phase 3: per query, prime the heap with the home bucket, then run
-  // the root traversal with that bound, skipping the primed leaf.
-  ctx.grain = batch_grain(n, pool.size(), 64);
-  // order: relaxed — reset between phases; the dispatch handoff below
-  // publishes it to the workers.
-  ctx.next.store(0, std::memory_order_relaxed);
-  dispatch_batch(pool, n, [c = &ctx](int tid) {
-    QueryWorkspace& w = c->ws->per_thread[static_cast<std::size_t>(tid)];
-    w.prepare(c->tree->dims_);
-    for (;;) {
-      // order: relaxed — work-stealing chunk counter; claims need
-      // atomicity only, the batch completion barrier orders results.
-      const std::uint64_t lo =
-          c->next.fetch_add(c->grain, std::memory_order_relaxed);
-      if (lo >= c->n) break;
-      const std::uint64_t hi = std::min(lo + c->grain, c->n);
-      for (std::uint64_t pos = lo; pos < hi; ++pos) {
-        const std::uint64_t i = c->ws->order[pos];
-        if (pos + 1 < c->n) {
-          c->queries->prefetch_point(c->ws->order[pos + 1]);
-        }
-        c->queries->copy_point(i, w.query.data());
-        const float r2 = c->radius2s != nullptr ? c->radius2s[i] : kInf;
-        const std::uint64_t bid =
-            c->bound_ids != nullptr ? c->bound_ids[i] : 0;
-        c->tree->batch_query_one(i, c->k, r2, bid, c->ws->home[i], w,
-                                 *c->results, w.stats);
-      }
-    }
-  });
+      });
   if (stats != nullptr) {
     for (const auto& t : ws.per_thread) *stats += t.stats;
   }
@@ -513,57 +350,30 @@ void KdTree::query_self_batch(std::size_t k, parallel::ThreadPool& pool,
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   results.reset_topk(stats_.points, k);
   if (nodes_.empty()) return;
-  ws.prepare(pool.size(), dims_, k,
-             max_leaf_stride(config_, packed_ids_.size()));
+  ws.prepare(pool.size(), dims_, k, leaf_stride());
   for (auto& t : ws.per_thread) t.stats = QueryStats{};
 
-  // The packed leaves are already the bucket-contiguous schedule: no
-  // descent phase, no ordering sort — iterate buckets and query each
+  // The packed leaves are the schedule: iterate buckets and query each
   // resident point against its own (L1-hot) home bucket first.
-  struct Ctx {
-    const KdTree* tree;
-    NeighborTable* results;
-    BatchWorkspace* ws;
-    std::size_t k;
-    std::uint64_t n;  // leaves
-    std::uint64_t grain;
-    std::atomic<std::uint64_t> next{0};
-  } ctx{this,
-        &results,
-        &ws,
-        k,
-        leaves_.size(),
-        batch_grain(leaves_.size(), pool.size(), 8),
-        {}};
-
-  dispatch_batch(pool, ctx.n, [c = &ctx](int tid) {
-    QueryWorkspace& w = c->ws->per_thread[static_cast<std::size_t>(tid)];
-    const KdTree* t = c->tree;
-    const std::size_t dims = t->dims_;
-    for (;;) {
-      // order: relaxed — work-stealing chunk counter; claims need
-      // atomicity only, the batch completion barrier orders results.
-      const std::uint64_t lo =
-          c->next.fetch_add(c->grain, std::memory_order_relaxed);
-      if (lo >= c->n) break;
-      const std::uint64_t hi = std::min(lo + c->grain, c->n);
-      for (std::uint64_t l = lo; l < hi; ++l) {
-        const LeafInfo leaf = t->leaves_[l];
-        const std::uint32_t home = t->leaf_nodes_[l];
-        const std::uint64_t stride = simd::padded_count(leaf.count);
-        const float* block = t->packed_.data() + leaf.packed_begin * dims;
-        for (std::uint32_t j = 0; j < leaf.count; ++j) {
-          for (std::size_t d = 0; d < dims; ++d) {
-            w.query[d] = block[d * stride + j];
+  const std::uint64_t n_leaves = leaves_.size();
+  parallel::for_chunks(
+      pool, n_leaves, batch_grain(n_leaves, pool.size(), 8), kInlineKnnBatch,
+      [&](int tid, std::uint64_t lo, std::uint64_t hi) {
+        QueryWorkspace& w = ws.per_thread[static_cast<std::size_t>(tid)];
+        for (std::uint64_t l = lo; l < hi; ++l) {
+          const LeafInfo leaf = leaves_[l];
+          const std::uint32_t home = leaf_nodes_[l];
+          const std::uint64_t stride = simd::padded_count(leaf.count);
+          const float* block = packed_.data() + leaf.packed_begin * dims_;
+          for (std::uint32_t j = 0; j < leaf.count; ++j) {
+            for (std::size_t d = 0; d < dims_; ++d) {
+              w.query[d] = block[d * stride + j];
+            }
+            const std::uint64_t i = packed_local_idx_[leaf.packed_begin + j];
+            batch_query_one(i, k, home, w, results, w.stats);
           }
-          const std::uint64_t i =
-              t->packed_local_idx_[leaf.packed_begin + j];
-          t->batch_query_one(i, c->k, kInf, 0, home, w, *c->results,
-                             w.stats);
         }
-      }
-    }
-  });
+      });
   if (stats != nullptr) {
     for (const auto& t : ws.per_thread) *stats += t.stats;
   }
@@ -745,66 +555,31 @@ void KdTree::query_radius_batch(const data::PointSet& queries,
     return;
   }
 
-  ws.prepare(pool.size(), dims_, 1,
-             max_leaf_stride(config_, packed_ids_.size()));
+  ws.prepare(pool.size(), dims_, 1, leaf_stride());
   for (auto& t : ws.per_thread) {
     t.stats = QueryStats{};
     t.staging.clear();
   }
   if (ws.row_refs.size() < n) ws.row_refs.resize(n);
 
-  struct Ctx {
-    const KdTree* tree;
-    const data::PointSet* queries;
-    const float* radii;
-    BatchWorkspace* ws;
-    std::uint64_t n;
-    std::uint64_t grain;
-    std::atomic<std::uint64_t> next{0};
-  } ctx{this,    &queries, radii.data(), &ws,
-        n,       batch_grain(n, pool.size(), 64),
-        {}};
-
-  // Each thread stages its rows contiguously in its own buffer and
-  // records where each query's row landed; the stitch below copies
-  // them into the flat table in query order.
-  dispatch_batch(
-      pool, n,
-      [c = &ctx](int tid) {
-    QueryWorkspace& w = c->ws->per_thread[static_cast<std::size_t>(tid)];
-    float* offsets = w.offsets.data();
-    for (;;) {
-      // order: relaxed — work-stealing chunk counter; claims need
-      // atomicity only, the batch completion barrier orders results.
-      const std::uint64_t lo =
-          c->next.fetch_add(c->grain, std::memory_order_relaxed);
-      if (lo >= c->n) break;
-      const std::uint64_t hi = std::min(lo + c->grain, c->n);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        c->queries->copy_point(i, w.query.data());
-        const std::uint64_t begin = w.staging.size();
-        const float r = c->radii[i];
-        std::fill(offsets,
-                  offsets + static_cast<std::ptrdiff_t>(c->tree->dims_),
-                  0.0f);
-        c->tree->search_radius(0, w.query.data(), r * r, 0.0f, offsets,
-                               w.dist, w.staging, w.stats);
-        std::sort(w.staging.begin() + static_cast<std::ptrdiff_t>(begin),
-                  w.staging.end());
-        c->ws->row_refs[i] = {
-            begin, static_cast<std::uint32_t>(w.staging.size() - begin),
-            static_cast<std::uint32_t>(tid)};
-      }
-    }
-  },
-      kInlineRadiusThreshold);
-
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const QueryWorkspace::RowRef& ref = ws.row_refs[i];
-    const auto& staging = ws.per_thread[ref.thread].staging;
-    results.append_row(
-        i, std::span<const Neighbor>(staging.data() + ref.begin, ref.count));
-  }
+  // Each thread stages its rows contiguously in its own buffer; the
+  // stitch copies them into the flat table in query order.
+  parallel::for_chunks(
+      pool, n, batch_grain(n, pool.size(), 64), kInlineRadiusBatch,
+      [&](int tid, std::uint64_t lo, std::uint64_t hi) {
+        QueryWorkspace& w = ws.per_thread[static_cast<std::size_t>(tid)];
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          queries.copy_point(i, w.query.data());
+          const std::uint64_t begin = w.staging.size();
+          std::fill(w.offsets.begin(),
+                    w.offsets.begin() + static_cast<std::ptrdiff_t>(dims_),
+                    0.0f);
+          search_radius(0, w.query.data(), radii[i] * radii[i], 0.0f,
+                        w.offsets.data(), w.dist, w.staging, w.stats);
+          ws.close_row(i, tid, begin);
+        }
+      });
+  ws.stitch_rows(n, results);
   if (stats != nullptr) {
     for (const auto& t : ws.per_thread) *stats += t.stats;
   }
@@ -821,6 +596,11 @@ std::uint32_t KdTree::path_depth(std::span<const float> query) const {
     ++depth;
   }
   return depth;
+}
+
+std::size_t KdTree::leaf_stride() const {
+  return simd::padded_count(
+      std::min<std::size_t>(config_.bucket_size, packed_ids_.size()));
 }
 
 }  // namespace panda::core

@@ -25,6 +25,7 @@
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace panda::core {
 
@@ -905,6 +906,79 @@ void MutableIndex::maybe_sync_wal_locked() {
 
 namespace {
 
+/// Run points the buffer scan measures per block.
+constexpr std::size_t kScanBlock = 256;
+
+/// First over-fetch beyond k on a tree with tombstones (see
+/// answer_one_query); a rare crowded neighborhood doubles from there.
+constexpr std::size_t kDeadPad = 8;
+
+/// The one buffer scan of the KNN and radius paths: calls
+/// admit(d2, id) for every live run point whose squared distance
+/// passes keep(d2), in run order. Distances accumulate in dimension
+/// order — the same arithmetic as the SIMD leaf kernel and
+/// brute_force_knn — so buffered and tree candidates compare
+/// bit-identically and results match a from-scratch build over the
+/// live points. The accumulation is blocked over the SoA columns so
+/// the compiler vectorizes across points; `dist` holds kScanBlock
+/// floats.
+template <typename Keep, typename Admit>
+void scan_runs(const auto& runs, const float* query, std::size_t dims,
+               float* dist, const Keep& keep, const Admit& admit) {
+  for (const auto& run : runs) {
+    const data::PointSet& ps = *run.points;
+    for (std::size_t base = 0; base < ps.size(); base += kScanBlock) {
+      const std::size_t len = std::min(kScanBlock, ps.size() - base);
+      std::fill_n(dist, len, 0.0f);
+      for (std::size_t d = 0; d < dims; ++d) {
+        const float q = query[d];
+        const float* col = ps.coordinate(d).data() + base;
+        for (std::size_t p = 0; p < len; ++p) {
+          const float diff = q - col[p];
+          dist[p] += diff * diff;
+        }
+      }
+      for (std::size_t p = 0; p < len; ++p) {
+        if (!keep(dist[p])) continue;
+        const std::uint64_t id = ps.id(base + p);
+        if (run.dead != nullptr && contains(*run.dead, id)) continue;
+        admit(dist[p], id);
+      }
+    }
+  }
+}
+
+/// Forest batch grain: finer than the tree kernels (16 chunks per
+/// thread, not 4). The batch ends when the last chunk finishes, and on
+/// a box where a background merge thread competes for cores, a fat
+/// final chunk on a descheduled straggler stretches the whole batch.
+std::uint64_t forest_grain(std::uint64_t n, int threads) {
+  return std::clamp<std::uint64_t>(
+      n / (static_cast<std::uint64_t>(threads) * 16 + 1), 1, 32);
+}
+
+/// Warms every pool thread's scratch before a fan-out, so the warm
+/// capacity does not depend on which threads the chunk schedule hands
+/// work: heaps and tree-row buffers for k plus the first tombstone
+/// over-fetch, distance buffers for a scan block or the widest leaf of
+/// any tree.
+void prepare_threads(ForestWorkspace& ws, int threads, std::size_t dims,
+                     std::size_t k, const auto& trees) {
+  std::size_t stride = kScanBlock;
+  for (const auto& shard : trees) {
+    stride = std::max(stride, shard.tree->leaf_stride());
+  }
+  const std::size_t max_k = k + kDeadPad;
+  ws.batch.prepare(threads, dims, max_k, stride);
+  const auto t = static_cast<std::size_t>(threads);
+  if (ws.merge.size() < t) ws.merge.resize(t);
+  for (auto& m : ws.merge) {
+    m.row.reserve(max_k);
+    m.filtered.reserve(max_k);
+    m.scratch.reserve(max_k);
+  }
+}
+
 /// Appends the live points of one pinned snapshot (runs, then trees).
 void gather_snapshot_live(std::size_t dims, const auto& runs,
                           const auto& trees, data::PointSet& out) {
@@ -949,15 +1023,15 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
                             NeighborTable& results,
                             ForestWorkspace& ws) const {
   // One chunk-stolen parallel region answers every query end to end:
-  // buffer scan, every tree (the single-query kernel — documented
-  // identical to the batch kernel's rows — with lazy tombstone
-  // over-fetch), and the (dist², id) row merge. One fork-join per batch, NOT one
-  // per tree: a mid-merge forest is deep (up to fan_in trees per
-  // level), and on a loaded box every extra barrier's join tail costs
-  // a scheduler round against the background build — the per-tree
-  // two-pass form was the dominant term in bench_mutable's
-  // p99-during-merges gate. Rows are disjoint and the snapshot is
-  // immutable, so threads share nothing but the work counter.
+  // buffer scan, every tree (the single-query kernel, with lazy
+  // tombstone over-fetch), and the (dist², id) row merge. One
+  // fork-join per batch, NOT one per tree: a mid-merge forest is deep
+  // (up to fan_in trees per level), and on a loaded box every extra
+  // barrier's join tail costs a scheduler round against the background
+  // build — the per-tree two-pass form was the dominant term in
+  // bench_mutable's p99-during-merges gate. Rows are disjoint and the
+  // snapshot is immutable, so threads share nothing but the work
+  // counter.
   // Per-tree over-fetch CAP: at min(k + |dead|, tree size) a full
   // return always holds >= k live points, so the per-query retry loop
   // terminates there. The common case fetches far less.
@@ -980,64 +1054,20 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
             [&](std::size_t a, std::size_t b) {
               return snap.trees[a].tree->size() > snap.trees[b].tree->size();
             });
+  prepare_threads(ws, pool_->size(), dims_, k, snap.trees);
+  const std::span<const std::size_t> k_pads(ws.k_pad.data(), n_trees);
+  const std::span<const std::size_t> tree_order(ws.tree_order.data(),
+                                                n_trees);
   const std::uint64_t n = queries.size();
-  const auto threads = static_cast<std::size_t>(pool_->size());
-  if (ws.merge.size() < threads) ws.merge.resize(threads);
-  struct Ctx {
-    const MutableIndex* self;
-    const data::PointSet* queries;
-    const Snapshot* snap;
-    NeighborTable* results;
-    ForestWorkspace* ws;
-    std::size_t k;
-    TraversalPolicy policy;
-    std::uint64_t n;
-    std::uint64_t grain;
-    std::atomic<std::uint64_t> next{0};
-  } ctx{this,
-        &queries,
-        &snap,
-        &results,
-        &ws,
-        k,
-        policy,
-        n,
-        // Finer grain than the tree kernels (16 chunks/thread, not 4):
-        // the batch ends when the last chunk finishes, and on a box
-        // where a background merge thread competes for cores, a fat
-        // final chunk on a descheduled straggler stretches the whole
-        // batch. Steal cost is one relaxed fetch_add per chunk.
-        std::clamp<std::uint64_t>(
-            n / (static_cast<std::uint64_t>(threads) * 16 + 1), 1, 32),
-        {}};
-  const auto body = [c = &ctx](int tid) {
-    ForestWorkspace::MergeScratch& w =
-        c->ws->merge[static_cast<std::size_t>(tid)];
-    const std::span<const std::size_t> k_pads(c->ws->k_pad.data(),
-                                              c->snap->trees.size());
-    const std::span<const std::size_t> tree_order(
-        c->ws->tree_order.data(), c->snap->trees.size());
-    for (;;) {
-      // order: relaxed — pure work-stealing counter; chunk claims need
-      // atomicity only, the batch's completion barrier orders the data.
-      const std::uint64_t lo =
-          c->next.fetch_add(c->grain, std::memory_order_relaxed);
-      if (lo >= c->n) break;
-      const std::uint64_t hi = std::min(lo + c->grain, c->n);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        c->self->answer_one_query(*c->queries, i, c->k, *c->snap, k_pads,
-                                  tree_order, c->policy, *c->results, w);
-      }
-    }
-  };
-  // Same inline cutoffs as dispatch_batch in the tree kernels: tiny
-  // batches and size-1 pools skip the fan-out, a busy team falls back
-  // to covering the whole range inline (the body self-schedules).
-  if (n <= 64 || pool_->size() == 1) {
-    body(0);
-    return;
-  }
-  if (!pool_->try_run(body)) body(0);
+  parallel::for_chunks(
+      *pool_, n, forest_grain(n, pool_->size()), kInlineKnnBatch,
+      [&](int tid, std::uint64_t lo, std::uint64_t hi) {
+        const auto t = static_cast<std::size_t>(tid);
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          answer_one_query(queries, i, k, snap, k_pads, tree_order, policy,
+                           results, ws.batch.per_thread[t], ws.merge[t]);
+        }
+      });
 }
 
 void MutableIndex::answer_one_query(const data::PointSet& queries,
@@ -1046,44 +1076,18 @@ void MutableIndex::answer_one_query(const data::PointSet& queries,
                                     std::span<const std::size_t> k_pads,
                                     std::span<const std::size_t> tree_order,
                                     TraversalPolicy policy,
-                                    NeighborTable& results,
-                                    ForestWorkspace::MergeScratch& w) const {
-  // The buffer scan accumulates in dimension order — the same
-  // arithmetic as the SIMD leaf kernel and brute_force_knn — so merged
-  // results are bit-identical to a from-scratch build over the live
-  // points.
-  w.query.resize(dims_);
+                                    NeighborTable& results, QueryWorkspace& w,
+                                    ForestWorkspace::MergeScratch& m) const {
+  // The buffer scan and every tree traversal share w: the heap is
+  // drained into the row before each tree resets it, and the tree
+  // kernels read the query copy without writing it.
   queries.copy_point(i, w.query.data());
+  const std::span<const float> query(w.query.data(), dims_);
   w.heap.reset(k);
-  // Blocked over the SoA columns so the compiler vectorizes across
-  // points; each point's accumulation still runs in dimension order,
-  // preserving the bit-identical contract above. Admission stays a
-  // scalar pass with the same comparison sequence as before.
-  constexpr std::size_t kScanBlock = 256;
-  if (w.dist.size() < kScanBlock) w.dist.resize(kScanBlock);
-  for (const Run& run : snap.runs) {
-    const data::PointSet& ps = *run.points;
-    for (std::size_t base = 0; base < ps.size(); base += kScanBlock) {
-      const std::size_t len = std::min(kScanBlock, ps.size() - base);
-      float* dist = w.dist.data();
-      std::fill_n(dist, len, 0.0f);
-      for (std::size_t d = 0; d < dims_; ++d) {
-        const float q = w.query[d];
-        const float* col = ps.coordinate(d).data() + base;
-        for (std::size_t p = 0; p < len; ++p) {
-          const float diff = q - col[p];
-          dist[p] += diff * diff;
-        }
-      }
-      for (std::size_t p = 0; p < len; ++p) {
-        if (dist[p] <= w.heap.bound()) {
-          const std::uint64_t id = ps.id(base + p);
-          if (run.dead != nullptr && contains(*run.dead, id)) continue;
-          w.heap.offer(dist[p], id);
-        }
-      }
-    }
-  }
+  scan_runs(
+      snap.runs, query.data(), dims_, w.dist.data(),
+      [&](float d2) { return d2 <= w.heap.bound(); },
+      [&](float d2, std::uint64_t id) { w.heap.offer(d2, id); });
   const auto slot = results.slot(i);
   std::size_t count = w.heap.extract_sorted_into(slot.data());
   constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -1091,7 +1095,6 @@ void MutableIndex::answer_one_query(const data::PointSet& queries,
     const TreeShard& shard = snap.trees[t];
     const std::size_t cap = k_pads[t];
     const std::size_t dead_n = shard.dead != nullptr ? shard.dead->size() : 0;
-    if (w.row.size() < cap) w.row.resize(cap);
     // Carry the running k-th best as the traversal bound: only
     // candidates strictly below (kth dist², kth id) in the §5 tie
     // order can still displace a merged result, which is exactly
@@ -1113,25 +1116,25 @@ void MutableIndex::answer_one_query(const data::PointSet& queries,
     // live survivors bound the true top-k; and at the cap
     // min(k + |dead|, tree size) a full return holds at least k live
     // points by counting.
-    std::size_t k_try = std::min(k + std::min<std::size_t>(dead_n, 8), cap);
+    std::size_t k_try = std::min(k + std::min(dead_n, kDeadPad), cap);
     std::span<const Neighbor> incoming;
     for (;;) {
+      if (m.row.size() < k_try) m.row.resize(k_try);
       const std::size_t got = shard.tree->query_sq_into(
-          std::span<const float>(w.query.data(), dims_), k_try, bound2,
-          w.tree_ws, std::span<Neighbor>(w.row.data(), k_try), policy,
-          nullptr, bound_id);
-      incoming = std::span<const Neighbor>(w.row.data(), got);
+          query, k_try, bound2, w, std::span<Neighbor>(m.row.data(), k_try),
+          policy, nullptr, bound_id);
+      incoming = std::span<const Neighbor>(m.row.data(), got);
       if (shard.dead != nullptr) {
-        w.filtered.clear();
+        m.filtered.clear();
         for (const Neighbor& nb : incoming) {
-          if (!contains(*shard.dead, nb.id)) w.filtered.push_back(nb);
+          if (!contains(*shard.dead, nb.id)) m.filtered.push_back(nb);
         }
-        incoming = w.filtered;
+        incoming = m.filtered;
       }
       if (got < k_try || incoming.size() >= k || k_try >= cap) break;
       k_try = std::min(cap, k_try * 2);
     }
-    count = merge_topk_into_row(slot, count, incoming, k, w.scratch);
+    count = merge_topk_into_row(slot, count, incoming, k, m.scratch);
   }
   results.set_count(i, count);
 }
@@ -1149,43 +1152,45 @@ void MutableIndex::radius_batch(const data::PointSet& queries,
   const auto snap = snapshot();
   results.reset_rows(queries.size());
   if (queries.empty()) return;
-  if (ws.tree_tables.size() < snap->trees.size()) {
-    ws.tree_tables.resize(snap->trees.size());
-  }
-  for (std::size_t t = 0; t < snap->trees.size(); ++t) {
-    snap->trees[t].tree->query_radius_batch(queries, radii, *pool_,
-                                            ws.tree_tables[t], ws.batch);
-  }
-  ws.query.resize(dims_);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries.copy_point(i, ws.query.data());
-    const float r2 = radii[i] * radii[i];
-    ws.merged.clear();
-    for (const Run& run : snap->runs) {
-      const data::PointSet& ps = *run.points;
-      for (std::size_t p = 0; p < ps.size(); ++p) {
-        float acc = 0.0f;
-        for (std::size_t d = 0; d < dims_; ++d) {
-          const float diff = ws.query[d] - ps.at(p, d);
-          acc += diff * diff;
+  const std::uint64_t n = queries.size();
+  prepare_threads(ws, pool_->size(), dims_, 1, snap->trees);
+  BatchWorkspace& batch = ws.batch;
+  for (auto& w : batch.per_thread) w.staging.clear();
+  if (batch.row_refs.size() < n) batch.row_refs.resize(n);
+  // One fork-join per batch, as in knn_rows: each thread answers a
+  // query end to end — buffer scan, every tree, dead-id filter, sort —
+  // into its staging buffer, and one stitch copies the rows out in
+  // query order.
+  parallel::for_chunks(
+      *pool_, n, forest_grain(n, pool_->size()), kInlineRadiusBatch,
+      [&](int tid, std::uint64_t lo, std::uint64_t hi) {
+        QueryWorkspace& w = batch.per_thread[static_cast<std::size_t>(tid)];
+        std::vector<Neighbor>& tree_row =
+            ws.merge[static_cast<std::size_t>(tid)].row;
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          queries.copy_point(i, w.query.data());
+          const std::span<const float> query(w.query.data(), dims_);
+          const float r2 = radii[i] * radii[i];
+          const std::uint64_t begin = w.staging.size();
+          scan_runs(
+              snap->runs, query.data(), dims_, w.dist.data(),
+              [r2](float d2) { return d2 < r2; },
+              [&](float d2, std::uint64_t id) {
+                w.staging.push_back(Neighbor{d2, id});
+              });
+          for (const TreeShard& shard : snap->trees) {
+            shard.tree->query_radius_into(query, radii[i], w, tree_row);
+            for (const Neighbor& nb : tree_row) {
+              if (shard.dead != nullptr && contains(*shard.dead, nb.id)) {
+                continue;
+              }
+              w.staging.push_back(nb);
+            }
+          }
+          batch.close_row(i, tid, begin);
         }
-        if (acc < r2) {
-          const std::uint64_t id = ps.id(p);
-          if (run.dead != nullptr && contains(*run.dead, id)) continue;
-          ws.merged.push_back(Neighbor{acc, id});
-        }
-      }
-    }
-    for (std::size_t t = 0; t < snap->trees.size(); ++t) {
-      const TreeShard& shard = snap->trees[t];
-      for (const Neighbor& nb : ws.tree_tables[t].row(i)) {
-        if (shard.dead != nullptr && contains(*shard.dead, nb.id)) continue;
-        ws.merged.push_back(nb);
-      }
-    }
-    std::sort(ws.merged.begin(), ws.merged.end());
-    results.append_row(i, ws.merged);
-  }
+      });
+  batch.stitch_rows(n, results);
 }
 
 void MutableIndex::self_knn_batch(std::size_t k, NeighborTable& results,

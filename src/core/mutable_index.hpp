@@ -35,13 +35,14 @@
 //   queries  — lock-free. Writers publish an immutable Snapshot
 //     (runs + tree shards) through one atomic<shared_ptr> store;
 //     queries pin exactly one snapshot for the whole batch. One
-//     chunk-stolen parallel region answers each query end to end —
-//     buffer-scan candidates, every tree at its tombstone-padded k,
-//     and the row merge — under the deterministic (dist², id) total
-//     order of DESIGN.md §5 (one fork-join per batch, not one per
-//     tree, so a deep mid-merge forest costs no extra barriers).
-//     Buffer scans and the SIMD leaf kernel accumulate distances in
-//     the same dimension order, so results are bit-identical to a
+//     parallel::for_chunks region answers each query end to end —
+//     buffer-scan candidates, every tree (at its tombstone-padded k
+//     for KNN), the dead-id filter, and the row merge or sort — under
+//     the deterministic (dist², id) total order of DESIGN.md §5 (one
+//     fork-join per batch, KNN and radius alike, not one per tree, so
+//     a deep mid-merge forest costs no extra barriers). Buffer scans
+//     and the SIMD leaf kernel accumulate distances in the same
+//     dimension order, so results are bit-identical to a
 //     from-scratch build over the live points — tests/
 //     test_mutable_index.cpp pins id-exactness against an
 //     incrementally-maintained brute-force oracle after every
@@ -135,21 +136,18 @@ struct MutationStats {
 
 /// Caller-owned, grow-only scratch for MutableIndex queries — one per
 /// concurrent caller, reusable across calls (the forest analogue of
-/// BatchWorkspace; SearchWorkspace embeds one).
+/// BatchWorkspace; SearchWorkspace embeds one). Every pool thread's
+/// slots are warmed before each fan-out.
 struct ForestWorkspace {
+  /// One QueryWorkspace per pool thread: a thread drives each query of
+  /// its chunk through the buffer scan and every tree on the same heap,
+  /// query copy and distance buffer, and stages radius rows for the
+  /// one stitch (BatchWorkspace::stitch_rows).
   BatchWorkspace batch;
-  /// One table per forest tree — the radius path only (per-tree
-  /// radius batches, stitched serially afterwards).
-  std::vector<NeighborTable> tree_tables;
-  /// Per-pool-thread scratch for the single-fork-join KNN path: each
-  /// thread drives its query chunk through the buffer scan and every
-  /// tree serially, so one scratch holds a traversal workspace plus
-  /// one padded row and merge buffers.
+  /// Per-pool-thread tree-row buffers beside batch.per_thread: one
+  /// tree's answer, its tombstone-filtered survivors, and the top-k
+  /// merge buffer.
   struct MergeScratch {
-    KnnHeap heap{1};
-    QueryWorkspace tree_ws;
-    std::vector<float> query;
-    std::vector<float> dist;  // buffer-scan distance block
     std::vector<Neighbor> row;
     std::vector<Neighbor> filtered;
     std::vector<Neighbor> scratch;
@@ -157,8 +155,6 @@ struct ForestWorkspace {
   std::vector<MergeScratch> merge;
   std::vector<std::size_t> k_pad;       // per-tree over-fetch cap
   std::vector<std::size_t> tree_order;  // trees descending by size
-  std::vector<float> query;        // radius merge loop (serial)
-  std::vector<Neighbor> merged;    // radius merge loop (serial)
 };
 
 class MutableIndex {
@@ -225,7 +221,8 @@ class MutableIndex {
                  NeighborTable& results, ForestWorkspace& ws,
                  TraversalPolicy policy = TraversalPolicy::Exact) const;
 
-  /// All live neighbors with dist² < radii[i]² (rows mode, ascending).
+  /// All live neighbors with dist² < radii[i]² (rows mode, ascending),
+  /// answered in the same single fork-join as knn_batch.
   void radius_batch(const data::PointSet& queries,
                     std::span<const float> radii, NeighborTable& results,
                     ForestWorkspace& ws) const;
@@ -349,19 +346,20 @@ class MutableIndex {
   /// wal_flush_interval_us elapsed since the last sync.
   void maybe_sync_wal_locked() PANDA_REQUIRES(mutex_);
 
-  /// The KNN engine behind knn_batch/self_knn_batch: one chunk-stolen
-  /// parallel region answers every query end to end (buffer scan +
-  /// all trees + row merge). `results` must already be reset to
-  /// top-k mode.
+  /// The KNN engine behind knn_batch/self_knn_batch: one for_chunks
+  /// region answers every query end to end (buffer scan + all trees +
+  /// row merge). `results` must already be reset to top-k mode.
   void knn_rows(const data::PointSet& queries, std::size_t k,
                 const Snapshot& snap, TraversalPolicy policy,
                 NeighborTable& results, ForestWorkspace& ws) const;
+  /// One query of knn_rows on one pool thread's scratch (`w`, `m`).
   void answer_one_query(const data::PointSet& queries, std::size_t i,
                         std::size_t k, const Snapshot& snap,
                         std::span<const std::size_t> k_pads,
                         std::span<const std::size_t> tree_order,
                         TraversalPolicy policy, NeighborTable& results,
-                        ForestWorkspace::MergeScratch& w) const;
+                        QueryWorkspace& w,
+                        ForestWorkspace::MergeScratch& m) const;
 
   std::size_t dims_;
   MutableConfig config_;

@@ -15,15 +15,18 @@
 //     query_radius_into) own their workspace and pass it explicitly;
 //   * the batch entry points take a BatchWorkspace, which owns one
 //     QueryWorkspace per pool thread plus the batch-wide scratch
-//     (home-leaf ids, schedule order, per-thread row staging).
+//     (radius-row stitch map, uniform-bound staging).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/aligned.hpp"
 #include "core/knn_heap.hpp"
+#include "core/neighbor_table.hpp"
 
 namespace panda::core {
 
@@ -94,7 +97,8 @@ struct QueryWorkspace {
 /// Caller-owned state for the batched entry points: one QueryWorkspace
 /// per pool thread plus the batch-wide arrays. Reused across batches —
 /// steady-state query_sq_batch / query_radius_batch calls make zero
-/// allocator calls.
+/// allocator calls. The forest's batches (core::MutableIndex) run on
+/// the same per-thread workspaces.
 struct BatchWorkspace {
   /// Sizes every per-thread workspace for `threads` pool threads
   /// (QueryWorkspace::prepare arguments). Warming all of them up front,
@@ -108,9 +112,30 @@ struct BatchWorkspace {
     for (auto& ws : per_thread) ws.prepare(dims, k, leaf_stride);
   }
 
+  /// Radius batches: sorts the row of query i that thread `tid` staged
+  /// from `begin` to the end of its staging buffer into (dist², id)
+  /// order and records where it landed.
+  void close_row(std::uint64_t i, int tid, std::uint64_t begin) {
+    std::vector<Neighbor>& staging =
+        per_thread[static_cast<std::size_t>(tid)].staging;
+    std::sort(staging.begin() + static_cast<std::ptrdiff_t>(begin),
+              staging.end());
+    row_refs[i] = {begin, static_cast<std::uint32_t>(staging.size() - begin),
+                   static_cast<std::uint32_t>(tid)};
+  }
+
+  /// Copies the n closed rows into `results` (rows mode) in query
+  /// order: the one stitch of every radius batch.
+  void stitch_rows(std::uint64_t n, NeighborTable& results) const {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const QueryWorkspace::RowRef& ref = row_refs[i];
+      const std::vector<Neighbor>& staging = per_thread[ref.thread].staging;
+      results.append_row(i, std::span<const Neighbor>(
+                                staging.data() + ref.begin, ref.count));
+    }
+  }
+
   std::vector<QueryWorkspace> per_thread;
-  std::vector<std::uint32_t> home;       // home-leaf node per query
-  std::vector<std::uint64_t> order;      // bucket-contiguous schedule
   std::vector<QueryWorkspace::RowRef> row_refs;  // radius batch stitch map
   std::vector<float> radius2;            // uniform-bound staging
   std::vector<std::uint64_t> bound_id;   // uniform-bound staging

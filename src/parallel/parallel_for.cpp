@@ -30,54 +30,4 @@ void parallel_for_static(
   });
 }
 
-void parallel_for_dynamic(
-    ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
-    std::uint64_t grain,
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& fn) {
-  PANDA_CHECK(begin <= end);
-  PANDA_CHECK_MSG(grain > 0, "grain must be positive");
-  if (begin == end) return;
-  std::atomic<std::uint64_t> next{begin};
-  pool.run([&](int tid) {
-    for (;;) {
-      // order: relaxed — work-stealing chunk counter; claims need
-      // atomicity only, pool.run's completion barrier orders results.
-      const std::uint64_t lo = next.fetch_add(grain, std::memory_order_relaxed);
-      if (lo >= end) break;
-      fn(tid, lo, std::min(lo + grain, end));
-    }
-  });
-}
-
-double parallel_reduce_sum(ThreadPool& pool, std::uint64_t begin,
-                           std::uint64_t end,
-                           const std::function<double(std::uint64_t)>& fn) {
-  PANDA_CHECK(begin <= end);
-  std::vector<double> partial(static_cast<std::size_t>(pool.size()), 0.0);
-  parallel_for_static(pool, begin, end,
-                      [&](int tid, std::uint64_t lo, std::uint64_t hi) {
-                        double acc = 0.0;
-                        for (std::uint64_t i = lo; i < hi; ++i) acc += fn(i);
-                        partial[static_cast<std::size_t>(tid)] = acc;
-                      });
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total;
-}
-
-void parallel_tasks(ThreadPool& pool,
-                    const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  std::atomic<std::size_t> next{0};
-  pool.run([&](int) {
-    for (;;) {
-      // order: relaxed — task-claim counter; claims need atomicity
-      // only, pool.run's completion barrier orders task effects.
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks.size()) break;
-      tasks[i]();
-    }
-  });
-}
-
 }  // namespace panda::parallel

@@ -7,18 +7,19 @@
 //
 // The single primitive is run(fn): execute fn(thread_id) on all
 // `size()` threads and wait. The calling thread participates as thread
-// 0, so a pool of size 1 never context-switches. parallel_for and the
-// kd-tree build phases are layered on top.
+// 0, so a pool of size 1 never context-switches. The loop helpers of
+// parallel/parallel_for.hpp are layered on top, and every batch loop
+// and build phase goes through them.
 //
 // Concurrent callers: the worker team executes one job at a time, but
 // ownership of the team is handed off through one atomic CAS, not a
 // mutex — a caller that finds the team busy either parks (run) or is
 // told immediately (try_run) so it can execute its work inline
-// instead of idling. The serving frontend's sharded batch workers use
-// try_run exactly this way (DESIGN.md §8): a shard whose batch loses
-// the team race scans on its own core rather than sleeping behind
-// another shard's kernel, so no execution unit ever waits on a lock
-// to do CPU-bound work.
+// instead of idling. parallel::for_chunks, the fan-out of every batch
+// kernel, uses try_run exactly this way (DESIGN.md §8): a serving
+// shard whose batch loses the team race scans on its own core rather
+// than sleeping behind another shard's kernel, so no execution unit
+// ever waits on a lock to do CPU-bound work.
 #pragma once
 
 #include <atomic>
@@ -58,10 +59,10 @@ class ThreadPool {
 
   /// Non-blocking run: executes fn across the team exactly like run()
   /// when the team is free, and returns false WITHOUT running anything
-  /// when another caller owns it. Callers with self-scheduling bodies
-  /// (every chunk-stealing kernel in core/) fall back to executing the
-  /// body inline — that is the serving frontend's no-idle-cores mode.
-  /// On a size-1 pool this always runs inline and returns true.
+  /// when another caller owns it. parallel::for_chunks then runs the
+  /// whole range inline on the caller — the serving frontend's
+  /// no-idle-cores mode. On a size-1 pool this always runs inline and
+  /// returns true.
   bool try_run(const std::function<void(int)>& fn);
 
  private:

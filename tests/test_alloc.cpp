@@ -11,8 +11,10 @@
 // Determinism note: the strict-zero assertions run shapes whose warm
 // capacity does not depend on the dynamic chunk schedule — per-thread
 // scratch in the top-k paths is bounded by (dims, k, bucket, depth)
-// alone, and the radius path (whose staging scales with per-thread
-// work volume) runs on a size-1 pool.
+// alone — plus the first tombstone over-fetch on the forest — and is
+// warmed for every pool thread before the fan-out, and the radius
+// paths (whose staging scales with per-thread work volume) run on a
+// size-1 pool.
 #include "alloc_probe.hpp"  // must be first: defines operator new
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/mutable_index.hpp"
 #include "panda.hpp"
 
 namespace {
@@ -139,6 +142,71 @@ TEST(AllocFree, ServingBackendSteadyState) {
   EXPECT_EQ(panda::testing::alloc_count() - before, 0u);
   ASSERT_EQ(results.size(), batch.size());
   EXPECT_FALSE(results[0].empty());
+}
+
+/// The Mutable forest the serving path runs: a seed tree over the
+/// fixture points plus one 500-point buffered run, with tombstones in
+/// both.
+struct ForestFixture {
+  explicit ForestFixture(int threads) : base(20000, threads) {
+    core::MutableConfig config;
+    config.buffer_capacity = 4096;  // the run stays buffered
+    index = std::make_unique<core::MutableIndex>(
+        core::KdTree::build(base.points, core::BuildConfig{}, *base.pool),
+        config, core::BuildConfig{}, base.pool);
+    const auto gen = data::make_generator("gmm", 20260729);
+    data::PointSet run(gen->dims());
+    gen->generate(base.points.size(), base.points.size() + 500, run);
+    index->insert(run);
+    std::vector<std::uint64_t> doomed;
+    for (std::uint64_t id = 0; id < base.points.size() + 500; id += 97) {
+      doomed.push_back(id);
+    }
+    EXPECT_EQ(index->erase(doomed), doomed.size());
+    index->quiesce();
+    const core::MutationStats stats = index->stats();
+    EXPECT_EQ(stats.trees, 1u);
+    EXPECT_EQ(stats.buffered_points, 500u);
+  }
+
+  /// The first n fixture points as a query batch.
+  data::PointSet head(std::uint64_t n) const {
+    std::vector<std::uint64_t> rows(n);
+    for (std::uint64_t i = 0; i < n; ++i) rows[i] = i;
+    return base.points.extract(rows);
+  }
+
+  Fixture base;
+  std::unique_ptr<core::MutableIndex> index;
+};
+
+TEST(AllocFree, MutableKnnBatchSteadyState) {
+  ForestFixture f(4);
+  const data::PointSet wide = f.head(4000);  // fans out over the pool
+  const data::PointSet narrow = f.head(48);  // runs inline
+  core::NeighborTable results;
+  core::ForestWorkspace ws;
+  f.index->knn_batch(wide, 8, results, ws);
+  f.index->knn_batch(narrow, 8, results, ws);
+  const std::uint64_t before = panda::testing::alloc_count();
+  f.index->knn_batch(wide, 8, results, ws);
+  f.index->knn_batch(narrow, 8, results, ws);
+  EXPECT_EQ(panda::testing::alloc_count() - before, 0u);
+  EXPECT_EQ(results.size(), narrow.size());
+}
+
+TEST(AllocFree, MutableRadiusBatchSteadyState) {
+  ForestFixture f(1);  // size-1 pool: deterministic staging capacity
+  const data::PointSet queries = f.head(1000);
+  const std::vector<float> radii(queries.size(), 0.1f);
+  core::NeighborTable results;
+  core::ForestWorkspace ws;
+  f.index->radius_batch(queries, radii, results, ws);
+  f.index->radius_batch(queries, radii, results, ws);
+  const std::uint64_t before = panda::testing::alloc_count();
+  f.index->radius_batch(queries, radii, results, ws);
+  EXPECT_EQ(panda::testing::alloc_count() - before, 0u);
+  EXPECT_EQ(results.size(), queries.size());
 }
 
 // Sanity: the probe actually counts.

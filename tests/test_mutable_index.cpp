@@ -247,6 +247,19 @@ TEST_P(MutableSchedule, InterleavedMutationsMatchOracle) {
       expect_radius_matches(index, oracle, queries, radii, h.results, h.ws,
                             at);
     }
+    // A batch above both inline cutoffs (kInlineKnnBatch,
+    // kInlineRadiusBatch): KNN and radius fan out over the pool at
+    // every step, across tombstones, buffered runs and several trees.
+    PointSet wide(gen->dims());
+    qgen->generate(1000000 + step * 200, 1000000 + step * 200 + 200, wide);
+    expect_knn_matches(index, oracle, wide, k, h.results, h.ws,
+                       at + " wide");
+    std::vector<float> wide_radii(wide.size());
+    for (std::size_t i = 0; i < wide_radii.size(); ++i) {
+      wide_radii[i] = 0.05f + 0.03f * static_cast<float>(i % 5);
+    }
+    expect_radius_matches(index, oracle, wide, wide_radii, h.results, h.ws,
+                          at + " wide");
   }
 
   // The schedule must actually have exercised the machinery.

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -224,37 +226,120 @@ TEST(ParallelForDynamic, RejectsZeroGrain) {
                panda::Error);
 }
 
-TEST(ParallelReduceSum, MatchesSerialSum) {
-  ThreadPool pool(8);
-  const std::uint64_t n = 100000;
-  const double result = parallel_reduce_sum(
-      pool, 0, n, [](std::uint64_t i) { return static_cast<double>(i); });
-  EXPECT_DOUBLE_EQ(result, static_cast<double>(n) * (n - 1) / 2.0);
-}
+// for_chunks: the fan-out of every batch kernel. Each call is
+// recorded as (caller?, begin, end) so the tests can tell an inline run
+// from a fanned-out one.
+struct ChunkLog {
+  struct Call {
+    bool on_caller;
+    std::uint64_t begin;
+    std::uint64_t end;
+  };
+  std::mutex mutex;
+  std::vector<Call> calls;
+  std::thread::id caller = std::this_thread::get_id();
 
-TEST(ParallelReduceSum, DeterministicAcrossRuns) {
-  ThreadPool pool(8);
-  auto f = [](std::uint64_t i) { return 1.0 / (1.0 + static_cast<double>(i)); };
-  const double a = parallel_reduce_sum(pool, 0, 200000, f);
-  const double b = parallel_reduce_sum(pool, 0, 200000, f);
-  EXPECT_EQ(a, b);  // bitwise: thread-ordered combination
-}
-
-TEST(ParallelTasks, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(5);
-  const std::size_t n = 237;
-  std::vector<std::atomic<int>> runs(n);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks.push_back([&runs, i] { runs[i]++; });
+  auto body() {
+    return [this](int, std::uint64_t a, std::uint64_t b) {
+      std::lock_guard<std::mutex> lock(mutex);
+      calls.push_back({std::this_thread::get_id() == caller, a, b});
+    };
   }
-  parallel_tasks(pool, tasks);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1);
+};
+
+TEST(ForChunks, VisitsEveryIndexOnceAndRespectsGrain) {
+  const std::uint64_t grain = 17;
+  for (const int threads : {1, 2, 6}) {
+    ThreadPool pool(threads);
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, std::uint64_t{1}, grain, grain + 1,
+          std::uint64_t{5003}}) {
+      for (const std::uint64_t inline_max :
+           {std::uint64_t{0}, std::uint64_t{64}}) {
+        const std::string at = "threads " + std::to_string(threads) +
+                               " n " + std::to_string(n) + " inline_max " +
+                               std::to_string(inline_max);
+        ChunkLog log;
+        std::vector<std::atomic<int>> visits(n);
+        const auto record = log.body();
+        for_chunks(pool, n, grain, inline_max,
+                   [&](int tid, std::uint64_t a, std::uint64_t b) {
+                     record(tid, a, b);
+                     for (std::uint64_t i = a; i < b; ++i) visits[i]++;
+                   });
+        for (std::uint64_t i = 0; i < n; ++i) {
+          ASSERT_EQ(visits[i].load(), 1) << at << " index " << i;
+        }
+        if (n <= inline_max || threads == 1) {
+          ASSERT_EQ(log.calls.size(), 1u) << at;
+          EXPECT_TRUE(log.calls[0].on_caller) << at;
+          EXPECT_EQ(log.calls[0].begin, 0u) << at;
+          EXPECT_EQ(log.calls[0].end, n) << at;
+        } else {
+          for (const auto& c : log.calls) {
+            EXPECT_LT(c.begin, c.end) << at;
+            EXPECT_LE(c.end - c.begin, grain) << at;
+          }
+        }
+      }
+    }
+  }
 }
 
-TEST(ParallelTasks, EmptyTaskListIsNoop) {
+TEST(ForChunks, AtOrBelowInlineMaxRunsOnceOnTheCaller) {
+  ThreadPool pool(4);
+  ChunkLog log;
+  for_chunks(pool, 64, 1, 64, log.body());
+  ASSERT_EQ(log.calls.size(), 1u);
+  EXPECT_TRUE(log.calls[0].on_caller);
+  EXPECT_EQ(log.calls[0].begin, 0u);
+  EXPECT_EQ(log.calls[0].end, 64u);
+}
+
+// Another caller holds the team (the setup of
+// ThreadPool.TryRunFailsWhileAnotherCallerHoldsTheTeam): the batch must
+// not wait for it, and one inline call covers the whole range.
+TEST(ForChunks, BusyTeamRunsTheWholeRangeInline) {
   ThreadPool pool(2);
-  EXPECT_NO_THROW(parallel_tasks(pool, {}));
+  std::atomic<bool> job_started{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    pool.run([&](int tid) {
+      if (tid == 0) job_started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!job_started.load()) std::this_thread::yield();
+  ChunkLog log;
+  for_chunks(pool, 1000, 10, 0, log.body());
+  release.store(true);
+  holder.join();
+  ASSERT_EQ(log.calls.size(), 1u);
+  EXPECT_TRUE(log.calls[0].on_caller);
+  EXPECT_EQ(log.calls[0].begin, 0u);
+  EXPECT_EQ(log.calls[0].end, 1000u);
+}
+
+TEST(ForChunks, ChunkExceptionReachesTheCaller) {
+  ThreadPool pool(4);
+  const auto throw_at_500 = [](int, std::uint64_t a, std::uint64_t b) {
+    if (a <= 500 && 500 < b) throw panda::Error("chunk failure");
+  };
+  EXPECT_THROW(for_chunks(pool, 1000, 10, 0, throw_at_500), panda::Error);
+  EXPECT_THROW(for_chunks(pool, 1000, 10, 1000, throw_at_500), panda::Error);
+  // The pool stays usable afterwards.
+  std::atomic<std::uint64_t> visited{0};
+  for_chunks(pool, 1000, 10, 0, [&](int, std::uint64_t a, std::uint64_t b) {
+    visited += b - a;
+  });
+  EXPECT_EQ(visited.load(), 1000u);
+}
+
+TEST(ForChunks, RejectsZeroGrain) {
+  ThreadPool pool(2);
+  EXPECT_THROW(
+      for_chunks(pool, 10, 0, 0, [](int, std::uint64_t, std::uint64_t) {}),
+      panda::Error);
 }
 
 class PoolSizeSweep : public ::testing::TestWithParam<int> {};

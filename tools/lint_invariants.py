@@ -73,8 +73,10 @@ HOT_PATH_FILES = (
     "core/kdtree_query.cpp",
     "core/knn_heap.hpp",
     "core/knn_heap.cpp",
+    "core/mutable_index.cpp",
     "core/neighbor_table.hpp",
     "core/query_workspace.hpp",
+    "parallel/parallel_for.hpp",
 )
 HOT_PATH_DIRS = ("simd/",)
 
