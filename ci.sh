@@ -54,7 +54,8 @@
 #                      every target). Opt-in: not part of the default
 #                      flow.
 #   ci.sh tsan       — the concurrency suites (MPMC ring, serving
-#                      frontend, thread pool, mutable index) built
+#                      frontend, thread pool, mutable index, kd-tree
+#                      build across pool sizes) built
 #                      with -fsanitize=thread: data-race checks the
 #                      lock-free admission rings, sharded
 #                      micro-batcher, snapshot swap, shared pool, the
@@ -254,7 +255,7 @@ if [[ "$MODE" == "tsan" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
   cmake --build build-tsan -j --target test_mpmc_queue test_serve \
     test_parallel test_neighbor_table test_index test_mutable_index \
-    test_wal
+    test_wal test_kdtree
   # TSan serializes heavily on this container's core count; the mpmc /
   # serve / parallel suites are the ones whose bugs would be data
   # races (test_mpmc_queue hammers the Vyukov ring's release/acquire
@@ -268,13 +269,15 @@ if [[ "$MODE" == "tsan" ]]; then
   # durable mode's WAL appends and rotations on the seal/merge threads
   # (the serve ingest tests in test_serve drive the same paths through
   # QueryService) — and test_wal covers the log's own append/sync
-  # surface.
+  # surface. test_kdtree builds trees on pools of up to 8 threads:
+  # phase-1 batches and phase-2 subtrees run split selection (its
+  # stack-held sampling state) concurrently on disjoint index ranges.
   # tsan.supp silences one libstdc++-internal report (the GCC 12
   # atomic<shared_ptr> lock-bit protocol — see the file); our own code
   # is still fully race-checked.
   (cd build-tsan && TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp" \
     ctest --output-on-failure \
-    -R '^(test_mpmc_queue|test_serve|test_parallel|test_neighbor_table|test_index|test_mutable_index|test_wal)$' \
+    -R '^(test_mpmc_queue|test_serve|test_parallel|test_neighbor_table|test_index|test_mutable_index|test_wal|test_kdtree)$' \
     --timeout 900)
   echo "ci.sh: tsan OK"
   exit 0

@@ -29,19 +29,8 @@ std::vector<std::uint64_t> sample_indices(std::uint64_t n, std::size_t count,
 std::vector<std::uint64_t> strided_indices(std::uint64_t n,
                                            std::size_t count) {
   std::vector<std::uint64_t> out;
-  if (n == 0 || count == 0) return out;
-  if (count >= n) {
-    out.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) out[i] = i;
-    return out;
-  }
-  out.reserve(count);
-  // Even placement: index floor(i * n / count) is strictly increasing
-  // when count <= n.
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(i) * n) / count));
-  }
+  out.reserve(std::min<std::uint64_t>(n, count));
+  for_each_strided(n, count, [&out](std::uint64_t i) { out.push_back(i); });
   return out;
 }
 

@@ -70,7 +70,10 @@ struct BuildConfig {
   /// choice (costs up to 18 % more construction time, improves query
   /// time by up to 43 % — Section III-A1); RoundRobin cycles the
   /// dimensions by depth, the cheap classical alternative measured in
-  /// bench_ablation.
+  /// bench_ablation. Here one sampling pass scores every dimension, and
+  /// a pool-of-1 MaxVariance build takes 1.20–1.40x RoundRobin's time
+  /// on 10-D points and 0.98–1.05x on 3-D points (2.51–2.69x and
+  /// 1.24–1.30x with one pass per dimension; DESIGN.md §3).
   enum class DimensionPolicy { MaxVariance, RoundRobin };
   DimensionPolicy dim_policy = DimensionPolicy::MaxVariance;
 
@@ -396,10 +399,14 @@ class KdTree {
   };
   static_assert(sizeof(HotNode) == 12);
 
-  /// Cold leaf metadata, read only when a bucket is scanned.
+  /// Cold leaf metadata, read only when a bucket is scanned. `pad`
+  /// names what would be tail padding and is always 0, so the v4
+  /// record stays 16 bytes and a saved leaves section holds no
+  /// indeterminate bytes.
   struct LeafInfo {
     std::uint64_t packed_begin = 0;  // first slot in packed_
     std::uint32_t count = 0;         // number of live points
+    std::uint32_t pad = 0;
   };
 
   static constexpr std::uint32_t kLeafMarker = 0xffffffffu;

@@ -165,7 +165,7 @@ class KdTreeBuilder {
                                std::uint32_t depth, double* variance) {
     if (config_.dim_policy == BuildConfig::DimensionPolicy::RoundRobin) {
       const std::size_t dim = depth % points_.dims();
-      *variance = sampled_variance(points_, idx_span(lo, hi), dim,
+      *variance = sampled_variance(points_.coordinate(dim), idx_span(lo, hi),
                                    config_.variance_samples);
       return dim;
     }
@@ -222,9 +222,8 @@ class KdTreeBuilder {
     if (sampled) {
       SplitDecision d;
       d.dim = dim;
-      d.split = sample_median(points_, idx_span(lo, hi), dim,
-                              config_.median_samples);
       const auto coords = points_.coordinate(dim);
+      d.split = sample_median(coords, idx_span(lo, hi), config_.median_samples);
       auto* first = idx_.data() + lo;
       auto* last = idx_.data() + hi;
       auto* pivot = std::partition(first, last, [&](std::uint64_t p) {
@@ -263,8 +262,9 @@ class KdTreeBuilder {
     SplitDecision d;
     bool ok = false;
     if (variance > 0.0) {
-      const auto boundaries = sample_boundaries(
-          points_, idx_span(f.lo, f.hi), dim, config_.median_samples);
+      const auto boundaries =
+          sample_boundaries(points_.coordinate(dim), idx_span(f.lo, f.hi),
+                            config_.median_samples);
       const simd::IntervalSearcher searcher(boundaries);
       const auto hist = parallel_histogram(f.lo, f.hi, dim, searcher);
       const std::size_t b = pick_split_boundary(hist, n, 0.5);

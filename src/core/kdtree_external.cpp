@@ -50,8 +50,6 @@ namespace {
 
 using common::crc32c;
 using detail::KdTreeHeader;
-using detail::kKdTreeMagic;
-using detail::kKdTreeVersion;
 
 constexpr std::size_t kMaxSamplePoints = 65536;
 constexpr std::size_t kMaxChunks = 1024;
@@ -249,7 +247,8 @@ class ExternalBuilder {
     std::size_t dim = 0;
     if (hi > lo) {
       dim = choose_dimension_by_variance(
-          sample, std::span<const std::uint64_t>(idx.data() + lo, hi - lo),
+          data::PointSetView(sample),
+          std::span<const std::uint64_t>(idx.data() + lo, hi - lo),
           config_.variance_samples, nullptr);
     }
     std::uint64_t mid = lo + (hi - lo) / 2;
@@ -477,24 +476,21 @@ class ExternalBuilder {
                                              << points_.size() << " points");
 
     // Header + aggregate stats.
-    KdTreeHeader header{};
-    header.magic = kKdTreeMagic;
-    header.version = kKdTreeVersion;
-    header.dims = static_cast<std::uint32_t>(dims);
-    header.node_count = top_count + tail_nodes;
-    header.leaf_count = leaf_total;
-    header.packed_count = slot_total * dims;
-    header.id_count = slot_total;
-    header.stats.nodes = header.node_count;
-    header.stats.leaves = leaf_total;
-    header.stats.points = point_total;
-    header.stats.max_depth = static_cast<std::uint32_t>(levels) +
-                             chunk_max_depth;
-    header.stats.mean_leaf_fill =
+    TreeStats stats;
+    stats.nodes = top_count + tail_nodes;
+    stats.leaves = leaf_total;
+    stats.points = point_total;
+    stats.max_depth = static_cast<std::uint32_t>(levels) + chunk_max_depth;
+    stats.mean_leaf_fill =
         leaf_total == 0
             ? 0.0
             : fill_total / static_cast<double>(leaf_total);
-    header.config = config_;
+    KdTreeHeader header;
+    detail::init_header(header, dims, stats, config_);
+    header.node_count = stats.nodes;
+    header.leaf_count = leaf_total;
+    header.packed_count = slot_total * dims;
+    header.id_count = slot_total;
     detail::layout_sections(header);
 
     // Stream the file: a header with zeroed checksums first, section

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "core/kdtree.hpp"
 
@@ -76,6 +77,35 @@ struct KdTreeHeader {
 };
 inline constexpr std::size_t kKdTreeHeaderSpan = 256;
 static_assert(sizeof(KdTreeHeader) <= kKdTreeHeaderSpan);
+
+/// Starts a writer's header: every byte zero, padding included, then
+/// identity, dims, stats and config. Stats and config are copied field
+/// by field, because assigning a struct may carry its indeterminate
+/// padding bytes into the file; so two saves of one tree are
+/// byte-identical. The size checks flag a field added to either struct
+/// that this copy would miss.
+inline void init_header(KdTreeHeader& h, std::size_t dims,
+                        const TreeStats& stats, const BuildConfig& config) {
+  static_assert(sizeof(TreeStats) == 40 && sizeof(BuildConfig) == 48,
+                "copy every TreeStats / BuildConfig field below");
+  std::memset(static_cast<void*>(&h), 0, sizeof(h));
+  h.magic = kKdTreeMagic;
+  h.version = kKdTreeVersion;
+  h.dims = static_cast<std::uint32_t>(dims);
+  h.stats.nodes = stats.nodes;
+  h.stats.leaves = stats.leaves;
+  h.stats.points = stats.points;
+  h.stats.max_depth = stats.max_depth;
+  h.stats.mean_leaf_fill = stats.mean_leaf_fill;
+  h.config.dim_policy = config.dim_policy;
+  h.config.bucket_size = config.bucket_size;
+  h.config.variance_samples = config.variance_samples;
+  h.config.median_samples = config.median_samples;
+  h.config.thread_switch_factor = config.thread_switch_factor;
+  h.config.exact_median_threshold = config.exact_median_threshold;
+  h.config.serial_split_threshold = config.serial_split_threshold;
+  h.config.use_subinterval_search = config.use_subinterval_search;
+}
 
 inline constexpr std::uint64_t align64(std::uint64_t x) {
   return (x + 63) & ~std::uint64_t{63};

@@ -164,16 +164,12 @@ void KdTree::save(const std::string& path) const {
   static_assert(sizeof(HotNode) == kHotNodeBytes);
   static_assert(sizeof(LeafInfo) == kLeafInfoBytes);
 
-  KdTreeHeader header{};
-  header.magic = kKdTreeMagic;
-  header.version = kKdTreeVersion;
-  header.dims = static_cast<std::uint32_t>(dims_);
+  KdTreeHeader header;
+  detail::init_header(header, dims_, stats_, config_);
   header.node_count = nodes_.size();
   header.leaf_count = leaves_.size();
   header.packed_count = packed_.size();
   header.id_count = packed_ids_.size();
-  header.stats = stats_;
-  header.config = config_;
   detail::layout_sections(header);
   header.section_crc[0] = crc32c(nodes_.data(), nodes_.size_bytes());
   header.section_crc[1] = crc32c(leaves_.data(), leaves_.size_bytes());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/sampling.hpp"
@@ -12,29 +13,26 @@ namespace panda::core {
 double sampled_variance(std::span<const float> coords,
                         std::span<const std::uint64_t> idx,
                         std::size_t max_samples) {
-  const auto sample_positions = strided_indices(idx.size(), max_samples);
   double mean = 0.0;
   double m2 = 0.0;
   std::uint64_t count = 0;
-  for (const std::uint64_t s : sample_positions) {
+  for_each_strided(idx.size(), max_samples, [&](std::uint64_t s) {
     const float v = coords[idx[s]];
     ++count;
     const double delta = v - mean;
     mean += delta / static_cast<double>(count);
     m2 += delta * (v - mean);
-  }
+  });
   return count == 0 ? 0.0 : m2 / static_cast<double>(count);
 }
 
 std::vector<float> sample_boundaries(std::span<const float> coords,
                                      std::span<const std::uint64_t> idx,
                                      std::size_t max_samples) {
-  const auto sample_positions = strided_indices(idx.size(), max_samples);
   std::vector<float> values;
-  values.reserve(sample_positions.size());
-  for (const std::uint64_t s : sample_positions) {
-    values.push_back(coords[idx[s]]);
-  }
+  values.reserve(std::min<std::uint64_t>(idx.size(), max_samples));
+  for_each_strided(idx.size(), max_samples,
+                   [&](std::uint64_t s) { values.push_back(coords[idx[s]]); });
   std::sort(values.begin(), values.end());
   return values;
 }
@@ -47,79 +45,50 @@ float sample_median(std::span<const float> coords,
   return values[values.size() / 2];
 }
 
-namespace {
-
-template <typename Points>
-std::size_t choose_dimension_impl(const Points& points,
-                                  std::span<const std::uint64_t> idx,
-                                  std::size_t max_samples,
-                                  double* variance_out) {
-  std::size_t best_dim = 0;
-  double best_var = -1.0;
-  for (std::size_t d = 0; d < points.dims(); ++d) {
-    const double var =
-        sampled_variance(points.coordinate(d), idx, max_samples);
-    if (var > best_var) {
-      best_var = var;
-      best_dim = d;
-    }
-  }
-  if (variance_out != nullptr) *variance_out = best_var;
-  return best_dim;
-}
-
-}  // namespace
-
-double sampled_variance(const data::PointSet& points,
-                        std::span<const std::uint64_t> idx, std::size_t dim,
-                        std::size_t max_samples) {
-  return sampled_variance(points.coordinate(dim), idx, max_samples);
-}
-
-double sampled_variance(const data::PointStorage& points,
-                        std::span<const std::uint64_t> idx, std::size_t dim,
-                        std::size_t max_samples) {
-  return sampled_variance(points.coordinate(dim), idx, max_samples);
-}
-
-std::size_t choose_dimension_by_variance(const data::PointSet& points,
-                                         std::span<const std::uint64_t> idx,
-                                         std::size_t max_samples,
-                                         double* variance_out) {
-  return choose_dimension_impl(points, idx, max_samples, variance_out);
-}
-
 std::size_t choose_dimension_by_variance(const data::PointStorage& points,
                                          std::span<const std::uint64_t> idx,
                                          std::size_t max_samples,
                                          double* variance_out) {
-  return choose_dimension_impl(points, idx, max_samples, variance_out);
-}
-
-std::vector<float> sample_boundaries(const data::PointSet& points,
-                                     std::span<const std::uint64_t> idx,
-                                     std::size_t dim,
-                                     std::size_t max_samples) {
-  return sample_boundaries(points.coordinate(dim), idx, max_samples);
-}
-
-std::vector<float> sample_boundaries(const data::PointStorage& points,
-                                     std::span<const std::uint64_t> idx,
-                                     std::size_t dim,
-                                     std::size_t max_samples) {
-  return sample_boundaries(points.coordinate(dim), idx, max_samples);
-}
-
-float sample_median(const data::PointSet& points,
-                    std::span<const std::uint64_t> idx, std::size_t dim,
-                    std::size_t max_samples) {
-  return sample_median(points.coordinate(dim), idx, max_samples);
-}
-
-float sample_median(const data::PointStorage& points,
-                    std::span<const std::uint64_t> idx, std::size_t dim,
-                    std::size_t max_samples) {
-  return sample_median(points.coordinate(dim), idx, max_samples);
+  // Welford state for up to kBlock dimensions lives on the stack; wider
+  // points take one pass per block. Per dimension the operations are
+  // sampled_variance's, in the same sample order, so each variance is
+  // bit-identical to it. The dimensions' updates are independent, so
+  // the divisions overlap instead of chaining through one mean.
+  constexpr std::size_t kBlock = 16;
+  const std::size_t dims = points.dims();
+  std::size_t best_dim = 0;
+  double best_var = -1.0;
+  for (std::size_t first = 0; first < dims; first += kBlock) {
+    const std::size_t width = std::min(kBlock, dims - first);
+    const float* cols[kBlock] = {};
+    double mean[kBlock] = {};
+    double m2[kBlock] = {};
+    for (std::size_t j = 0; j < width; ++j) {
+      cols[j] = points.coordinate(first + j).data();
+    }
+    std::uint64_t count = 0;
+    for_each_strided(idx.size(), max_samples, [&](std::uint64_t s) {
+      const std::uint64_t row = idx[s];
+      ++count;
+      const double n = static_cast<double>(count);
+      for (std::size_t j = 0; j < width; ++j) {
+        const float v = cols[j][row];
+        const double delta = v - mean[j];
+        mean[j] += delta / n;
+        m2[j] += delta * (v - mean[j]);
+      }
+    });
+    for (std::size_t j = 0; j < width; ++j) {
+      const double var =
+          count == 0 ? 0.0 : m2[j] / static_cast<double>(count);
+      if (var > best_var) {
+        best_var = var;
+        best_dim = first + j;
+      }
+    }
+  }
+  if (variance_out != nullptr) *variance_out = best_var;
+  return best_dim;
 }
 
 std::size_t pick_split_boundary(std::span<const std::uint64_t> hist,

@@ -9,25 +9,29 @@
 //     histogram counted cooperatively by threads (IntervalSearcher);
 //   * local kd-tree, thread-parallel phase — small subtrees use the
 //     cheaper sample-median / exact positional median;
-//   * global kd-tree — boundaries allgathered across ranks, histogram
-//     allreduced (src/dist/global_tree.cpp).
+//   * out-of-core build — the top splitter's max-variance dimension
+//     (core/kdtree_external.cpp).
+// The global kd-tree (dist/dist_kdtree.cpp) samples the same strided
+// positions per rank but chooses from the allgathered sample itself.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "data/point_set.hpp"
 #include "data/storage.hpp"
 
 namespace panda::core {
 
-// The primitives work on one dimension's contiguous coordinate span —
-// whatever storage backend it came from; the PointSet / PointStorage
-// overloads below just resolve the span.
+// The single-dimension primitives work on one dimension's contiguous
+// coordinate span, whatever storage backend it came from. All of them
+// read the strided sample positions of common/sampling.hpp in place
+// (for_each_strided); only the sorted sample that sample_boundaries
+// returns is allocated.
 
 /// Variance of `coords` over the points selected by `idx`, using at
-/// most `max_samples` strided samples.
+/// most `max_samples` strided samples (Welford, dividing by the
+/// running count). The RoundRobin policy's degeneracy check.
 double sampled_variance(std::span<const float> coords,
                         std::span<const std::uint64_t> idx,
                         std::size_t max_samples);
@@ -44,39 +48,17 @@ float sample_median(std::span<const float> coords,
                     std::span<const std::uint64_t> idx,
                     std::size_t max_samples);
 
-double sampled_variance(const data::PointSet& points,
-                        std::span<const std::uint64_t> idx, std::size_t dim,
-                        std::size_t max_samples);
-double sampled_variance(const data::PointStorage& points,
-                        std::span<const std::uint64_t> idx, std::size_t dim,
-                        std::size_t max_samples);
-
-/// Dimension with maximum sampled variance. Returns the dimension and
-/// writes the winning variance to *variance_out if non-null.
-std::size_t choose_dimension_by_variance(const data::PointSet& points,
-                                         std::span<const std::uint64_t> idx,
-                                         std::size_t max_samples,
-                                         double* variance_out = nullptr);
+/// Dimension with maximum sampled variance (the first one on ties).
+/// Returns the dimension and writes the winning variance to
+/// *variance_out if non-null. One pass over the sample positions
+/// updates every dimension's Welford state, with the operations of
+/// sampled_variance per dimension: the variances, and so the chosen
+/// dimension, equal a per-dimension sampled_variance loop bit for bit.
+/// Allocates nothing.
 std::size_t choose_dimension_by_variance(const data::PointStorage& points,
                                          std::span<const std::uint64_t> idx,
                                          std::size_t max_samples,
                                          double* variance_out = nullptr);
-
-std::vector<float> sample_boundaries(const data::PointSet& points,
-                                     std::span<const std::uint64_t> idx,
-                                     std::size_t dim,
-                                     std::size_t max_samples);
-std::vector<float> sample_boundaries(const data::PointStorage& points,
-                                     std::span<const std::uint64_t> idx,
-                                     std::size_t dim,
-                                     std::size_t max_samples);
-
-float sample_median(const data::PointSet& points,
-                    std::span<const std::uint64_t> idx, std::size_t dim,
-                    std::size_t max_samples);
-float sample_median(const data::PointStorage& points,
-                    std::span<const std::uint64_t> idx, std::size_t dim,
-                    std::size_t max_samples);
 
 /// Given per-bin counts (hist.size() == boundaries.size() + 1, bin
 /// convention of simd::IntervalSearcher), chooses the boundary index B

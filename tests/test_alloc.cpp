@@ -209,6 +209,32 @@ TEST(AllocFree, MutableRadiusBatchSteadyState) {
   EXPECT_EQ(results.size(), queries.size());
 }
 
+TEST(AllocBuild, NoPerNodeAllocation) {
+  // Split selection reads its sample positions in place and keeps its
+  // per-dimension state on the stack; what remains are the build's
+  // arrays, its phase bookkeeping and one sample per large node. So 4x
+  // the points add ~3,000 splits but only a few allocator calls: one
+  // allocation per split would break the bound many times over.
+  const auto gen = data::make_generator("dayabay", 20260730);
+  const data::PointSet small = gen->generate_all(20000);
+  const data::PointSet large = gen->generate_all(80000);
+  parallel::ThreadPool pool(1);
+  for (const auto policy : {core::BuildConfig::DimensionPolicy::MaxVariance,
+                            core::BuildConfig::DimensionPolicy::RoundRobin}) {
+    core::BuildConfig config;
+    config.dim_policy = policy;
+    auto build_calls = [&](const data::PointSet& points) {
+      const std::uint64_t before = panda::testing::alloc_count();
+      const core::KdTree tree = core::KdTree::build(points, config, pool);
+      return panda::testing::alloc_count() - before;
+    };
+    const std::uint64_t calls_20k = build_calls(small);
+    const std::uint64_t calls_80k = build_calls(large);
+    EXPECT_LT(calls_80k, calls_20k + 256)
+        << "20k points: " << calls_20k << " calls, 80k points: " << calls_80k;
+  }
+}
+
 // Sanity: the probe actually counts.
 TEST(AllocProbe, CountsAllocations) {
   const std::uint64_t before = panda::testing::alloc_count();

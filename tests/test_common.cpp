@@ -7,6 +7,7 @@
 #include <set>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -157,6 +158,27 @@ TEST(StridedIndices, StrictlyIncreasingEvenWhenCountCloseToN) {
   ASSERT_EQ(idx.size(), 9u);
   for (std::size_t i = 1; i < idx.size(); ++i) {
     EXPECT_LT(idx[i - 1], idx[i]);
+  }
+}
+
+TEST(StridedIndices, EqualsClosedFormWithoutOverflow) {
+  // floor(i * n / m), m = min(n, count), computed in 128 bits: the
+  // carried quotient and remainder must reproduce it exactly, also
+  // where i * n would overflow 64 bits.
+  const std::uint64_t max = ~std::uint64_t{0};
+  const std::pair<std::uint64_t, std::size_t> cases[] = {
+      {1, 1}, {7, 3}, {100, 7}, {1000, 256}, {1023, 1024}, {1025, 1024},
+      {65537, 1024}, {max, 1}, {max, 3}, {max, 1000}, {max / 3 + 5, 97},
+      {(max >> 1) + 1, 256}};
+  for (const auto& [n, count] : cases) {
+    const std::uint64_t m = std::min<std::uint64_t>(n, count);
+    const auto idx = strided_indices(n, count);
+    ASSERT_EQ(idx.size(), m) << n << " " << count;
+    for (std::uint64_t i = 0; i < m; ++i) {
+      const auto want = static_cast<std::uint64_t>(
+          static_cast<unsigned __int128>(i) * n / m);
+      ASSERT_EQ(idx[i], want) << "n=" << n << " count=" << count << " i=" << i;
+    }
   }
 }
 

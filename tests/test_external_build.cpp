@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "core/kdtree.hpp"
 #include "data/generators.hpp"
+#include "index_bytes.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace panda::core {
@@ -84,6 +85,30 @@ TEST_P(ExternalBuild, IdExactAgainstInRamBuild) {
 
 INSTANTIATE_TEST_SUITE_P(Distributions, ExternalBuild,
                          ::testing::Values("uniform", "gmm", "dupes"));
+
+TEST(ExternalBuildFiles, TwoBuildsAreByteIdentical) {
+  // The stitched header and the streamed leaf records carry no
+  // indeterminate padding: two chunked builds of one point set write
+  // the same bytes.
+  const std::uint64_t n = 20000;
+  const data::PointSet points =
+      data::make_generator("gmm", 2017)->generate_all(n);
+  parallel::ThreadPool pool(2);
+  const data::PointSetView view(points);
+  std::vector<char> bytes[2];
+  for (int run = 0; run < 2; ++run) {
+    const std::string out = ::testing::TempDir() + "/panda_ext_repro_" +
+                            std::to_string(run) + ".kdt";
+    ExternalBuildOptions options;
+    options.memory_budget_bytes = budget_for_chunks(n, points.dims(), 4);
+    options.out_path = out;
+    KdTree::build_external(view, BuildConfig{}, pool, options);
+    bytes[run] = testing::read_bytes(out);
+    std::remove(out.c_str());
+  }
+  testing::expect_zero_padding(bytes[0]);
+  EXPECT_TRUE(bytes[0] == bytes[1]);
+}
 
 TEST(ExternalBuildApi, IndexBuildHonorsTheMemoryBudget) {
   const auto gen = data::make_generator("cosmo", 7);

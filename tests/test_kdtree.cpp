@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <set>
@@ -14,6 +15,7 @@
 #include "common/rng.hpp"
 #include "core/kdtree.hpp"
 #include "data/generators.hpp"
+#include "index_bytes.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace panda::core {
@@ -110,14 +112,36 @@ TEST(KdTreeBuild, DeterministicAcrossThreadCounts) {
     tree.query_batch(queries, 5, pool, results, ws);
     all_results.push_back(results.to_vectors());
   }
-  // Exactness implies identical distance vectors regardless of thread
-  // count (tie ids may differ between tree shapes, distances may not).
+  // The (dist², id) total order makes every row unique, so exactness
+  // implies identical rows, ids included, whatever the thread count.
   for (std::size_t t = 1; t < all_results.size(); ++t) {
     for (std::size_t i = 0; i < all_results[0].size(); ++i) {
-      expect_same_distances(all_results[t][i], all_results[0][i],
-                            "threads variant " + std::to_string(t));
+      ASSERT_EQ(all_results[t][i], all_results[0][i])
+          << "threads variant " << t << " query " << i;
     }
   }
+}
+
+TEST(KdTreeBuild, PoolSizeDoesNotChangeTheSavedTree) {
+  // Below serial_split_threshold every split is decided serially:
+  // phase-1 batches and phase-2 subtrees run the same decision, on
+  // disjoint index ranges in parallel. So the tree, and the saved
+  // file, do not depend on the pool size.
+  const auto gen = data::make_generator("plasma", 11);
+  const PointSet points = gen->generate_all(20000);
+  ASSERT_LT(points.size(), BuildConfig{}.serial_split_threshold);
+  std::vector<std::vector<char>> files;
+  for (const int threads : {1, 3, 8}) {
+    parallel::ThreadPool pool(threads);
+    const std::string path = ::testing::TempDir() + "/panda_pool_" +
+                             std::to_string(threads) + ".kdt";
+    KdTree::build(points, BuildConfig{}, pool).save(path);
+    files.push_back(testing::read_bytes(path));
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_TRUE(files[1] == files[0]) << "pool of 3 vs pool of 1";
+  EXPECT_TRUE(files[2] == files[0]) << "pool of 8 vs pool of 1";
 }
 
 class KdTreeExactnessSweep

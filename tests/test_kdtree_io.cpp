@@ -21,6 +21,7 @@
 #include "core/kdtree.hpp"
 #include "core/kdtree_format.hpp"
 #include "data/generators.hpp"
+#include "index_bytes.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace panda::core {
@@ -144,6 +145,30 @@ TEST(KdTreeIo, EmptyTreeRoundTrips) {
   std::remove(path.c_str());
   EXPECT_TRUE(loaded.empty());
   EXPECT_TRUE(loaded.query(std::vector<float>{0, 0, 0}, 1).empty());
+}
+
+TEST(KdTreeIo, SavesAreByteIdentical) {
+  // Two builds of one point set, and two saves of one tree, write the
+  // same bytes: no indeterminate struct padding reaches the file.
+  const auto gen = data::make_generator("dayabay", 79);
+  const data::PointSet points = gen->generate_all(5000);
+  parallel::ThreadPool pool(2);
+  const std::string dir = ::testing::TempDir();
+  const std::string paths[] = {dir + "/panda_repro_a.kdt",
+                               dir + "/panda_repro_a2.kdt",
+                               dir + "/panda_repro_b.kdt"};
+  {
+    const KdTree a = KdTree::build(points, BuildConfig{}, pool);
+    a.save(paths[0]);
+    a.save(paths[1]);
+  }
+  KdTree::build(points, BuildConfig{}, pool).save(paths[2]);
+
+  const auto bytes = testing::read_bytes(paths[0]);
+  testing::expect_zero_padding(bytes);
+  EXPECT_TRUE(bytes == testing::read_bytes(paths[1]));
+  EXPECT_TRUE(bytes == testing::read_bytes(paths[2]));
+  for (const auto& path : paths) std::remove(path.c_str());
 }
 
 TEST(KdTreeIo, MissingFileThrows) {

@@ -26,9 +26,10 @@ run. Four rules, each enforcing a contract the code base relies on:
             benches and tests may print.
 
   alloc     No naked `new` / malloc / calloc / realloc in the
-            query-hot-path files pinned by tests/test_alloc.cpp. That
-            test asserts zero allocations per query once workspaces
-            are warm; an allocation introduced in these files would
+            hot-path files pinned by tests/test_alloc.cpp. That test
+            asserts zero allocations per query once workspaces are
+            warm, and no per-node allocation in a build's split
+            selection; an allocation introduced in these files would
             fail it at runtime — this rule fails it at lint time, with
             a message that points at the contract.
 
@@ -68,11 +69,14 @@ ALLOC_RE = re.compile(r"(?:^|[^:\w])new\b|\b(?:malloc|calloc|realloc)\s*\(")
 WAIVER_RE = re.compile(r"panda-lint:\s*allow\(([a-z, ]+)\)")
 
 # Files pinned by tests/test_alloc.cpp: the per-query path must not
-# allocate once workspaces are warm. Paths relative to src/.
+# allocate once workspaces are warm, and build split selection must not
+# allocate per node. Paths relative to src/.
 HOT_PATH_FILES = (
+    "common/sampling.hpp",
     "core/kdtree_query.cpp",
     "core/knn_heap.hpp",
     "core/knn_heap.cpp",
+    "core/median.cpp",
     "core/mutable_index.cpp",
     "core/neighbor_table.hpp",
     "core/query_workspace.hpp",
@@ -232,9 +236,10 @@ def lint_text(text, display_path, rel_in_src):
                 report(
                     idx,
                     "alloc",
-                    "no naked allocation in query-hot-path files "
+                    "no naked allocation in hot-path files "
                     "(tests/test_alloc.cpp pins them to zero "
-                    "allocations per warm query)",
+                    "allocations per warm query and none per build "
+                    "node)",
                 )
 
     return findings
