@@ -350,6 +350,12 @@ class KdTree {
   /// and mapped trees.
   void export_points(data::PointSet& out) const;
 
+  /// Appends every indexed point's global id to `out`, in the same
+  /// leaf-contiguous order as export_points — read straight from the
+  /// packed id array, no coordinates copied. This is how a seeded or
+  /// recovered MutableIndex learns its ids (DESIGN.md §12.6).
+  void export_ids(std::vector<std::uint64_t>& out) const;
+
   /// Persists the built tree (hot/cold node arrays + packed leaf
   /// storage) so that a reused index — the common case the paper
   /// designs for — need not be rebuilt across process runs. Writes

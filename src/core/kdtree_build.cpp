@@ -581,4 +581,12 @@ void KdTree::export_points(data::PointSet& out) const {
   }
 }
 
+void KdTree::export_ids(std::vector<std::uint64_t>& out) const {
+  out.reserve(out.size() + std::min(size(), packed_ids_.size()));
+  for (const LeafInfo& leaf : leaves_) {
+    const std::uint64_t* ids = packed_ids_.data() + leaf.packed_begin;
+    out.insert(out.end(), ids, ids + leaf.count);
+  }
+}
+
 }  // namespace panda::core

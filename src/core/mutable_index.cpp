@@ -19,7 +19,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <unordered_set>
 #include <utility>
 
 #include "common/atomic_file.hpp"
@@ -49,18 +51,6 @@ constexpr std::size_t kManifestTreeBytes = 16;
 
 bool contains(const std::vector<std::uint64_t>& sorted, std::uint64_t id) {
   return std::binary_search(sorted.begin(), sorted.end(), id);
-}
-
-/// Ascending copy of `ids`; throws on duplicates (seed trees must
-/// carry unique ids for the live set to mean anything).
-std::vector<std::uint64_t> sorted_unique_ids(
-    std::span<const std::uint64_t> ids) {
-  std::vector<std::uint64_t> sorted(ids.begin(), ids.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-  PANDA_CHECK_MSG(dup == sorted.end(),
-                  "MutableIndex seed has duplicate id " << *dup);
-  return sorted;
 }
 
 /// Reorders `points` ascending by id — the self-KNN row order and the
@@ -107,10 +97,10 @@ MutableIndex::MutableIndex(KdTree seed, const MutableConfig& config,
                            std::shared_ptr<parallel::ThreadPool> pool)
     : MutableIndex(seed.dims(), config, build, std::move(pool)) {
   if (!seed.empty()) {
-    data::PointSet exported(dims_);
-    seed.export_points(exported);
-    auto ids =
-        std::make_shared<const IdList>(sorted_unique_ids(exported.ids()));
+    IdList seed_ids;
+    seed.export_ids(seed_ids);
+    auto ids = std::make_shared<const IdList>(
+        sorted_unique_ids(std::move(seed_ids), "MutableIndex seed"));
     MutexLock lock(mutex_);
     if (durable()) {
       // Seeding writes the seed as committed state; a directory that
@@ -122,7 +112,8 @@ MutableIndex::MutableIndex(KdTree seed, const MutableConfig& config,
                           << " (open it without a seed, or point at a fresh "
                              "directory)");
     }
-    live_.insert(ids->begin(), ids->end());
+    live_.reserve(ids->size());
+    for (const std::uint64_t id : *ids) live_.insert(id);
     // order: relaxed — live_count_ is the size() gauge; see the hpp.
     live_count_.store(ids->size(), std::memory_order_relaxed);
     TreeShard shard;
@@ -134,7 +125,7 @@ MutableIndex::MutableIndex(KdTree seed, const MutableConfig& config,
       shard.tree->save(tree_path(shard.file_seq));
     }
     trees_.push_back(std::move(shard));
-    if (durable()) write_manifest_locked();
+    if (durable()) commit_locked();
     publish_locked();
   }
 }
@@ -174,7 +165,7 @@ void MutableIndex::insert(const data::PointSet& points) {
   // admission check runs *before* logging — a rejected batch must not
   // reach the WAL, or recovery would replay the collision.
   for (std::size_t p = 0; p < points.size(); ++p) {
-    if (!live_.insert(points.id(p)).second) {
+    if (!live_.insert(points.id(p))) {
       for (std::size_t q = 0; q < p; ++q) live_.erase(points.id(q));
       throw Error("MutableIndex::insert: id " +
                   std::to_string(points.id(p)) +
@@ -230,14 +221,14 @@ std::size_t MutableIndex::erase(std::span<const std::uint64_t> ids) {
   // WAL frame holds exactly the erases this call performs.
   std::vector<std::uint64_t> hit;
   for (const std::uint64_t id : ids) {
-    if (live_.erase(id) == 1) hit.push_back(id);
+    if (live_.erase(id)) hit.push_back(id);
   }
   if (hit.empty()) return 0;
   if (durable()) {
     try {
       wal_->append_erase(hit);
     } catch (...) {
-      live_.insert(hit.begin(), hit.end());
+      for (const std::uint64_t id : hit) live_.insert(id);
       throw;
     }
   }
@@ -251,13 +242,12 @@ std::size_t MutableIndex::erase(std::span<const std::uint64_t> ids) {
 }
 
 /// Replay-side erase: applies whichever of `ids` are live and skips
-/// the rest silently — an id a WAL frame names may have been dropped
-/// from the files by a post-rotation merge, which is not an error.
+/// the rest silently.
 std::vector<std::uint64_t> MutableIndex::apply_erase_locked(
     std::span<const std::uint64_t> ids) {
   std::vector<std::uint64_t> hit;
   for (const std::uint64_t id : ids) {
-    if (live_.erase(id) == 1) hit.push_back(id);
+    if (live_.erase(id)) hit.push_back(id);
   }
   for (const std::uint64_t id : hit) tombstone_locked(id);
   if (!hit.empty()) {
@@ -432,7 +422,8 @@ void MutableIndex::do_seal(std::vector<Run> claimed, std::uint64_t file_seq) {
   if (!pts.empty()) {
     tree = std::make_shared<const KdTree>(
         KdTree::build(pts, build_, merge_build_pool_));
-    ids = std::make_shared<const IdList>(sorted_unique_ids(pts.ids()));
+    ids = std::make_shared<const IdList>(sorted_unique_ids(
+        IdList(pts.ids().begin(), pts.ids().end()), "MutableIndex seal"));
   }
   // Persist outside the lock too — the file is invisible until the
   // MANIFEST names it, so writers/queries never stall on this I/O. An
@@ -472,19 +463,10 @@ void MutableIndex::do_seal(std::vector<Run> claimed, std::uint64_t file_seq) {
     PANDA_ASSERT(residual.empty());
   }
   ++seals_;
-  if (durable()) {
-    // Commit the seal and shrink the log in one step: rotate to a
-    // fresh WAL holding only the still-buffered state, then the
-    // MANIFEST rename makes {new tree file, new WAL} the committed
-    // truth. The old WAL (whose frames the new tree now embodies) is
-    // deleted only after the commit — a crash in between recovers
-    // from the old WAL and sweeps the new files as orphans.
-    const std::uint64_t old_wal = wal_seq_;
-    rotate_wal_locked();
-    write_manifest_locked();
-    std::error_code ec;
-    std::filesystem::remove(wal_path(old_wal), ec);
-  }
+  // Commit the seal and shrink the log in one step: the fresh WAL holds
+  // only the still-buffered state, and the old one (whose frames the
+  // new tree now embodies) goes after the MANIFEST names the new tree.
+  if (durable()) commit_locked();
   publish_locked();
 }
 
@@ -509,7 +491,9 @@ void MutableIndex::do_level_merge(std::uint32_t level,
   if (!pts.empty()) {
     tree = std::make_shared<const KdTree>(
         KdTree::build(pts, build_, merge_build_pool_));
-    ids = std::make_shared<const IdList>(sorted_unique_ids(pts.ids()));
+    ids = std::make_shared<const IdList>(
+        sorted_unique_ids(IdList(pts.ids().begin(), pts.ids().end()),
+                          "MutableIndex level merge"));
   }
   if (durable() && tree != nullptr) tree->save(tree_path(file_seq));
 
@@ -551,10 +535,12 @@ void MutableIndex::do_level_merge(std::uint32_t level,
   }
   ++merges_;
   if (durable()) {
-    // A merge is a MANIFEST-only commit: no WAL rotation (erase
-    // frames replay by live-id membership, so ids the merge dropped
-    // are skipped silently). Source files outlive the commit, then go.
-    write_manifest_locked();
+    // The merge dropped the dead copies its sources held, which the
+    // current log's Tombstones frame still names; recovery would read
+    // such an entry as killing the live copy of a reinserted id. So
+    // the commit rotates the WAL like a seal's. Source files outlive
+    // the commit, then go.
+    commit_locked();
     std::error_code ec;
     for (const TreeShard& source : claimed) {
       std::filesystem::remove(tree_path(source.file_seq), ec);
@@ -598,7 +584,8 @@ void MutableIndex::compact() {
         KdTree::build(sorted, build_, *pool_));
     shard.level = level_for_size(sorted.size());
     shard.ids = std::make_shared<const IdList>(
-        sorted_unique_ids(sorted.ids()));
+        sorted_unique_ids(IdList(sorted.ids().begin(), sorted.ids().end()),
+                          "MutableIndex compaction"));
     if (durable()) {
       shard.file_seq = next_file_seq_++;
       shard.tree->save(tree_path(shard.file_seq));
@@ -609,11 +596,8 @@ void MutableIndex::compact() {
   if (durable()) {
     // The buffer is empty and the one tree has no tombstones, so the
     // rotated WAL is just a fresh header.
-    const std::uint64_t old_wal = wal_seq_;
-    rotate_wal_locked();
-    write_manifest_locked();
+    commit_locked();
     std::error_code ec;
-    std::filesystem::remove(wal_path(old_wal), ec);
     for (const std::uint64_t seq : old_files) {
       std::filesystem::remove(tree_path(seq), ec);
     }
@@ -757,33 +741,38 @@ void MutableIndex::recover_durable() {
     }
   }
 
-  // Committed trees: mmap-open (header + section CRCs verified), and
-  // their ids seed the live set. Dead lists are not persisted — the
-  // WAL's Tombstones/Erase frames reconstruct them below.
+  // Committed trees: mmap-open (header + section CRCs verified), each
+  // with its sorted id list. Dead lists are not persisted — the WAL's
+  // Tombstones/Erase frames reconstruct them below.
   for (const auto& [seq, level] : entries) {
     KdTree tree = KdTree::open_mmap(tree_path(seq), /*verify_sections=*/true);
-    data::PointSet exported(dims_);
-    tree.export_points(exported);
-    auto ids =
-        std::make_shared<const IdList>(sorted_unique_ids(exported.ids()));
-    live_.insert(ids->begin(), ids->end());
+    IdList tree_ids;
+    tree.export_ids(tree_ids);
     TreeShard shard;
+    shard.ids = std::make_shared<const IdList>(sorted_unique_ids(
+        std::move(tree_ids), "MutableIndex recovery of " + tree_path(seq)));
     shard.tree = std::make_shared<const KdTree>(std::move(tree));
     shard.level = level;
-    shard.ids = std::move(ids);
     shard.file_seq = seq;
     trees_.push_back(std::move(shard));
   }
-  // order: relaxed — size() gauge; see the hpp.
-  live_count_.store(live_.size(), std::memory_order_relaxed);
 
-  // Replay the WAL's valid prefix in order. A torn tail is the
-  // expected shape after a crash — the torn frame was never
-  // acknowledged — so it is recorded, not thrown.
+  // The WAL's valid prefix. A torn tail is the expected shape after a
+  // crash — the torn frame was never acknowledged — so it is recorded,
+  // not thrown. A rotated log opens with the Tombstones frame.
   auto replayed =
       Wal::replay(wal_path(wal_seq_), static_cast<std::uint32_t>(dims_));
   if (replayed.torn) recovery_diagnostic_ = replayed.diagnostic;
-  for (const Wal::Frame& frame : replayed.frames) {
+  std::span<const Wal::Frame> frames = replayed.frames;
+  IdList tombstones;
+  if (!frames.empty() && frames.front().type == Wal::FrameType::Tombstones) {
+    tombstones = std::move(replayed.frames.front().ids);
+    frames = frames.subspan(1);
+  }
+  live_from_trees_locked(std::move(tombstones));
+
+  // Replay the rest of the log in order.
+  for (const Wal::Frame& frame : frames) {
     switch (frame.type) {
       case Wal::FrameType::Insert: {
         data::PointSet points(dims_);
@@ -793,7 +782,7 @@ void MutableIndex::recover_durable() {
               frame.ids[p]);
         }
         for (std::size_t p = 0; p < points.size(); ++p) {
-          PANDA_CHECK_MSG(live_.insert(points.id(p)).second,
+          PANDA_CHECK_MSG(live_.insert(points.id(p)),
                           "durable WAL replays id "
                               << points.id(p)
                               << " over a live id — inconsistent state in "
@@ -812,6 +801,85 @@ void MutableIndex::recover_durable() {
                                     static_cast<std::uint32_t>(dims_),
                                     replayed.valid_bytes));
   publish_locked();
+}
+
+void MutableIndex::live_from_trees_locked(IdList tombstones) {
+  // Erase-then-reinsert leaves the old copy dead in its old tree until a
+  // merge or compaction drops it, so committed trees may share an id.
+  // Every commit rotates the WAL (commit_locked), whose Tombstones frame
+  // lists each dead copy the committed trees hold: an id in k trees is
+  // listed k - 1 times (one live copy) or k times (none). The live copy
+  // is the newest: a tree claimed after an erase never holds the erased
+  // copy, and file sequence numbers are allocated at claim.
+  std::vector<std::pair<std::uint64_t, std::size_t>> newest_first;
+  std::size_t tree_points = 0;
+  for (std::size_t t = 0; t < trees_.size(); ++t) {
+    newest_first.emplace_back(trees_[t].file_seq, t);
+    tree_points += trees_[t].ids->size();
+  }
+  std::sort(newest_first.begin(), newest_first.end(), std::greater<>());
+  live_.reserve(tree_points);
+  std::vector<std::pair<std::uint64_t, std::size_t>> older;  // (id, tree)
+  for (const auto& [seq, t] : newest_first) {
+    for (const std::uint64_t id : *trees_[t].ids) {
+      if (!live_.insert(id)) older.emplace_back(id, t);
+    }
+  }
+
+  // Each older copy takes one of its id's tombstones. One without is an
+  // overlap no erase explains — say a tree file copied over another:
+  // both stay CRC-valid, and the MANIFEST does not checksum tree
+  // contents — and would answer every query for the id twice.
+  std::sort(older.begin(), older.end());
+  std::sort(tombstones.begin(), tombstones.end());
+  std::vector<IdList> dead(trees_.size());
+  IdList newest_dead;  // the tombstones left over kill newest copies
+  auto tomb = tombstones.cbegin();
+  for (std::size_t i = 0; i < older.size();) {
+    const std::uint64_t id = older[i].first;
+    std::size_t end = i;
+    while (end < older.size() && older[end].first == id) ++end;
+    while (tomb != tombstones.cend() && *tomb < id) {
+      newest_dead.push_back(*tomb++);
+    }
+    const auto listed = std::upper_bound(tomb, tombstones.cend(), id) - tomb;
+    if (static_cast<std::size_t>(listed) < end - i) {
+      std::uint64_t newest = 0;
+      for (const auto& [seq, t] : newest_first) {
+        if (contains(*trees_[t].ids, id)) {
+          newest = seq;
+          break;
+        }
+      }
+      throw Error("MutableIndex recovery: id " + std::to_string(id) +
+                  " is live in two committed trees, " +
+                  tree_path(trees_[older[i].second].file_seq) + " and " +
+                  tree_path(newest) +
+                  " (the WAL's Tombstones frame marks neither copy dead)");
+    }
+    tomb += static_cast<std::ptrdiff_t>(end - i);
+    for (; i < end; ++i) dead[older[i].second].push_back(id);
+  }
+  newest_dead.insert(newest_dead.end(), tomb, tombstones.cend());
+  for (std::size_t t = 0; t < trees_.size(); ++t) {
+    // `older` is id-sorted, so each list already is.
+    if (!dead[t].empty()) {
+      trees_[t].dead = std::make_shared<const IdList>(std::move(dead[t]));
+    }
+  }
+  // order: relaxed — size() gauge; see the hpp.
+  live_count_.store(live_.size(), std::memory_order_relaxed);
+  apply_erase_locked(newest_dead);
+}
+
+void MutableIndex::commit_locked() {
+  // A crash before the MANIFEST replace recovers from the old WAL and
+  // sweeps the new files as orphans.
+  const std::uint64_t old_wal = wal_seq_;
+  rotate_wal_locked();
+  write_manifest_locked();
+  std::error_code ec;
+  std::filesystem::remove(wal_path(old_wal), ec);
 }
 
 void MutableIndex::write_manifest_locked() {

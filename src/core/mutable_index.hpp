@@ -69,11 +69,11 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
+#include "core/id_set.hpp"
 #include "core/kdtree.hpp"
 #include "core/wal.hpp"
 #include "core/knn_heap.hpp"
@@ -326,13 +326,21 @@ class MutableIndex {
   /// uncommitted orphan files).
   void init_durable() PANDA_EXCLUDES(mutex_);
   void recover_durable() PANDA_REQUIRES(mutex_);
+  /// Recovery's live set: every committed tree's ids, with the copies
+  /// the WAL's leading Tombstones frame (`tombstones`) names marked
+  /// dead, oldest copy first. Throws if two trees hold an id live.
+  void live_from_trees_locked(IdList tombstones) PANDA_REQUIRES(mutex_);
+  /// Every MANIFEST change after the first (seed, seal, level merge,
+  /// compaction): rotate the WAL, replace the MANIFEST, delete the old
+  /// log. So the committed log's Tombstones frame always lists exactly
+  /// the dead copies the committed trees hold.
+  void commit_locked() PANDA_REQUIRES(mutex_);
   /// Atomically replaces MANIFEST with the current committed state
   /// (trees_ file_seq/level, wal_seq_, next_file_seq_).
   void write_manifest_locked() PANDA_REQUIRES(mutex_);
-  /// Seal-time WAL rotation: a fresh wal-<seq> seeded with the forest's
-  /// dead ids (one Tombstones frame) and the still-buffered runs (one
-  /// Insert frame each), fsynced, then committed via MANIFEST; the old
-  /// log is deleted. Keeps the WAL proportional to the buffer, not to
+  /// A fresh wal-<seq> seeded with the forest's dead ids (one
+  /// Tombstones frame) and the still-buffered runs (one Insert frame
+  /// each), fsynced. Keeps the WAL proportional to the buffer, not to
   /// history.
   void rotate_wal_locked() PANDA_REQUIRES(mutex_);
 
@@ -388,8 +396,12 @@ class MutableIndex {
   std::size_t open_points_ PANDA_GUARDED_BY(mutex_) = 0;
   std::deque<std::vector<Run>> sealed_groups_ PANDA_GUARDED_BY(mutex_);
   std::vector<TreeShard> trees_ PANDA_GUARDED_BY(mutex_);
-  /// The live-id set: duplicate-insert rejection and erase routing.
-  std::unordered_set<std::uint64_t> live_ PANDA_GUARDED_BY(mutex_);
+  /// Every live id, in one flat open-addressing set (DESIGN.md §12.6):
+  /// insert admission (duplicate rejection) and erase (is the id live
+  /// at all?). Which container holds an id is the per-container sorted
+  /// lists' question, not this set's. Sized once for a seeded or
+  /// recovered forest; grows by doubling past a load of 3/4.
+  FlatIdSet live_ PANDA_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> live_count_{0};
 
   std::atomic<std::shared_ptr<const Snapshot>> snapshot_;

@@ -45,16 +45,6 @@ class PointSet {
   /// Copies point i into out[0..dims). out must hold dims() floats.
   void copy_point(std::size_t point, float* out) const;
 
-  /// Hints point i's coordinates into cache: the SoA gather of
-  /// copy_point touches one line per dimension, and the batched query
-  /// loop issues this for the next scheduled query to hide that
-  /// latency behind the current query's traversal.
-  void prefetch_point(std::size_t point) const {
-    for (std::size_t d = 0; d < dims_; ++d) {
-      __builtin_prefetch(coords_[d].data() + point);
-    }
-  }
-
   /// Appends one point; returns its index.
   std::size_t push_point(std::span<const float> values, std::uint64_t id);
 

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -233,6 +234,30 @@ TEST(AllocBuild, NoPerNodeAllocation) {
     EXPECT_LT(calls_80k, calls_20k + 256)
         << "20k points: " << calls_20k << " calls, 80k points: " << calls_80k;
   }
+}
+
+TEST(AllocSetup, SeedingMakesConstantAllocatorCalls) {
+  // Seeding a live index from a built tree reads the ids from the
+  // packed id array, radix-sorts them and fills the flat live-id set,
+  // each into one buffer: 5x the points must not add allocator calls.
+  const auto gen = data::make_generator("gmm", 20260731);
+  const auto pool = std::make_shared<parallel::ThreadPool>(1);
+  auto seed_calls = [&](std::uint64_t n) {
+    core::KdTree tree =
+        core::KdTree::build(gen->generate_all(n), core::BuildConfig{}, *pool);
+    const std::uint64_t before = panda::testing::alloc_count();
+    const core::MutableIndex index(std::move(tree), core::MutableConfig{},
+                                   core::BuildConfig{}, pool);
+    const std::uint64_t calls = panda::testing::alloc_count() - before;
+    EXPECT_EQ(index.size(), n);
+    return calls;
+  };
+  const std::uint64_t calls_20k = seed_calls(20000);
+  const std::uint64_t calls_100k = seed_calls(100000);
+  EXPECT_LT(std::max(calls_20k, calls_100k) - std::min(calls_20k, calls_100k),
+            16u)
+      << "20k points: " << calls_20k << " calls, 100k points: "
+      << calls_100k;
 }
 
 // Sanity: the probe actually counts.

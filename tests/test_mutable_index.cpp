@@ -631,6 +631,40 @@ MutableConfig durable_config(const std::string& dir,
   return config;
 }
 
+/// `ids.size()` fresh points from `gen` (its ids from `offset` on),
+/// relabeled with `ids`.
+PointSet points_with_ids(const data::Generator& gen, std::uint64_t offset,
+                         const std::vector<std::uint64_t>& ids) {
+  PointSet fresh(gen.dims());
+  gen.generate(offset, offset + ids.size(), fresh);
+  PointSet out(gen.dims());
+  std::vector<float> p(gen.dims());
+  for (std::uint64_t i = 0; i < fresh.size(); ++i) {
+    fresh.copy_point(i, p.data());
+    out.push_point(p, ids[i]);
+  }
+  return out;
+}
+
+/// Reopens the durable directory of `config` and checks it against
+/// `oracle`: size, the live ids in order, and every live point's KNN
+/// row.
+void expect_reopens_to(const LiveOracle& oracle, std::size_t dims,
+                       const MutableConfig& config, Harness& h) {
+  MutableIndex reopened(dims, config, BuildConfig{}, h.pool);
+  EXPECT_TRUE(reopened.recovery_diagnostic().empty())
+      << reopened.recovery_diagnostic();
+  EXPECT_EQ(reopened.size(), oracle.size());
+  const PointSet live = reopened.live_points();
+  const auto want_ids = oracle.ids();
+  ASSERT_EQ(live.size(), want_ids.size());
+  for (std::uint64_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live.id(i), want_ids[i]);
+  }
+  expect_knn_matches(reopened, oracle, oracle.points(), /*k=*/4, h.results,
+                     h.ws, "reopened knn");
+}
+
 TEST(MutableDurability, ReopenedDirectoryMatchesOracleExactly) {
   DurableDir dir;
   Harness h;
@@ -762,6 +796,130 @@ TEST(MutableDurability, SeedingANonEmptyDirectoryIsRefused) {
   dup.push_point(std::vector<float>{4.f, 5.f, 6.f}, 1);
   EXPECT_THROW(reopened.insert(dup), Error);
   EXPECT_EQ(reopened.size(), 1u);
+}
+
+TEST(MutableDurability, OverlappingCommittedTreesAreRefused) {
+  // Two sealed trees of 256 points each, then one tree file copied over
+  // the other: both files stay CRC-valid and the MANIFEST does not
+  // checksum tree contents, so only the id check can catch it. Accepted,
+  // every id of the copy would be live twice.
+  DurableDir dir;
+  Harness h;
+  const auto gen = data::make_generator("uniform", /*seed=*/17);
+  MutableConfig config;
+  config.durable_dir = dir.path();
+  config.buffer_capacity = 256;
+  {
+    MutableIndex index(gen->dims(), config, BuildConfig{}, h.pool);
+    PointSet batch(gen->dims());
+    gen->generate(0, 256, batch);
+    index.insert(batch);
+    index.quiesce();
+    batch.clear();
+    gen->generate(256, 512, batch);
+    index.insert(batch);
+    index.quiesce();
+    EXPECT_EQ(index.stats().trees, 2u);
+  }
+  std::vector<std::string> trees;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("tree-")) trees.push_back(name);
+  }
+  ASSERT_EQ(trees.size(), 2u);
+  std::sort(trees.begin(), trees.end(),
+            [](const std::string& a, const std::string& b) {
+              return a.size() != b.size() ? a.size() < b.size() : a < b;
+            });
+  std::filesystem::copy_file(dir.path() + "/" + trees[0],
+                             dir.path() + "/" + trees[1],
+                             std::filesystem::copy_options::overwrite_existing);
+  try {
+    MutableIndex reopened(gen->dims(), config, BuildConfig{}, h.pool);
+    FAIL() << "recovered " << reopened.size()
+           << " live ids from two trees holding the same ids";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("id 0 "), std::string::npos) << what;
+    EXPECT_NE(what.find(trees[0]), std::string::npos) << what;
+    EXPECT_NE(what.find(trees[1]), std::string::npos) << what;
+  }
+}
+
+TEST(MutableDurability, ErasedAndReinsertedIdsReopenExactly) {
+  // Erase-then-reinsert leaves the old copy dead in its old tree until a
+  // merge or compaction, so committed trees may share an id. The
+  // rotated WAL's Tombstones frame names the dead copies. Here id 5
+  // ends live in the second tree, id 6 dead in the seed and the second
+  // tree, and id 7 in all three trees, live only in the newest.
+  DurableDir dir;
+  Harness h;
+  const auto gen = data::make_generator("uniform", /*seed=*/23);
+  LiveOracle oracle(gen->dims());
+  MutableConfig config = durable_config(dir.path(), /*buffer_capacity=*/16);
+  config.merge_fan_in = 8;  // the seed and the sealed trees never merge
+  {
+    PointSet seed_points(gen->dims());
+    gen->generate(0, 64, seed_points);
+    oracle.insert(seed_points);
+    MutableIndex index(KdTree::build(seed_points, BuildConfig{}, *h.pool),
+                       config, BuildConfig{}, h.pool);
+
+    std::vector<std::uint64_t> doomed = {5, 6, 7};
+    EXPECT_EQ(index.erase(doomed), 3u);
+    oracle.erase(doomed);
+    std::vector<std::uint64_t> ids = {5, 6, 7};
+    for (std::uint64_t id = 100; ids.size() < 16; ++id) ids.push_back(id);
+    PointSet batch = points_with_ids(*gen, 1000, ids);
+    index.insert(batch);
+    oracle.insert(batch);
+    index.quiesce();
+
+    doomed = {6, 7};
+    EXPECT_EQ(index.erase(doomed), 2u);
+    oracle.erase(doomed);
+    ids = {7};
+    for (std::uint64_t id = 200; ids.size() < 16; ++id) ids.push_back(id);
+    batch = points_with_ids(*gen, 2000, ids);
+    index.insert(batch);
+    oracle.insert(batch);
+    index.quiesce();
+    EXPECT_EQ(index.stats().trees, 3u);
+    EXPECT_EQ(index.size(), oracle.size());
+  }
+  expect_reopens_to(oracle, gen->dims(), config, h);
+}
+
+TEST(MutableDurability, ReinsertedIdSurvivesALevelMergeAndReopen) {
+  // The level merge keeps the live copy of id 5 (second tree) and drops
+  // the dead one (first tree). A Tombstones frame still naming the
+  // dropped copy would make recovery kill the only, live copy.
+  DurableDir dir;
+  Harness h;
+  const auto gen = data::make_generator("uniform", /*seed=*/29);
+  LiveOracle oracle(gen->dims());
+  const MutableConfig config =
+      durable_config(dir.path(), /*buffer_capacity=*/8);
+  {
+    MutableIndex index(gen->dims(), config, BuildConfig{}, h.pool);
+    PointSet batch(gen->dims());
+    gen->generate(0, 8, batch);
+    index.insert(batch);
+    oracle.insert(batch);
+    index.quiesce();
+
+    const std::uint64_t doomed[] = {5};
+    EXPECT_EQ(index.erase(doomed), 1u);
+    oracle.erase(doomed);
+    batch = points_with_ids(*gen, 100, {5, 100, 101, 102, 103, 104, 105, 106});
+    index.insert(batch);
+    oracle.insert(batch);
+    index.quiesce();
+    EXPECT_EQ(index.stats().merges, 1u);
+    EXPECT_EQ(index.stats().trees, 1u);
+    EXPECT_EQ(index.size(), oracle.size());
+  }
+  expect_reopens_to(oracle, gen->dims(), config, h);
 }
 
 }  // namespace

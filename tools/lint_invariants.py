@@ -28,10 +28,11 @@ run. Four rules, each enforcing a contract the code base relies on:
   alloc     No naked `new` / malloc / calloc / realloc in the
             hot-path files pinned by tests/test_alloc.cpp. That test
             asserts zero allocations per query once workspaces are
-            warm, and no per-node allocation in a build's split
-            selection; an allocation introduced in these files would
-            fail it at runtime — this rule fails it at lint time, with
-            a message that points at the contract.
+            warm, no per-node allocation in a build's split selection,
+            and no per-id allocation when a live index is seeded; an
+            allocation introduced in these files would fail it at
+            runtime — this rule fails it at lint time, with a message
+            that points at the contract.
 
 Waivers: append `// panda-lint: allow(<rule>)` to the offending line
 or the line directly above it. Waivers are for cases where the rule is
@@ -69,10 +70,12 @@ ALLOC_RE = re.compile(r"(?:^|[^:\w])new\b|\b(?:malloc|calloc|realloc)\s*\(")
 WAIVER_RE = re.compile(r"panda-lint:\s*allow\(([a-z, ]+)\)")
 
 # Files pinned by tests/test_alloc.cpp: the per-query path must not
-# allocate once workspaces are warm, and build split selection must not
-# allocate per node. Paths relative to src/.
+# allocate once workspaces are warm, build split selection must not
+# allocate per node, and seeding the live index's id set must not
+# allocate per id. Paths relative to src/.
 HOT_PATH_FILES = (
     "common/sampling.hpp",
+    "core/id_set.hpp",
     "core/kdtree_query.cpp",
     "core/knn_heap.hpp",
     "core/knn_heap.cpp",
@@ -238,8 +241,8 @@ def lint_text(text, display_path, rel_in_src):
                     "alloc",
                     "no naked allocation in hot-path files "
                     "(tests/test_alloc.cpp pins them to zero "
-                    "allocations per warm query and none per build "
-                    "node)",
+                    "allocations per warm query, none per build node "
+                    "and none per seeded id)",
                 )
 
     return findings
@@ -337,10 +340,12 @@ def self_test():
         for f in bad:
             print("  " + f)
 
-    hot = lint_text(BAD_HOT_PATH_SAMPLE, "<hot>", "simd/distance.cpp")
-    if not any("[alloc]" in f for f in hot):
-        ok = False
-        print("self-test FAILED: hot-path sample did not trip the alloc rule")
+    for rel in ("simd/distance.cpp", "core/id_set.hpp"):
+        hot = lint_text(BAD_HOT_PATH_SAMPLE, "<hot>", rel)
+        if not any("[alloc]" in f for f in hot):
+            ok = False
+            print("self-test FAILED: hot-path sample in %s did not trip "
+                  "the alloc rule" % rel)
 
     # The same allocation outside the pinned set is allowed.
     cold = lint_text(BAD_HOT_PATH_SAMPLE, "<cold>", "net/cluster.cpp")
