@@ -24,19 +24,17 @@
 //
 //   admission microbench — the lock-free MPMC ring admission primitive
 //     (parallel/mpmc_queue.hpp) vs the mutex+condvar bounded deque it
-//     replaced, 4 producers against 1 consumer. On hosts without
-//     enough cores for an honest multi-shard throughput sweep this
-//     ratio is the sharding acceptance gate (>= 4x).
+//     replaced, 4 producers against 1 consumer: what the ring saves on
+//     the admission path alone.
 //
-//   shard sweep — closed-loop digests pinned identical across shard
-//     counts {1, 2, 4} (sharding is a routing knob, not a semantic
-//     one), then an open-loop saturation run per shard count
-//     reporting p50/p95/p99/p999, shed fraction, and per-shard queue
-//     high-water marks.
+//   worker sweep — closed-loop digests pinned identical across {1, 2,
+//     4} workers on the one ring (the worker count is a throughput
+//     knob, not a semantic one; a mismatch fails the run), then an
+//     open-loop saturation run per worker count reporting
+//     p50/p95/p99/p999, shed count, and the queue high-water mark.
 //
-// Emits BENCH_serve.json and BENCH_serve_shard.json next to the
-// working directory so CI keeps serving baselines alongside
-// BENCH_seed.json.
+// Emits BENCH_serve.json into the working directory so CI keeps a
+// serving baseline alongside BENCH_seed.json.
 //
 // Run:  ./bench_serve [points] [clients] [requests_per_client]
 #include <atomic>
@@ -155,11 +153,11 @@ void print_latency(const char* label,
 }
 
 // -------------------------------------------------------------------
-// Admission microbench: the sharded service's lock-free MPMC ring vs
-// the mutex+condvar bounded deque the pre-shard QueryService used for
-// admission. Same shape in both: kAdmissionProducers producer threads
-// spinning tokens into a bounded queue of kAdmissionCapacity, one
-// consumer draining it (the per-shard worker pattern).
+// Admission microbench: the service's lock-free MPMC ring vs the
+// mutex+condvar bounded deque QueryService once used for admission.
+// Same shape in both: kAdmissionProducers producer threads spinning
+// tokens into a bounded queue of kAdmissionCapacity, one consumer
+// draining it (one worker on the ring).
 // -------------------------------------------------------------------
 
 constexpr int kAdmissionProducers = 4;
@@ -295,10 +293,8 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig per_call;
   per_call.max_batch = 1;
-  per_call.flush_window = std::chrono::microseconds(0);
   serve::ServeConfig batched;
   batched.max_batch = 64;
-  batched.flush_window = std::chrono::microseconds(200);
 
   // Warm-up (first-touch of the packed tree), untimed.
   {
@@ -368,8 +364,7 @@ int main(int argc, char** argv) {
               open.stats.rejected);
   print_latency("  open-loop latency", open.stats.latency);
 
-  // ---- Admission microbench (the sharding acceptance gate on hosts
-  // without enough cores for a throughput sweep). ----
+  // ---- Admission microbench. ----
   bench::print_rule();
   const std::uint64_t admission_per_producer = 200000;
   const double mpmc_qps = admission_mpmc_qps(admission_per_producer);
@@ -382,95 +377,42 @@ int main(int argc, char** argv) {
   std::printf("  mutex+condvar    %12.0f tokens/s\n", mutex_qps);
   std::printf("  ratio            %12.1fx lock-free win\n", admission_ratio);
 
-  // ---- Shard sweep: digests pinned across {1,2,4} shards, then an
-  // open-loop saturation run per shard count. ----
-  const int shard_counts[] = {1, 2, 4};
-  bool shard_digests_match = true;
-  LoopResult shard_closed[3];
-  LoopResult shard_open[3];
+  // ---- Worker sweep: digests pinned across {1,2,4} workers on the
+  // ring, then an open-loop saturation run per worker count. ----
+  const int worker_counts[] = {1, 2, 4};
+  bool worker_digests_match = true;
+  LoopResult sweep_closed[3];
+  LoopResult sweep_open[3];
   serve::ServeConfig saturate = batched;
   saturate.queue_capacity = 256;  // small enough that backpressure engages
   const double offered = 1.5 * micro.qps;  // past capacity on purpose
-  for (std::size_t s = 0; s < 3; ++s) {
-    serve::ServeConfig sharded = batched;
-    sharded.shards = shard_counts[s];
-    shard_closed[s] = run_closed_loop(backend, sharded, streams, k);
-    if (shard_closed[s].checksum != micro.checksum) {
-      shard_digests_match = false;
+  for (std::size_t w = 0; w < 3; ++w) {
+    serve::ServeConfig config = batched;
+    config.workers = worker_counts[w];
+    sweep_closed[w] = run_closed_loop(backend, config, streams, k);
+    if (sweep_closed[w].checksum != micro.checksum) {
+      worker_digests_match = false;
     }
-    saturate.shards = shard_counts[s];
-    shard_open[s] = run_open_loop(backend, saturate, offered,
+    saturate.workers = worker_counts[w];
+    sweep_open[w] = run_open_loop(backend, saturate, offered,
                                   open_queries, k);
   }
   bench::print_rule();
-  std::printf("shard sweep (closed-loop digests %s; open loop @ %.0f "
+  std::printf("worker sweep (closed-loop digests %s; open loop @ %.0f "
               "qps offered, capacity %zu):\n",
-              shard_digests_match ? "identical" : "MISMATCH", offered,
+              worker_digests_match ? "identical" : "MISMATCH", offered,
               saturate.queue_capacity);
-  for (std::size_t s = 0; s < 3; ++s) {
-    const serve::ServeStats& stats = shard_open[s].stats;
-    std::printf("  shards=%d  closed %9.0f qps | open answered %5" PRIu64
-                "/%zu shed %5" PRIu64 " | shard max depth [",
-                shard_counts[s], shard_closed[s].qps,
-                shard_open[s].requests, open_queries.size(),
-                stats.rejected);
-    for (std::size_t d = 0; d < stats.shard_max_queue_depth.size(); ++d) {
-      std::printf("%s%" PRIu64, d == 0 ? "" : " ",
-                  stats.shard_max_queue_depth[d]);
-    }
-    std::printf("]\n");
+  for (std::size_t w = 0; w < 3; ++w) {
+    const serve::ServeStats& stats = sweep_open[w].stats;
+    std::printf("  workers=%d  closed %9.0f qps | open answered %5" PRIu64
+                "/%zu shed %5" PRIu64 " | max depth %" PRIu64 "\n",
+                worker_counts[w], sweep_closed[w].qps,
+                sweep_open[w].requests, open_queries.size(),
+                stats.rejected, stats.max_queue_depth);
     char label[64];
-    std::snprintf(label, sizeof label, "    shards=%d latency",
-                  shard_counts[s]);
+    std::snprintf(label, sizeof label, "    workers=%d latency",
+                  worker_counts[w]);
     print_latency(label, stats.latency);
-  }
-
-  FILE* shard_json = std::fopen("BENCH_serve_shard.json", "w");
-  if (shard_json != nullptr) {
-    std::fprintf(shard_json, "{\n");
-    std::fprintf(shard_json,
-                 "  \"context\": {\"points\": %" PRIu64
-                 ", \"clients\": %d, \"requests_per_client\": %d, "
-                 "\"k\": %zu, \"pool_threads\": %d, \"host_cores\": %u},\n",
-                 n, clients, per_client, k, pool->size(),
-                 std::thread::hardware_concurrency());
-    std::fprintf(shard_json,
-                 "  \"admission\": {\"producers\": %d, \"consumers\": 1, "
-                 "\"capacity\": %zu, \"tokens_per_producer\": %" PRIu64
-                 ", \"mpmc_tokens_per_sec\": %.0f, "
-                 "\"mutex_condvar_tokens_per_sec\": %.0f, "
-                 "\"ratio\": %.2f, \"gate_min_ratio\": 4.0},\n",
-                 kAdmissionProducers, kAdmissionCapacity,
-                 admission_per_producer, mpmc_qps, mutex_qps,
-                 admission_ratio);
-    std::fprintf(shard_json, "  \"digests_match_across_shards\": %s,\n",
-                 shard_digests_match ? "true" : "false");
-    std::fprintf(shard_json, "  \"sweep\": [\n");
-    for (std::size_t s = 0; s < 3; ++s) {
-      const serve::ServeStats& stats = shard_open[s].stats;
-      std::fprintf(shard_json,
-                   "    {\"shards\": %d, \"closed_qps\": %.0f, "
-                   "\"digest\": \"0x%016" PRIx64 "\", "
-                   "\"open_offered_qps\": %.0f, \"open_answered\": %" PRIu64
-                   ", \"open_shed\": %" PRIu64 ", \"p50_us\": %.1f, "
-                   "\"p95_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
-                   "\"max_us\": %.1f, \"shard_max_queue_depth\": [",
-                   shard_counts[s], shard_closed[s].qps,
-                   shard_closed[s].checksum, offered,
-                   shard_open[s].requests, stats.rejected,
-                   stats.latency.p50_us, stats.latency.p95_us,
-                   stats.latency.p99_us, stats.latency.p999_us,
-                   stats.latency.max_us);
-      for (std::size_t d = 0; d < stats.shard_max_queue_depth.size();
-           ++d) {
-        std::fprintf(shard_json, "%s%" PRIu64, d == 0 ? "" : ", ",
-                     stats.shard_max_queue_depth[d]);
-      }
-      std::fprintf(shard_json, "]}%s\n", s + 1 < 3 ? "," : "");
-    }
-    std::fprintf(shard_json, "  ]\n}\n");
-    std::fclose(shard_json);
-    std::printf("wrote BENCH_serve_shard.json\n");
   }
 
   FILE* json = std::fopen("BENCH_serve.json", "w");
@@ -479,8 +421,9 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "  \"context\": {\"points\": %" PRIu64
                  ", \"clients\": %d, \"requests_per_client\": %d, "
-                 "\"k\": %zu, \"pool_threads\": %d},\n",
-                 n, clients, per_client, k, pool->size());
+                 "\"k\": %zu, \"pool_threads\": %d, \"host_cores\": %u},\n",
+                 n, clients, per_client, k, pool->size(),
+                 std::thread::hardware_concurrency());
     const auto emit_loop = [&](const char* name, const LoopResult& r,
                                const char* tail) {
       std::fprintf(json,
@@ -504,11 +447,40 @@ int main(int argc, char** argv) {
                  "  \"oracle_sample_exact\": %s,\n",
                  speedup, checksums_match ? "true" : "false",
                  oracle_ok ? "true" : "false");
-    emit_loop("open_loop_batched", open, "");
-    std::fprintf(json, "}\n");
+    emit_loop("open_loop_batched", open, ",");
+    std::fprintf(json,
+                 "  \"admission\": {\"producers\": %d, \"consumers\": 1, "
+                 "\"capacity\": %zu, \"tokens_per_producer\": %" PRIu64
+                 ", \"mpmc_tokens_per_sec\": %.0f, "
+                 "\"mutex_condvar_tokens_per_sec\": %.0f, "
+                 "\"ratio\": %.2f, \"gate_min_ratio\": 4.0},\n",
+                 kAdmissionProducers, kAdmissionCapacity,
+                 admission_per_producer, mpmc_qps, mutex_qps,
+                 admission_ratio);
+    std::fprintf(json, "  \"digests_match_across_workers\": %s,\n",
+                 worker_digests_match ? "true" : "false");
+    std::fprintf(json, "  \"worker_sweep\": [\n");
+    for (std::size_t w = 0; w < 3; ++w) {
+      const serve::ServeStats& stats = sweep_open[w].stats;
+      std::fprintf(json,
+                   "    {\"workers\": %d, \"closed_qps\": %.0f, "
+                   "\"digest\": \"0x%016" PRIx64 "\", "
+                   "\"open_offered_qps\": %.0f, \"open_answered\": %" PRIu64
+                   ", \"open_shed\": %" PRIu64 ", \"p50_us\": %.1f, "
+                   "\"p95_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
+                   "\"max_us\": %.1f, \"max_queue_depth\": %" PRIu64 "}%s\n",
+                   worker_counts[w], sweep_closed[w].qps,
+                   sweep_closed[w].checksum, offered,
+                   sweep_open[w].requests, stats.rejected,
+                   stats.latency.p50_us, stats.latency.p95_us,
+                   stats.latency.p99_us, stats.latency.p999_us,
+                   stats.latency.max_us, stats.max_queue_depth,
+                   w + 1 < 3 ? "," : "");
+    }
+    std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("wrote BENCH_serve.json\n");
   }
 
-  return checksums_match && oracle_ok && shard_digests_match ? 0 : 1;
+  return checksums_match && oracle_ok && worker_digests_match ? 0 : 1;
 }

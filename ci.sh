@@ -57,8 +57,8 @@
 #                      frontend, thread pool, mutable index, kd-tree
 #                      build across pool sizes) built
 #                      with -fsanitize=thread: data-race checks the
-#                      lock-free admission rings, sharded
-#                      micro-batcher, snapshot swap, shared pool, the
+#                      lock-free admission ring, its
+#                      batching workers, snapshot swap, shared pool, the
 #                      distributed index session, and the mutable
 #                      tier's merge thread + COW snapshot publishing
 #                      (readers racing insert/erase/seal/merge).
@@ -259,7 +259,8 @@ if [[ "$MODE" == "tsan" ]]; then
   # TSan serializes heavily on this container's core count; the mpmc /
   # serve / parallel suites are the ones whose bugs would be data
   # races (test_mpmc_queue hammers the Vyukov ring's release/acquire
-  # protocol, test_serve the sharded admission + swap paths),
+  # protocol, test_serve the ring admission, its workers, and the swap
+  # paths),
   # test_neighbor_table drives > 64-query batches through the parallel
   # flat-table kernels (concurrent row writes, per-thread workspaces,
   # chunk-stealing loops), test_index covers the dist-index
@@ -288,12 +289,12 @@ bench_smoke() {
   cmake --build build -j --target bench_hotpath bench_serve bench_facade \
     bench_mmap bench_mutable
   # Run inside build/ so smoke outputs (bench_serve writes
-  # BENCH_serve.json and BENCH_serve_shard.json to its cwd) never
-  # clobber the checked-in baselines; bench_hotpath/bench_facade
-  # --smoke write no JSON at all. bench_serve's run includes the
-  # admission microbench (mpmc ring vs mutex+condvar) and the
-  # multi-shard saturation sweep, so the sharded serve path gets a
-  # smoke run here too.
+  # BENCH_serve.json to its cwd) never clobber the checked-in
+  # baselines; bench_hotpath/bench_facade --smoke write no JSON at
+  # all. bench_serve's run includes the admission microbench (mpmc
+  # ring vs mutex+condvar) and the saturation sweep over {1, 2, 4}
+  # workers, whose closed-loop digests must match, so multi-worker
+  # serving gets a smoke run here too.
   (cd build && ./bench_hotpath --smoke 20000 1024)
   (cd build && ./bench_serve 20000 8 20)
   (cd build && ./bench_facade --smoke 20000 1024)

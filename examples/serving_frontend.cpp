@@ -29,7 +29,7 @@
 // stalled request, writes visible as soon as ingest() returns. The
 // rebuild+swap phase is skipped (live updates replace it).
 //
-// Run:  ./serving_frontend [points] [clients] [seconds] [--shards N]
+// Run:  ./serving_frontend [points] [clients] [seconds] [--workers N]
 //                          [--mmap path | --ingest-rate R]
 #include <algorithm>
 #include <atomic>
@@ -80,17 +80,17 @@ int main(int argc, char** argv) {
   std::uint64_t n = 100000;
   int clients = 8;
   int seconds = 2;
-  int shards = 2;
+  int workers = 2;
   std::uint64_t ingest_rate = 0;
   std::string mmap_path;
-  // --shards / --mmap are flags; the remaining arguments stay
-  // positional.
+  // --workers / --mmap / --ingest-rate are flags; the remaining
+  // arguments stay positional.
   std::vector<const char*> positional;
   bool parsed = true;
   for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--shards") == 0) {
+    if (std::strcmp(argv[a], "--workers") == 0) {
       parsed = parsed && a + 1 < argc &&
-               examples::parse_int(argv[++a], shards);
+               examples::parse_int(argv[++a], workers);
     } else if (std::strcmp(argv[a], "--mmap") == 0) {
       parsed = parsed && a + 1 < argc;
       if (parsed) mmap_path = argv[++a];
@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
             examples::parse_int(positional[1], clients)) &&
            (positional.size() < 3 ||
             examples::parse_int(positional[2], seconds));
-  if (!parsed || n == 0 || clients < 1 || seconds < 1 || shards < 1 ||
+  if (!parsed || n == 0 || clients < 1 || seconds < 1 || workers < 1 ||
       (!mmap_path.empty() && ingest_rate > 0)) {
     std::fprintf(stderr,
                  "usage: serving_frontend [points>0] [clients>=1] "
-                 "[seconds>=1] [--shards N>=1] "
+                 "[seconds>=1] [--workers N>=1] "
                  "[--mmap path | --ingest-rate R>0]\n");
     return 1;
   }
@@ -158,16 +158,13 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig config;
   config.max_batch = 64;
-  config.flush_window = std::chrono::microseconds(300);
   config.queue_capacity = 4096;
-  config.workers = 1;
-  config.shards = shards;
+  config.workers = workers;
   serve::QueryService service(backend, config);
   std::printf("serving %" PRIu64 " points (k=%zu) to %d clients for "
-              "~%ds; micro-batch <= %zu, window %lld us, %d shard%s\n",
-              n, k, clients, seconds, config.max_batch,
-              static_cast<long long>(config.flush_window.count()),
-              shards, shards == 1 ? "" : "s");
+              "~%ds; micro-batch <= %zu, %d worker%s on one queue\n",
+              n, k, clients, seconds, config.max_batch, workers,
+              workers == 1 ? "" : "s");
 
   // ------------------------------------------------------------------
   // Client traffic: 3 KNN requests to 1 radius request.
@@ -308,19 +305,12 @@ int main(int argc, char** argv) {
               stats.latency.p99_us, stats.latency.p999_us,
               stats.latency.max_us);
   std::printf("  batching:   %" PRIu64 " batches, mean size %.1f "
-              "(%" PRIu64 " size-flush, %" PRIu64 " window-flush)\n",
+              "(%" PRIu64 " size-flush, %" PRIu64 " empty-queue flush)\n",
               stats.batches, stats.mean_batch_size, stats.flushes_on_size,
               stats.flushes_on_window);
   std::printf("  queue:      depth high-water %" PRIu64 " (capacity %zu), "
               "rejected %" PRIu64 "\n",
               stats.max_queue_depth, config.queue_capacity, stats.rejected);
-  std::printf("  shards:     %" PRIu64 " — per-shard depth high-water [",
-              stats.shards);
-  for (std::size_t s = 0; s < stats.shard_max_queue_depth.size(); ++s) {
-    std::printf("%s%" PRIu64, s == 0 ? "" : " ",
-                stats.shard_max_queue_depth[s]);
-  }
-  std::printf("]\n");
   std::printf("  batch-size histogram (log2 buckets):");
   for (std::size_t b = 0; b < stats.batch_size_log2.size(); ++b) {
     if (stats.batch_size_log2[b] != 0) {

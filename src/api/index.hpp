@@ -37,7 +37,7 @@
 // a time — ThreadPool::try_run lets a caller that loses the claim run
 // the chunk-self-scheduling batch body inline instead of blocking;
 // the Dist adapter serializes its collective session rounds
-// internally). The sharded serving layer (serve::IndexBackend +
+// internally). The serving layer (serve::IndexBackend +
 // serve::QueryService) builds on exactly this contract, one pooled
 // scratch per concurrent batch.
 #pragma once

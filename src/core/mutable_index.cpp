@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -159,6 +160,20 @@ void MutableIndex::insert(const data::PointSet& points) {
                   "insert dimensionality mismatch: batch has "
                       << points.dims() << " dims, index has " << dims_);
   if (points.empty()) return;
+  // A NaN or infinite coordinate breaks the (dist², id) order and the
+  // median splits every tree is built on: refuse the whole batch before
+  // it is admitted, logged or applied.
+  for (std::size_t d = 0; d < dims_; ++d) {
+    const std::span<const float> column = points.coordinate(d);
+    for (std::size_t p = 0; p < column.size(); ++p) {
+      if (!std::isfinite(column[p])) {
+        throw Error("MutableIndex::insert: point id " +
+                    std::to_string(points.id(p)) +
+                    " has a non-finite coordinate in dimension " +
+                    std::to_string(d));
+      }
+    }
+  }
   MutexLock lock(mutex_);
   // All-or-nothing admission: a collision rolls back the ids this
   // batch already claimed, so a failed insert leaves no trace. The

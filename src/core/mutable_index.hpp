@@ -189,8 +189,9 @@ class MutableIndex {
   // -------------------------------------------------------------------
 
   /// Inserts a batch of points. Ids must not collide with any live id
-  /// (or repeat within the batch) — throws panda::Error and accepts
-  /// none of the batch on collision; an erased id may be re-inserted.
+  /// (or repeat within the batch) and every coordinate must be finite —
+  /// otherwise throws panda::Error and neither logs nor accepts any of
+  /// the batch; an erased id may be re-inserted.
   /// The points are visible to every query batch that starts after
   /// insert() returns.
   void insert(const data::PointSet& points);

@@ -1,5 +1,5 @@
 // Bounded lock-free multi-producer / multi-consumer ring queue
-// (Vyukov's algorithm), the admission primitive of the sharded serving
+// (Vyukov's algorithm), the admission primitive of the serving
 // frontend (DESIGN.md §8).
 //
 // Layout: a power-of-two array of cells, each holding a value slot and
@@ -21,8 +21,7 @@
 // the producer's writes to the value happen-before the release store,
 // which happens-before the consumer's acquire load — no fences, no
 // locks, no per-operation allocation. ThreadSanitizer verifies this
-// argument (ci.sh tsan runs test_mpmc_queue and the sharded serve
-// suite).
+// argument (ci.sh tsan runs test_mpmc_queue and the serve suite).
 //
 // try_push/try_pop are non-blocking: a full queue fails the push, an
 // empty queue fails the pop, and the caller decides the policy —
@@ -31,7 +30,7 @@
 //
 // A transient false "full" is possible while a consumer is mid-recycle
 // on the wrap-around cell; callers that track logical occupancy
-// separately (the serving shards do) may therefore spin on try_push
+// separately (serve::QueryService does) may therefore spin on try_push
 // knowing it succeeds as soon as the consumer finishes. This is the
 // standard bounded-MPMC trade: the queue is lock-free, not wait-free.
 #pragma once

@@ -17,8 +17,8 @@
 // told immediately (try_run) so it can execute its work inline
 // instead of idling. parallel::for_chunks, the fan-out of every batch
 // kernel, uses try_run exactly this way (DESIGN.md §8): a serving
-// shard whose batch loses the team race scans on its own core rather
-// than sleeping behind another shard's kernel, so no execution unit
+// worker whose batch loses the team race scans on its own core rather
+// than sleeping behind another worker's kernel, so no execution unit
 // ever waits on a lock to do CPU-bound work.
 #pragma once
 

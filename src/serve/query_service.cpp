@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -41,26 +42,18 @@ inline void seq_cst_fence() {
 
 QueryService::QueryService(std::shared_ptr<Backend> backend,
                            const ServeConfig& config)
-    : config_(config), start_(std::chrono::steady_clock::now()) {
+    : config_(config),
+      // MpmcQueue refuses a zero capacity with a typed panda::Error.
+      queue_(config.queue_capacity),
+      start_(std::chrono::steady_clock::now()) {
   PANDA_CHECK_MSG(backend != nullptr, "QueryService needs a backend");
   PANDA_CHECK_MSG(config_.max_batch >= 1, "max_batch must be >= 1");
-  PANDA_CHECK_MSG(config_.queue_capacity >= 1, "queue_capacity must be >= 1");
   PANDA_CHECK_MSG(config_.workers >= 1, "workers must be >= 1");
-  PANDA_CHECK_MSG(config_.shards >= 1, "shards must be >= 1");
   dims_ = backend->dims();
-  const auto shard_count = static_cast<std::size_t>(config_.shards);
-  shard_capacity_ = (config_.queue_capacity + shard_count - 1) / shard_count;
-  shards_.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>(shard_capacity_);
-    shard->backend.store(backend);
-    shards_.push_back(std::move(shard));
-  }
-  workers_.reserve(shard_count * static_cast<std::size_t>(config_.workers));
-  for (auto& shard : shards_) {
-    for (int w = 0; w < config_.workers; ++w) {
-      workers_.emplace_back([this, s = shard.get()] { worker_loop(*s); });
-    }
+  backend_.store(std::move(backend));
+  workers_.reserve(static_cast<std::size_t>(config_.workers));
+  for (int w = 0; w < config_.workers; ++w) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -69,6 +62,13 @@ QueryService::~QueryService() { shutdown(); }
 void QueryService::validate(const Request& request) const {
   PANDA_CHECK_MSG(request.query.size() == dims_,
                   "request dimensionality mismatch");
+  // A NaN or infinite coordinate breaks the (dist², id) order every
+  // answer is sorted by; refuse it here, alone, rather than letting it
+  // fail or poison the batch it would join.
+  for (const float v : request.query) {
+    PANDA_CHECK_MSG(std::isfinite(v),
+                    "request query coordinates must be finite, got " << v);
+  }
   if (request.kind == Request::Kind::Knn) {
     PANDA_CHECK_MSG(request.k >= 1, "k must be >= 1");
   } else {
@@ -76,43 +76,32 @@ void QueryService::validate(const Request& request) const {
   }
 }
 
-std::size_t QueryService::route(const Request& request) const {
-  if (shards_.size() == 1) return 0;
-  // FNV-1a over the query bytes: the same query point always routes to
-  // the same shard, so repeated queries hit a warm top-of-tree cache.
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const float v : request.query) {
-    hash = (hash ^ std::bit_cast<std::uint32_t>(v)) * 1099511628211ull;
-  }
-  return static_cast<std::size_t>(hash % shards_.size());
-}
-
-bool QueryService::shard_push(Shard& shard, Pending& pending) {
-  // Logical occupancy bounds admission at exactly shard_capacity_
-  // (the ring itself is the next power of two). Reserve space first:
-  // once reserved, the ring push below cannot fail permanently.
+bool QueryService::push(Pending& pending) {
+  // Logical occupancy bounds admission at exactly queue_capacity (the
+  // ring itself is the next power of two). Reserve space first: once
+  // reserved, the ring push below cannot fail permanently.
   // order: acq_rel — the reservation both publishes this submitter's
   // prior writes to the consumer that frees the slot and observes the
-  // release half of shard_pop()'s decrement, keeping the depth bound
-  // exact under concurrent push/pop.
+  // release half of pop()'s decrement, keeping the depth bound exact
+  // under concurrent push/pop.
   const std::uint64_t depth =
-      shard.depth.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (depth > shard_capacity_) {
+      depth_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (depth > config_.queue_capacity) {
     // order: relaxed — undoing our own reservation publishes nothing;
     // the ring was never touched.
-    shard.depth.fetch_sub(1, std::memory_order_relaxed);
+    depth_.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
-  // order: relaxed — max_depth is a monotonic gauge read only by
+  // order: relaxed — max_depth_ is a monotonic gauge read only by
   // stats(); it orders nothing.
-  std::uint64_t seen = shard.max_depth.load(std::memory_order_relaxed);
+  std::uint64_t seen = max_depth_.load(std::memory_order_relaxed);
   while (depth > seen &&
-         !shard.max_depth.compare_exchange_weak(seen, depth,
-                                                std::memory_order_relaxed)) {
+         !max_depth_.compare_exchange_weak(seen, depth,
+                                           std::memory_order_relaxed)) {
   }
   pending.enqueued = std::chrono::steady_clock::now();
   unsigned spins = 0;
-  while (!shard.queue.try_push(std::move(pending))) {
+  while (!queue_.try_push(std::move(pending))) {
     // Space is reserved, so the ring is only transiently wrap-blocked
     // by a consumer mid-recycle; spin it out.
     parallel::spin_backoff(spins);
@@ -123,19 +112,19 @@ bool QueryService::shard_push(Shard& shard, Pending& pending) {
   // order: relaxed — the seq_cst fence above supplies the ordering;
   // the load itself only needs the fenced value.
   seq_cst_fence();
-  if (shard.parked.load(std::memory_order_relaxed) > 0) {
-    MutexLock lock(shard.park_mutex);
-    shard.work_cv.notify_one();
+  if (parked_.load(std::memory_order_relaxed) > 0) {
+    MutexLock lock(park_mutex_);
+    work_cv_.notify_one();
   }
   return true;
 }
 
-bool QueryService::shard_pop(Shard& shard, Pending& out) {
-  if (!shard.queue.try_pop(out)) return false;
+bool QueryService::pop(Pending& out) {
+  if (!queue_.try_pop(out)) return false;
   // order: acq_rel — release publishes the freed slot to the next
-  // shard_push reservation; acquire pairs with that push's release
-  // half so the consumer sees the submitter's writes.
-  shard.depth.fetch_sub(1, std::memory_order_acq_rel);
+  // push() reservation; acquire pairs with that push's release half so
+  // the consumer sees the submitter's writes.
+  depth_.fetch_sub(1, std::memory_order_acq_rel);
   // Mirror-image eventcount for Block-policy submitters parked on a
   // full service.
   // order: relaxed — ordering comes from the seq_cst fence above.
@@ -163,45 +152,33 @@ bool QueryService::admit(Request&& request, std::future<Result>* out,
   Pending pending;
   pending.request = std::move(request);
   std::future<Result> future = pending.promise.get_future();
-  const std::size_t primary = route(pending.request);
-  const std::size_t n = shards_.size();
   for (;;) {
-    // Hash-routed with round-robin fallback: probe the other shards
-    // before declaring the service full, so one hot shard sheds to
-    // its neighbors instead of rejecting.
-    for (std::size_t probe = 0; probe < n; ++probe) {
-      if (shard_push(*shards_[(primary + probe) % n], pending)) {
-        // order: relaxed — stats counter; stats() tolerates a stale
-        // view, and completion ordering is carried by the future.
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        *out = std::move(future);
-        return true;
-      }
+    if (push(pending)) {
+      // order: relaxed — stats counter; stats() tolerates a stale view,
+      // and completion ordering is carried by the future.
+      submitted_.fetch_add(1, std::memory_order_relaxed);
+      *out = std::move(future);
+      return true;
     }
     if (!blocking) {
       // order: relaxed — stats counter, same contract as submitted_.
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    // Every shard full: park until a worker frees space (cold edge;
-    // the 1 ms backstop makes a lost wakeup a hiccup, not a hang).
+    // Queue full: park until a worker frees space (cold edge; the
+    // 1 ms backstop makes a lost wakeup a hiccup, not a hang).
     space_waiters_.fetch_add(1, std::memory_order_seq_cst);
     seq_cst_fence();
     {
-      // order: relaxed (both loads) — the predicate is a wake hint;
-      // the authoritative state_ check below and the shard_push retry
+      // order: relaxed (both loads) — the predicate is a wake hint; the
+      // authoritative state_ check below and the push() retry
       // re-validate with full ordering, and the 1 ms backstop bounds
       // any stale read.
       MutexLock lock(space_mutex_);
       space_cv_.wait_for(lock, std::chrono::milliseconds(1), [&] {
-        if (state_.load(std::memory_order_relaxed) != kRunning) return true;
-        for (const auto& shard : shards_) {
-          if (shard->depth.load(std::memory_order_relaxed) <
-              shard_capacity_) {
-            return true;
-          }
-        }
-        return false;
+        return state_.load(std::memory_order_relaxed) != kRunning ||
+               depth_.load(std::memory_order_relaxed) <
+                   config_.queue_capacity;
       });
     }
     space_waiters_.fetch_sub(1, std::memory_order_seq_cst);
@@ -239,10 +216,9 @@ void QueryService::ingest(const data::PointSet& points) {
   // an unacknowledged ingest leaves no trace after recovery.
   PANDA_FAILPOINT("serve.ingest");
   // Pin the currently served backend exactly like a worker pins it
-  // for a batch (shard 0's handle — swap_backend stages the same
-  // pointer across shards). The mutable index serializes writers
-  // internally; queries keep draining against their own pins.
-  const std::shared_ptr<Backend> backend = shards_.front()->backend.load();
+  // for a batch. The mutable index serializes writers internally;
+  // queries keep draining against their own pins.
+  const std::shared_ptr<Backend> backend = backend_.load();
   backend->ingest(points);
   // order: relaxed — stats counters only.
   ingest_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -252,7 +228,7 @@ void QueryService::ingest(const data::PointSet& points) {
 std::size_t QueryService::erase_ids(std::span<const std::uint64_t> ids) {
   PANDA_CHECK_MSG(state_.load(std::memory_order_seq_cst) == kRunning,
                   "QueryService::erase_ids after shutdown");
-  const std::shared_ptr<Backend> backend = shards_.front()->backend.load();
+  const std::shared_ptr<Backend> backend = backend_.load();
   const std::size_t erased = backend->erase_ids(ids);
   // order: relaxed — stats counter only.
   erased_ids_.fetch_add(erased, std::memory_order_relaxed);
@@ -263,105 +239,78 @@ void QueryService::swap_backend(std::shared_ptr<Backend> next) {
   PANDA_CHECK_MSG(next != nullptr, "swap_backend needs a backend");
   PANDA_CHECK_MSG(next->dims() == dims_,
                   "swapped index must keep the served dimensionality");
-  // Staged across shards: each store is atomic, every batch pins
-  // exactly one snapshot, and a request admitted after this loop
-  // returns is answered by `next` (its batch's pin happens-after the
-  // admission, which happens-after the store).
-  for (auto& shard : shards_) shard->backend.store(next);
+  // Every batch pins exactly one snapshot, and a request admitted
+  // after this store is answered by `next` (its batch's pin
+  // happens-after the admission, which happens-after the store).
+  backend_.store(std::move(next));
   // order: relaxed — stats counter only.
   swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::shared_ptr<Backend> QueryService::backend() const {
-  return shards_.front()->backend.load();
+  return backend_.load();
 }
 
-bool QueryService::acquire_first(Shard& shard, Pending& out) {
+bool QueryService::acquire_first(Pending& out) {
   for (;;) {
     // Fast path: work is already queued.
     for (int spin = 0; spin < 64; ++spin) {
-      if (shard_pop(shard, out)) return true;
+      if (pop(out)) return true;
       parallel::cpu_relax();
     }
     // order: acquire — pairs with shutdown()'s seq_cst store; a worker
     // that sees drain must also see every admission that settled
     // before it was raised.
     if (drain_.load(std::memory_order_acquire)) {
-      // Draining: one final pop; an empty shard means every admitted
+      // Draining: one final pop; an empty queue means every admitted
       // request has been claimed by some worker — exit.
-      return shard_pop(shard, out);
+      return pop(out);
     }
     // Park (cold edge). Advertise, fence, re-check: a racing push
-    // either sees parked > 0 and notifies under the mutex, or this
+    // either sees parked_ > 0 and notifies under the mutex, or this
     // final pop sees its item. The bounded wait is a backstop only.
-    shard.parked.fetch_add(1, std::memory_order_seq_cst);
+    parked_.fetch_add(1, std::memory_order_seq_cst);
     seq_cst_fence();
-    if (shard_pop(shard, out)) {
-      shard.parked.fetch_sub(1, std::memory_order_seq_cst);
+    if (pop(out)) {
+      parked_.fetch_sub(1, std::memory_order_seq_cst);
       return true;
     }
     {
       // order: relaxed (both loads) — wake hint only; the loop
       // re-checks drain_ with acquire and re-pops after waking, and
       // the 1 ms backstop bounds a stale view.
-      MutexLock lock(shard.park_mutex);
-      shard.work_cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
+      MutexLock lock(park_mutex_);
+      work_cv_.wait_for(lock, std::chrono::milliseconds(1), [&] {
         return drain_.load(std::memory_order_relaxed) ||
-               shard.depth.load(std::memory_order_relaxed) > 0;
+               depth_.load(std::memory_order_relaxed) > 0;
       });
     }
-    shard.parked.fetch_sub(1, std::memory_order_seq_cst);
+    parked_.fetch_sub(1, std::memory_order_seq_cst);
   }
 }
 
-QueryService::FlushReason QueryService::collect_rest(
-    Shard& shard, std::vector<Pending>& batch) {
-  // The deadline is anchored at the *oldest* request in the batch, so
-  // no request waits longer than flush_window for co-batched company.
-  const auto deadline = batch.front().enqueued + config_.flush_window;
-  unsigned spins = 0;
-  while (batch.size() < config_.max_batch) {
-    Pending next;
-    if (shard_pop(shard, next)) {
-      batch.push_back(std::move(next));
-      spins = 0;
-      continue;
-    }
-    // order: acquire — same drain handshake as acquire_first().
-    if (drain_.load(std::memory_order_acquire)) return FlushReason::Drain;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return FlushReason::Window;
-    if (spins < 64) {
-      ++spins;
-      parallel::cpu_relax();
-    } else {
-      // Sleep toward the deadline in small slices so a drain or a
-      // filling batch is noticed promptly even under long windows.
-      std::this_thread::sleep_for(std::min<
-          std::chrono::steady_clock::duration>(
-          deadline - now, std::chrono::microseconds(100)));
-    }
-  }
-  return FlushReason::Size;
-}
-
-void QueryService::worker_loop(Shard& shard) {
+void QueryService::worker_loop() {
   std::vector<Pending> batch;
   batch.reserve(config_.max_batch);
   for (;;) {
     Pending first;
-    if (!acquire_first(shard, first)) return;
+    if (!acquire_first(first)) return;
     batch.clear();
     batch.push_back(std::move(first));
-    const FlushReason reason = collect_rest(shard, batch);
-    execute(shard, batch, reason);
+    // Take whatever else is already queued, up to max_batch, and run it
+    // at once: the worker never waits for a batch to fill.
+    while (batch.size() < config_.max_batch) {
+      Pending next;
+      if (!pop(next)) break;
+      batch.push_back(std::move(next));
+    }
+    execute(batch);
   }
 }
 
-void QueryService::execute(Shard& shard, std::vector<Pending>& batch,
-                           FlushReason reason) {
-  // Pin the shard's snapshot for exactly this batch (swap-safe).
-  std::shared_ptr<Backend> backend = shard.backend.load();
+void QueryService::execute(std::vector<Pending>& batch) {
+  // Pin the served snapshot for exactly this batch (swap-safe).
+  std::shared_ptr<Backend> backend = backend_.load();
 
   std::vector<Request> requests;
   requests.reserve(batch.size());
@@ -411,17 +360,12 @@ void QueryService::execute(Shard& shard, std::vector<Pending>& batch,
       kBatchBuckets - 1,
       static_cast<std::size_t>(std::bit_width(batch.size()) - 1));
   batch_size_log2_[bucket].fetch_add(1, std::memory_order_relaxed);
-  // order: relaxed — flush-reason stats counters, same contract.
-  switch (reason) {
-    case FlushReason::Size:
-      flushes_on_size_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FlushReason::Window:
-      flushes_on_window_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FlushReason::Drain:
-      flushes_on_drain_.fetch_add(1, std::memory_order_relaxed);
-      break;
+  // order: relaxed — flush-reason stats counters, same contract. A
+  // batch below max_batch closed because the queue ran empty.
+  if (batch.size() == config_.max_batch) {
+    flushes_on_size_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    flushes_on_window_.fetch_add(1, std::memory_order_relaxed);
   }
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -443,18 +387,16 @@ void QueryService::shutdown() {
     }
     space_cv_.notify_all();
     // 3. Let racing admissions settle: after this loop every request
-    //    that will ever be admitted is in some shard's queue.
+    //    that will ever be admitted is in the queue.
     while (admissions_in_flight_.load(std::memory_order_seq_cst) != 0) {
       std::this_thread::yield();
     }
-    // 4. Raise drain: workers flush their queues and exit on empty.
+    // 4. Raise drain: workers empty the queue and exit on empty.
     drain_.store(true, std::memory_order_seq_cst);
-    for (auto& shard : shards_) {
-      {
-        MutexLock lock(shard->park_mutex);
-      }
-      shard->work_cv.notify_all();
+    {
+      MutexLock lock(park_mutex_);
     }
+    work_cv_.notify_all();
     for (auto& w : workers_) w.join();
     workers_.clear();
     state_.store(kStopped, std::memory_order_seq_cst);
@@ -474,7 +416,6 @@ ServeStats QueryService::stats() const {
   out.batches = batches_.load(std::memory_order_relaxed);
   out.flushes_on_size = flushes_on_size_.load(std::memory_order_relaxed);
   out.flushes_on_window = flushes_on_window_.load(std::memory_order_relaxed);
-  out.flushes_on_drain = flushes_on_drain_.load(std::memory_order_relaxed);
   out.swaps = swaps_.load(std::memory_order_relaxed);
   out.ingest_batches = ingest_batches_.load(std::memory_order_relaxed);
   out.ingested_points = ingested_points_.load(std::memory_order_relaxed);
@@ -491,17 +432,8 @@ ServeStats QueryService::stats() const {
                 batched_requests_.load(std::memory_order_relaxed)) /
                 static_cast<double>(out.batches);
   out.latency = latency_.summary();
-  out.shards = shards_.size();
-  out.shard_max_queue_depth.reserve(shards_.size());
-  out.shard_current_queue_depth.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    const std::uint64_t smax = shard->max_depth.load(std::memory_order_relaxed);
-    const std::uint64_t scur = shard->depth.load(std::memory_order_relaxed);
-    out.shard_max_queue_depth.push_back(smax);
-    out.shard_current_queue_depth.push_back(scur);
-    out.max_queue_depth = std::max(out.max_queue_depth, smax);
-    out.current_queue_depth += scur;
-  }
+  out.max_queue_depth = max_depth_.load(std::memory_order_relaxed);
+  out.current_queue_depth = depth_.load(std::memory_order_relaxed);
   const double elapsed_ns = static_cast<double>(
       last_completion_ns_.load(std::memory_order_relaxed));
   out.elapsed_seconds = elapsed_ns / 1e9;

@@ -2,50 +2,44 @@
 //
 // QueryService turns the repository's batch engines into an online
 // service: many client threads submit individual KNN / radius
-// requests; requests are admitted into per-shard lock-free queues,
-// dynamically micro-batched (flush when the batch reaches max_batch or
-// when flush_window has elapsed since the oldest queued request,
-// whichever first), executed on per-shard worker threads through a
-// Backend snapshot, and completed through per-request futures with
-// latency accounting.
+// requests; requests are admitted into one bounded lock-free ring,
+// drained by `workers` threads that each take whatever is queued (up
+// to max_batch) and execute it at once through a Backend snapshot,
+// and completed through per-request futures with latency accounting.
 //
-//   clients ──submit──▶ shard 0: MPMC ring ──collect──▶ micro-batch
-//        ◀──future────  shard 1: MPMC ring ◀──execute── Backend
-//                       ...        (hash-routed, probe on overflow)
+//   clients ──submit──▶ MPMC ring ──take what is queued──▶ batch
+//        ◀──future────            ◀──────execute──────── Backend
 //
-// Why shards: a single mutex-guarded admission queue serializes every
-// client and every worker on one cache line — at "millions of users"
-// rates the admission lock, not the KNN kernel, idles the cores. Each
-// shard owns a bounded Vyukov MPMC ring (parallel/mpmc_queue.hpp), its
-// own worker set, and its own snapshot handle; requests hash-route by
-// query bytes (same query point → same shard → warm cache) and probe
-// the other shards round-robin when the target is full, so load
-// balances before backpressure triggers. The hot admission path is
-// CAS + release-store only: no mutex, no condition variable, no
-// allocation beyond the promise pair.
+// Why a lock-free ring: a mutex-guarded admission queue serializes
+// every client and every worker on one cache line. Admission is a
+// bounded Vyukov MPMC ring (parallel/mpmc_queue.hpp) instead; the hot
+// path is CAS + release-store only: no mutex, no condition variable,
+// no allocation beyond the promise pair. Every worker drains the same
+// ring, which DESIGN.md §8 backs with a closed-loop sweep.
 //
-// Why micro-batching: per-request dispatch pays the full pool fan-out,
-// queue handoff, and cache-cold descent for every query; one batched
-// kernel call amortizes all three across the batch (the ParlayANN /
+// Why batches without a timer: a worker never waits for a batch to
+// fill. Under light load it runs each request alone as soon as it is
+// popped; under heavy load requests pile up while the worker executes,
+// so the next take is a full batch and one batched kernel call
+// amortizes queue handoff and descent across it (the ParlayANN /
 // KNN-join observation — throughput lives in hardware-friendly
-// batches). bench_serve measures the win.
+// batches).
 //
-// Index swap (rebuild-behind-traffic): each shard holds the served
-// Backend in a std::atomic<std::shared_ptr>. Workers pin their shard's
-// current snapshot for exactly one batch; swap_backend() stages the
-// replacement across shards in order, so every request still observes
-// exactly one snapshot — in-flight batches finish on the old index,
-// batches pinned after the swap use the new one, and the old index is
-// destroyed when its last batch drops the reference. Nothing blocks
-// traffic.
+// Index swap (rebuild-behind-traffic): the service holds the served
+// Backend in one std::atomic<std::shared_ptr>. Workers pin the current
+// snapshot for exactly one batch; swap_backend() replaces it with one
+// store, so every request observes exactly one snapshot — in-flight
+// batches finish on the old index, batches pinned after the swap use
+// the new one, and the old index is destroyed when its last batch
+// drops the reference. Nothing blocks traffic.
 //
-// Backpressure: admission is bounded by queue_capacity, split across
-// shards. Overflow::Block parks submitters until space frees
-// (closed-loop clients); Overflow::Reject fails the request once every
-// shard is full (open-loop frontends that shed load instead of
-// growing latency). Both policies are spin-then-park wrappers over the
-// non-blocking ring — the lock only ever appears on the cold
-// (queue-full / queue-empty) edges.
+// Backpressure: admission is bounded by queue_capacity.
+// Overflow::Block parks submitters until space frees (closed-loop
+// clients); Overflow::Reject fails the request once the ring is full
+// (open-loop frontends that shed load instead of growing latency).
+// Both policies are spin-then-park wrappers over the non-blocking ring
+// — the lock only ever appears on the cold (queue-full / queue-empty)
+// edges.
 #pragma once
 
 #include <array>
@@ -66,28 +60,19 @@
 namespace panda::serve {
 
 struct ServeConfig {
-  /// Flush a batch as soon as it holds this many requests.
+  /// The most requests a worker takes from the queue into one batch.
   std::size_t max_batch = 64;
-  /// ... or when this much time has passed since the oldest queued
-  /// request (latency bound under light traffic). Zero flushes
-  /// immediately with whatever is queued.
-  std::chrono::microseconds flush_window{200};
-  /// Admission bound across ALL shards (backpressure trigger). Each
-  /// shard enforces ceil(queue_capacity / shards).
+  /// Admission bound (backpressure trigger).
   std::size_t queue_capacity = 4096;
   enum class Overflow {
     Block,   // submit() waits for queue space
     Reject,  // submit() fails the future / try_submit() returns false
   };
   Overflow overflow = Overflow::Block;
-  /// Batch-executing worker threads PER SHARD. Workers share the
-  /// backend's thread pool; >1 overlaps completion/bookkeeping of one
-  /// batch with the kernel of the next.
+  /// Batch-executing worker threads draining the ring. Workers share
+  /// the backend's thread pool; >1 overlaps the completion and
+  /// bookkeeping of one batch with the kernel of the next.
   int workers = 1;
-  /// Admission shards: independent queue + worker set + snapshot
-  /// handle per shard. Size to one per core group; 1 reproduces the
-  /// single-queue service exactly.
-  int shards = 1;
 };
 
 class QueryService {
@@ -101,15 +86,17 @@ class QueryService {
 
   /// Submits one request; the future completes with the exact answer
   /// (ascending (dist², id), identical to a per-request engine call).
-  /// Validates dimensionality and parameters (throws panda::Error).
-  /// Under Overflow::Block a full service blocks the caller; under
-  /// Overflow::Reject the returned future holds a panda::Error.
-  /// Throws panda::Error if the service has been shut down.
+  /// Validates dimensionality, finite query coordinates and parameters
+  /// (throws panda::Error). Under Overflow::Block a full service blocks
+  /// the caller; under Overflow::Reject the returned future holds a
+  /// panda::Error. Throws panda::Error if the service has been shut
+  /// down.
   std::future<Result> submit(Request request);
 
   /// Reject-style admission without the exception: returns false (and
-  /// leaves *out untouched) if every shard is full or the service is
-  /// stopped, regardless of the configured Overflow policy.
+  /// leaves *out untouched) if the queue is full or the service is
+  /// stopped, regardless of the configured Overflow policy. Invalid
+  /// requests throw panda::Error as in submit().
   bool try_submit(Request request, std::future<Result>* out);
 
   /// Ingest path (live-updatable indexes, DESIGN.md §12): routes a
@@ -128,32 +115,30 @@ class QueryService {
   /// Returns how many ids were live.
   std::size_t erase_ids(std::span<const std::uint64_t> ids);
 
-  /// Replaces the served index snapshot, staged shard by shard. Every
+  /// Replaces the served index snapshot with one atomic store. Every
   /// request observes exactly one snapshot: in-flight batches finish
   /// on the old one, requests admitted after swap_backend returns are
   /// answered by `next`. The old snapshot is released when its last
   /// in-flight batch completes. dims() must match.
   void swap_backend(std::shared_ptr<Backend> next);
 
-  /// The currently served snapshot (shard 0's handle).
+  /// The currently served snapshot.
   std::shared_ptr<Backend> backend() const;
 
-  /// Drains every shard's queue (every admitted request still
-  /// completes exactly once), stops the workers, and rejects future
-  /// submissions. Idempotent and safe to call concurrently (atomic
-  /// state machine + once_flag); also run by the destructor.
+  /// Drains the queue (every admitted request still completes exactly
+  /// once), stops the workers, and rejects future submissions.
+  /// Idempotent and safe to call concurrently (atomic state machine +
+  /// once_flag); also run by the destructor.
   void shutdown();
 
   /// Counter snapshot (see ServeStats).
   ServeStats stats() const;
 
  private:
-  enum class FlushReason { Size, Window, Drain };
-
   /// Service lifecycle (atomic state machine, DESIGN.md §8):
   /// Running —shutdown()→ Draining (admission closed, in-flight
   /// admissions settling, workers still serving) → drain_ raised
-  /// (workers flush queues and exit) → Stopped.
+  /// (workers empty the queue and exit) → Stopped.
   enum State : int { kRunning = 0, kDraining = 1, kStopped = 2 };
 
   struct Pending {
@@ -162,56 +147,32 @@ class QueryService {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// One admission shard. The hot path touches only the ring and the
-  /// two depth atomics; park_mutex/work_cv exist solely to park idle
-  /// workers (queue-empty edge) and are never held while work exists.
-  struct Shard {
-    explicit Shard(std::size_t ring_capacity) : queue(ring_capacity) {}
-
-    parallel::MpmcQueue<Pending> queue;
-    /// Logical occupancy: bounds admission at exactly the configured
-    /// per-shard capacity (the ring rounds up to a power of two) and
-    /// doubles as the queue-depth gauge.
-    std::atomic<std::uint64_t> depth{0};
-    /// High-water mark, maintained by relaxed CAS-max on admission.
-    std::atomic<std::uint64_t> max_depth{0};
-    /// The served snapshot; batches pin it with one atomic load.
-    std::atomic<std::shared_ptr<Backend>> backend;
-
-    // Cold-edge worker parking. The mutex guards no data — the state
-    // workers re-check (depth, drain_) is all atomics; it exists only
-    // so the eventcount notify/wait pair has a common rendezvous.
-    Mutex park_mutex;
-    CondVar work_cv;
-    std::atomic<int> parked{0};
-  };
-
-  void worker_loop(Shard& shard);
+  void worker_loop();
   /// Blocks (spin, then park) until a first request is popped. Returns
-  /// false when draining and the shard's queue is empty (worker exit).
-  bool acquire_first(Shard& shard, Pending& out);
-  /// Fills `batch` (which holds its first request) until max_batch,
-  /// flush_window past the first request, or drain.
-  FlushReason collect_rest(Shard& shard, std::vector<Pending>& batch);
-  void execute(Shard& shard, std::vector<Pending>& batch,
-               FlushReason reason);
+  /// false when draining and the queue is empty (worker exit).
+  bool acquire_first(Pending& out);
+  void execute(std::vector<Pending>& batch);
   /// Core admission; returns false when rejected (full or stopped).
   bool admit(Request&& request, std::future<Result>* out, bool blocking);
-  /// Bounded push onto one shard; false when that shard is at
-  /// capacity. On success wakes a parked worker if any.
-  bool shard_push(Shard& shard, Pending& pending);
-  /// Non-blocking pop from one shard; frees logical space and wakes a
-  /// parked Block-policy submitter if any.
-  bool shard_pop(Shard& shard, Pending& out);
-  /// Hash route: FNV-1a over the query bytes, so identical query
-  /// points land on the same shard (warm top-of-tree cache).
-  std::size_t route(const Request& request) const;
+  /// Bounded push; false when the queue is at capacity. On success
+  /// wakes a parked worker if any.
+  bool push(Pending& pending);
+  /// Non-blocking pop; frees logical space and wakes a parked
+  /// Block-policy submitter if any.
+  bool pop(Pending& out);
   void validate(const Request& request) const;
 
   ServeConfig config_;
   std::size_t dims_;
-  std::size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  parallel::MpmcQueue<Pending> queue_;
+  /// Logical occupancy: bounds admission at exactly queue_capacity (the
+  /// ring rounds up to a power of two) and doubles as the queue-depth
+  /// gauge.
+  std::atomic<std::uint64_t> depth_{0};
+  /// High-water mark, maintained by relaxed CAS-max on admission.
+  std::atomic<std::uint64_t> max_depth_{0};
+  /// The served snapshot; batches pin it with one atomic load.
+  std::atomic<std::shared_ptr<Backend>> backend_;
   std::vector<std::thread> workers_;
 
   // Lifecycle (see State).
@@ -220,8 +181,16 @@ class QueryService {
   std::atomic<int> admissions_in_flight_{0};
   std::once_flag shutdown_once_;
 
-  // Cold-edge parking for Block-policy submitters (every shard full).
-  // Guards no data, same eventcount-rendezvous role as Shard::park_mutex.
+  // Cold-edge worker parking (queue-empty edge). The mutex guards no
+  // data — the state workers re-check (depth_, drain_) is all atomics;
+  // it exists only so the eventcount notify/wait pair has a common
+  // rendezvous.
+  Mutex park_mutex_;
+  CondVar work_cv_;
+  std::atomic<int> parked_{0};
+
+  // Cold-edge parking for Block-policy submitters (queue full). Guards
+  // no data, same eventcount-rendezvous role as park_mutex_.
   mutable Mutex space_mutex_;
   CondVar space_cv_;
   std::atomic<int> space_waiters_{0};
@@ -234,7 +203,6 @@ class QueryService {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> flushes_on_size_{0};
   std::atomic<std::uint64_t> flushes_on_window_{0};
-  std::atomic<std::uint64_t> flushes_on_drain_{0};
   std::atomic<std::uint64_t> swaps_{0};
   std::atomic<std::uint64_t> ingest_batches_{0};
   std::atomic<std::uint64_t> ingested_points_{0};

@@ -57,24 +57,20 @@ class LatencyHistogram {
 /// Snapshot of a QueryService's counters, returned by
 /// QueryService::stats(). Plain values — safe to copy, print, diff.
 struct ServeStats {
-  // Admission. Queue-depth tracking is per shard (one bounded MPMC
-  // ring each, DESIGN.md §8): max_queue_depth is the max over shards'
-  // high-water marks, current_queue_depth the sum of live depths.
+  // Admission into the one bounded MPMC ring (DESIGN.md §8).
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;   // bounded-queue rejects (Overflow::Reject)
   std::uint64_t completed = 0;  // promises fulfilled with a result
   std::uint64_t failed = 0;     // promises completed with an exception
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t current_queue_depth = 0;
-  std::uint64_t shards = 1;
-  std::vector<std::uint64_t> shard_max_queue_depth;      // one per shard
-  std::vector<std::uint64_t> shard_current_queue_depth;  // one per shard
+  std::uint64_t max_queue_depth = 0;      // high-water mark
+  std::uint64_t current_queue_depth = 0;  // live depth
 
-  // Micro-batching.
+  // Micro-batching: a worker takes what is queued, up to max_batch.
   std::uint64_t batches = 0;
-  std::uint64_t flushes_on_size = 0;    // batch reached max_batch
-  std::uint64_t flushes_on_window = 0;  // flush_window elapsed first
-  std::uint64_t flushes_on_drain = 0;   // shutdown drained the queue
+  std::uint64_t flushes_on_size = 0;  // batch reached max_batch
+  /// Batches closed because the queue ran empty below max_batch
+  /// (perfbench's serve.flush_window_frac reads it under this name).
+  std::uint64_t flushes_on_window = 0;
   /// batch_size_log2[b] counts batches with size in [2^b, 2^(b+1)).
   std::vector<std::uint64_t> batch_size_log2;
   double mean_batch_size = 0.0;

@@ -2,7 +2,7 @@
 // FIFO order, capacity rounding, full/empty edges, wrap-around over
 // many laps, move-only payloads, destruction of pending values, and
 // the exactly-once delivery contract under concurrent producers and
-// consumers (the property the sharded serving frontend relies on).
+// consumers (the property the serving frontend relies on).
 #include "parallel/mpmc_queue.hpp"
 
 #include <gtest/gtest.h>

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -796,6 +797,38 @@ TEST(MutableDurability, SeedingANonEmptyDirectoryIsRefused) {
   dup.push_point(std::vector<float>{4.f, 5.f, 6.f}, 1);
   EXPECT_THROW(reopened.insert(dup), Error);
   EXPECT_EQ(reopened.size(), 1u);
+}
+
+// A batch with one non-finite coordinate is refused whole before it is
+// admitted or logged: size() is unchanged, a durable reopen replays
+// nothing of it, and its ids are still free afterwards.
+TEST(MutableDurability, NonFiniteBatchIsRefusedBeforeTheLog) {
+  DurableDir dir;
+  Harness h;
+  const auto gen = data::make_generator("uniform", /*seed=*/61);
+  const MutableConfig config = durable_config(dir.path(), 32);
+  LiveOracle oracle(gen->dims());
+  PointSet fresh(gen->dims());
+  gen->generate(100, 110, fresh);
+  {
+    MutableIndex index(gen->dims(), config, BuildConfig{}, h.pool);
+    PointSet batch(gen->dims());
+    gen->generate(0, 20, batch);
+    index.insert(batch);
+    oracle.insert(batch);
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      PointSet poisoned = fresh;
+      poisoned.coordinate(1)[5] = bad;  // id 105; ids 100..104 precede it
+      EXPECT_THROW(index.insert(poisoned), Error) << bad;
+      EXPECT_EQ(index.size(), 20u) << bad;
+    }
+  }
+  expect_reopens_to(oracle, gen->dims(), config, h);
+  MutableIndex reopened(gen->dims(), config, BuildConfig{}, h.pool);
+  reopened.insert(fresh);  // no id of the refused batch was admitted
+  EXPECT_EQ(reopened.size(), 30u);
 }
 
 TEST(MutableDurability, OverlappingCommittedTreesAreRefused) {

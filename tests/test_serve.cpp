@@ -1,9 +1,12 @@
 // The serving frontend (src/serve): concurrent mixed-kind clients
 // pinned id-exact against the brute-force oracle, mid-traffic index
-// snapshot swaps, micro-batch flush logic (size / window / drain),
-// bounded-queue backpressure in both overflow policies, the
-// distributed backend, and the latency histogram. The concurrency
-// tests here are the ones ci.sh tsan runs under ThreadSanitizer.
+// snapshot swaps, how workers form batches from what is queued (size /
+// empty queue / shutdown drain), bounded-queue backpressure in both
+// overflow policies, refusal of non-finite queries, the distributed
+// backend, and the latency histogram. Tests that need requests to pile
+// up hold the worker inside StallBackend instead of waiting on time.
+// The concurrency tests here are the ones ci.sh tsan runs under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -84,9 +88,12 @@ std::vector<float> query_point(const data::Generator& gen,
 }
 
 /// Test backend that blocks inside run_batch until released — makes
-/// queue-buildup (backpressure) deterministic.
+/// queue buildup (batching, backpressure) deterministic — and records
+/// the query points of every batch in the order batches entered.
 class StallBackend final : public Backend {
  public:
+  using Batch = std::vector<std::vector<float>>;
+
   explicit StallBackend(std::shared_ptr<Backend> inner)
       : inner_(std::move(inner)) {}
 
@@ -96,6 +103,8 @@ class StallBackend final : public Backend {
   void run_batch(std::span<const Request> batch,
                  std::vector<Result>& results) override {
     std::unique_lock<std::mutex> lock(mutex_);
+    Batch& seen = batches_.emplace_back();
+    for (const Request& request : batch) seen.push_back(request.query);
     ++entered_;
     entered_cv_.notify_all();
     gate_cv_.wait(lock, [&] { return open_; });
@@ -115,14 +124,36 @@ class StallBackend final : public Backend {
     gate_cv_.notify_all();
   }
 
+  std::vector<Batch> batches() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batches_;
+  }
+
  private:
   std::shared_ptr<Backend> inner_;
   std::mutex mutex_;
   std::condition_variable entered_cv_;
   std::condition_variable gate_cv_;
+  std::vector<Batch> batches_;
   int entered_ = 0;
   bool open_ = false;
 };
+
+/// Submits `query` until a concurrent shutdown() closes admission and
+/// returns the futures of the requests admitted meanwhile. Under
+/// Overflow::Block a full queue parks the submitter instead of failing
+/// it, so the throw that ends the loop always means admission closed.
+std::vector<std::future<Result>> submit_until_closed(
+    QueryService& service, const std::vector<float>& query, std::size_t k) {
+  std::vector<std::future<Result>> admitted;
+  for (;;) {
+    try {
+      admitted.push_back(service.submit(Request::knn(query, k)));
+    } catch (const panda::Error&) {
+      return admitted;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------
 // Concurrent correctness
@@ -135,7 +166,6 @@ TEST(Serve, MixedConcurrentClientsAgreeWithOracle) {
 
   ServeConfig config;
   config.max_batch = 16;
-  config.flush_window = std::chrono::microseconds(300);
   config.workers = 2;
   QueryService service(f.backend, config);
 
@@ -188,29 +218,35 @@ TEST(Serve, MixedConcurrentClientsAgreeWithOracle) {
 
 // Mixed k values inside one batch exercise the k_max-then-truncate
 // normalization; duplicate-heavy data makes any tie-order slip show up
-// as an id mismatch.
+// as an id mismatch. The worker is held on the first request while the
+// other 24 queue, so they run as three full batches of mixed k.
 TEST(Serve, TieHeavyMixedKBatchesStayIdExact) {
   const std::uint64_t n = 1200;
   Fixture f = make_fixture("dupes", n, 7);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   const auto qgen = data::make_generator("dupes", 7);
 
   ServeConfig config;
   config.max_batch = 8;
-  config.flush_window = std::chrono::milliseconds(50);
-  QueryService service(f.backend, config);
+  QueryService service(stall, config);
 
   std::vector<Request> sent;
   std::vector<std::future<Result>> futures;
-  for (int j = 0; j < 24; ++j) {
+  for (int j = 0; j < 25; ++j) {
     auto q = query_point(*qgen, n + static_cast<std::uint64_t>(j));
     Request request =
         Request::knn(std::move(q), 1 + static_cast<std::size_t>(j % 8));
     sent.push_back(request);
     futures.push_back(service.submit(std::move(request)));
+    if (j == 0) stall->wait_entered(1);
   }
+  stall->open();
   for (std::size_t j = 0; j < futures.size(); ++j) {
     EXPECT_EQ(futures[j].get(), oracle_for(f.points, sent[j])) << j;
   }
+  std::vector<std::size_t> sizes;
+  for (const auto& batch : stall->batches()) sizes.push_back(batch.size());
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 8, 8, 8}));
 }
 
 // ---------------------------------------------------------------------
@@ -240,7 +276,6 @@ TEST(Serve, MidTrafficSwapServesExactlyOneSnapshotPerRequest) {
 
   ServeConfig config;
   config.max_batch = 8;
-  config.flush_window = std::chrono::microseconds(200);
   config.workers = 2;
   QueryService service(backend_a, config);
   backend_a.reset();  // the service (and in-flight batches) own it now
@@ -308,15 +343,17 @@ TEST(Serve, MidTrafficSwapServesExactlyOneSnapshotPerRequest) {
 }
 
 // ---------------------------------------------------------------------
-// Micro-batch flush logic
+// Batch formation: a worker takes whatever is queued, up to max_batch,
+// and runs it at once. Holding the worker inside StallBackend on a
+// first request lets the rest queue, so every batch is exact.
 // ---------------------------------------------------------------------
 
-TEST(Serve, WindowFlushCompletesUnderfullBatches) {
+TEST(Serve, EmptyQueueFlushCompletesUnderfullBatches) {
   Fixture f = make_fixture("gmm", 500, 11);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1000;  // size flush unreachable
-  config.flush_window = std::chrono::milliseconds(2);
-  QueryService service(f.backend, config);
+  QueryService service(stall, config);
 
   const auto qgen = data::make_generator("gmm", 11);
   std::vector<Request> sent;
@@ -326,61 +363,101 @@ TEST(Serve, WindowFlushCompletesUnderfullBatches) {
         query_point(*qgen, 500 + static_cast<std::uint64_t>(j)), 4);
     sent.push_back(request);
     futures.push_back(service.submit(std::move(request)));
+    if (j == 0) stall->wait_entered(1);
   }
+  stall->open();
   for (std::size_t j = 0; j < futures.size(); ++j) {
     EXPECT_EQ(futures[j].get(), oracle_for(f.points, sent[j])) << j;
   }
+  const std::vector<StallBackend::Batch> want = {
+      {sent[0].query}, {sent[1].query, sent[2].query}};
+  EXPECT_EQ(stall->batches(), want);
   const ServeStats stats = service.stats();
   EXPECT_EQ(stats.completed, 3u);
-  EXPECT_GE(stats.flushes_on_window, 1u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.flushes_on_window, 2u);  // both closed on an empty queue
   EXPECT_EQ(stats.flushes_on_size, 0u);
 }
 
+// max_batch 4, the worker held on A while B..I queue: the batches are
+// exactly {A}, {B..E} and {F..I} — one empty-queue flush, two size
+// flushes.
 TEST(Serve, SizeFlushFormsFullBatches) {
   Fixture f = make_fixture("gmm", 500, 12);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 4;
-  config.flush_window = std::chrono::seconds(60);  // window unreachable
-  QueryService service(f.backend, config);
+  QueryService service(stall, config);
 
   const auto qgen = data::make_generator("gmm", 12);
+  std::vector<std::vector<float>> queries;
   std::vector<std::future<Result>> futures;
-  for (int j = 0; j < 8; ++j) {
-    futures.push_back(service.submit(Request::knn(
-        query_point(*qgen, 500 + static_cast<std::uint64_t>(j)), 2)));
+  for (std::uint64_t j = 0; j < 9; ++j) {
+    queries.push_back(query_point(*qgen, 500 + j));
+    futures.push_back(service.submit(Request::knn(queries.back(), 2)));
+    if (j == 0) stall->wait_entered(1);
   }
-  for (auto& future : futures) future.get();
+  stall->open();
+  for (std::size_t j = 0; j < futures.size(); ++j) {
+    EXPECT_EQ(futures[j].get(),
+              baselines::brute_force_knn(f.points, queries[j], 2))
+        << j;
+  }
+  const std::vector<StallBackend::Batch> want = {
+      {queries[0]},
+      {queries[1], queries[2], queries[3], queries[4]},
+      {queries[5], queries[6], queries[7], queries[8]}};
+  EXPECT_EQ(stall->batches(), want);
 
   const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.completed, 9u);
+  EXPECT_EQ(stats.batches, 3u);
   EXPECT_EQ(stats.flushes_on_size, 2u);
-  EXPECT_EQ(stats.flushes_on_window, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 4.0);
+  EXPECT_EQ(stats.flushes_on_window, 1u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 3.0);
   ASSERT_GT(stats.batch_size_log2.size(), 2u);
+  EXPECT_EQ(stats.batch_size_log2[0], 1u);  // {A}
   EXPECT_EQ(stats.batch_size_log2[2], 2u);  // two batches of size 4
 }
 
+// shutdown() while requests are queued behind a held worker: every
+// admitted request still completes, and the stopped service refuses
+// new work explicitly.
 TEST(Serve, ShutdownDrainsAdmittedRequests) {
   Fixture f = make_fixture("gmm", 500, 13);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1000;
-  config.flush_window = std::chrono::seconds(60);
-  QueryService service(f.backend, config);
+  QueryService service(stall, config);
 
   const auto qgen = data::make_generator("gmm", 13);
+  std::vector<std::vector<float>> queries;
   std::vector<std::future<Result>> futures;
-  for (int j = 0; j < 5; ++j) {
-    futures.push_back(service.submit(Request::knn(
-        query_point(*qgen, 500 + static_cast<std::uint64_t>(j)), 3)));
+  for (std::uint64_t j = 0; j < 6; ++j) {
+    queries.push_back(query_point(*qgen, 500 + j));
   }
-  service.shutdown();
-  for (auto& future : futures) {
-    EXPECT_FALSE(future.get().empty());  // drained, not dropped
+  for (std::size_t j = 0; j < 5; ++j) {
+    futures.push_back(service.submit(Request::knn(queries[j], 3)));
+    if (j == 0) stall->wait_entered(1);
   }
+  std::thread closer([&] { service.shutdown(); });
+  std::vector<std::future<Result>> late =
+      submit_until_closed(service, queries[5], 3);
+  stall->open();  // admission is closed; the queue still holds B..E
+  closer.join();
+
+  for (std::size_t j = 0; j < futures.size(); ++j) {
+    EXPECT_EQ(futures[j].get(),
+              baselines::brute_force_knn(f.points, queries[j], 3))
+        << j;  // drained, not dropped
+  }
+  const Result late_oracle =
+      baselines::brute_force_knn(f.points, queries[5], 3);
+  for (auto& future : late) EXPECT_EQ(future.get(), late_oracle);
   const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 5u);
-  EXPECT_GE(stats.flushes_on_drain, 1u);
+  EXPECT_EQ(stats.submitted, 5u + late.size());
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.current_queue_depth, 0u);
 
   // The stopped service rejects new work explicitly.
   EXPECT_THROW(service.submit(Request::knn(query_point(*qgen, 600), 1)),
@@ -399,7 +476,6 @@ TEST(Serve, RejectPolicyShedsLoadWhenQueueIsFull) {
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 2;
-  config.flush_window = std::chrono::microseconds(0);
   config.queue_capacity = 2;
   config.overflow = ServeConfig::Overflow::Reject;
   QueryService service(stall, config);
@@ -444,7 +520,6 @@ TEST(Serve, BlockPolicyStallsSubmittersInsteadOfShedding) {
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1;
-  config.flush_window = std::chrono::microseconds(0);
   config.queue_capacity = 1;
   config.overflow = ServeConfig::Overflow::Block;
   QueryService service(stall, config);
@@ -476,12 +551,13 @@ TEST(Serve, BlockPolicyStallsSubmittersInsteadOfShedding) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded admission (DESIGN.md §8: per-shard MPMC rings)
+// Several workers on the one ring
 // ---------------------------------------------------------------------
 
-// The shard count is a pure routing/throughput knob: the same request
-// stream must produce id-identical answers at every shard count.
-TEST(Serve, ShardSweepStaysIdExactAcrossShardCounts) {
+// The worker count is a pure throughput knob: the same mixed KNN and
+// radius stream must produce id-identical answers with 1, 2 or 4
+// workers draining the ring.
+TEST(Serve, WorkerSweepStaysIdExactAcrossWorkerCounts) {
   const std::uint64_t n = 2000;
   Fixture f = make_fixture("gmm", n, 33);
   const auto qgen = data::make_generator("gmm", 33);
@@ -500,11 +576,10 @@ TEST(Serve, ShardSweepStaysIdExactAcrossShardCounts) {
     oracle.push_back(oracle_for(f.points, request));
   }
 
-  for (const int shards : {1, 2, 4}) {
+  for (const int workers : {1, 2, 4}) {
     ServeConfig config;
     config.max_batch = 8;
-    config.flush_window = std::chrono::microseconds(300);
-    config.shards = shards;
+    config.workers = workers;
     QueryService service(f.backend, config);
 
     std::vector<std::future<Result>> futures;
@@ -513,32 +588,22 @@ TEST(Serve, ShardSweepStaysIdExactAcrossShardCounts) {
       futures.push_back(service.submit(request));
     }
     for (std::size_t j = 0; j < futures.size(); ++j) {
-      EXPECT_EQ(futures[j].get(), oracle[j]) << "shards=" << shards
+      EXPECT_EQ(futures[j].get(), oracle[j]) << "workers=" << workers
                                              << " request " << j;
     }
 
     const ServeStats stats = service.stats();
-    EXPECT_EQ(stats.shards, static_cast<std::uint64_t>(shards));
-    ASSERT_EQ(stats.shard_max_queue_depth.size(),
-              static_cast<std::size_t>(shards));
-    ASSERT_EQ(stats.shard_current_queue_depth.size(),
-              static_cast<std::size_t>(shards));
     EXPECT_EQ(stats.submitted, stream.size());
     EXPECT_EQ(stats.completed, stream.size());
     EXPECT_EQ(stats.rejected, 0u);
     EXPECT_EQ(stats.current_queue_depth, 0u);  // all drained
-    std::uint64_t max_over_shards = 0;
-    for (const std::uint64_t d : stats.shard_max_queue_depth) {
-      max_over_shards = std::max(max_over_shards, d);
-    }
-    EXPECT_EQ(stats.max_queue_depth, max_over_shards);
   }
 }
 
-// swap_backend stages the new snapshot across every shard before it
-// returns: a request admitted afterwards must be answered by B no
-// matter which shard it routes to.
-TEST(Serve, SwapStagesAcrossAllShards) {
+// swap_backend is one store that every worker's next pin observes: four
+// workers, each held inside the new snapshot on a batch of one, all
+// answer from B, and nothing pins A once the service stops.
+TEST(Serve, SwapReachesEveryWorker) {
   constexpr std::uint64_t kIdOffset = 1000000;
   const std::uint64_t n = 1000;
   const auto gen_a = data::make_generator("gmm", 51);
@@ -554,14 +619,13 @@ TEST(Serve, SwapStagesAcrossAllShards) {
   options.pool = pool;
   auto backend_a = std::make_shared<IndexBackend>(
       panda::Index::build(points_a, options));
-  auto backend_b = std::make_shared<IndexBackend>(
-      panda::Index::build(points_b, options));
+  auto stall_b = std::make_shared<StallBackend>(std::make_shared<IndexBackend>(
+      panda::Index::build(points_b, options)));
   std::weak_ptr<IndexBackend> watch_a = backend_a;
 
   ServeConfig config;
-  config.max_batch = 4;
-  config.flush_window = std::chrono::microseconds(200);
-  config.shards = 4;
+  config.max_batch = 1;
+  config.workers = 4;
   QueryService service(backend_a, config);
   backend_a.reset();
 
@@ -574,33 +638,36 @@ TEST(Serve, SwapStagesAcrossAllShards) {
     ASSERT_FALSE(r.empty());
     EXPECT_LT(r.front().id, kIdOffset);
   }
-  // ...swap, then hit all shards: 32 distinct queries make every
-  // shard overwhelmingly likely to serve at least one.
-  service.swap_backend(backend_b);
-  for (std::uint64_t j = 0; j < 32; ++j) {
-    const auto q = query_point(*qgen, 8000 + j);
-    const Result r = service.submit(Request::knn(q, k)).get();
-    ASSERT_FALSE(r.empty());
-    EXPECT_GE(r.front().id, kIdOffset) << "request " << j
-                                       << " answered by the old snapshot";
-    EXPECT_EQ(r, baselines::brute_force_knn(points_b, q, k));
+  // ...swap, then four batches of one inside B at once: one per worker.
+  service.swap_backend(stall_b);
+  std::vector<std::vector<float>> queries;
+  std::vector<std::future<Result>> futures;
+  for (std::uint64_t j = 0; j < 4; ++j) {
+    queries.push_back(query_point(*qgen, 8000 + j));
+    futures.push_back(service.submit(Request::knn(queries.back(), k)));
+  }
+  stall_b->wait_entered(4);
+  stall_b->open();
+  for (std::size_t j = 0; j < futures.size(); ++j) {
+    EXPECT_EQ(futures[j].get(),
+              baselines::brute_force_knn(points_b, queries[j], k))
+        << "request " << j;
   }
   EXPECT_EQ(service.stats().swaps, 1u);
   service.shutdown();
-  EXPECT_TRUE(watch_a.expired());  // no shard still pins A
+  EXPECT_TRUE(watch_a.expired());  // no worker still pins A
 }
 
-// Reject policy with sharded admission: workers stall inside the
-// backend, the bounded shards absorb at most (in-flight + queued)
-// requests, and everything admitted completes id-exact once released.
-TEST(Serve, RejectPolicyShedsAcrossStalledShards) {
+// Reject policy with two workers held inside the backend: each holds
+// one request, the ring queues queue_capacity more, every later request
+// is shed, and everything admitted completes id-exact once released.
+TEST(Serve, RejectPolicyShedsBehindStalledWorkers) {
   Fixture f = make_fixture("gmm", 400, 23, /*pool_threads=*/1);
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1;
-  config.flush_window = std::chrono::microseconds(0);
-  config.queue_capacity = 2;  // 1 per shard
-  config.shards = 2;
+  config.queue_capacity = 2;
+  config.workers = 2;
   config.overflow = ServeConfig::Overflow::Reject;
   QueryService service(stall, config);
 
@@ -617,45 +684,43 @@ TEST(Serve, RejectPolicyShedsAcrossStalledShards) {
     } else {
       ++rejected;
     }
+    if (j == 1) stall->wait_entered(2);  // both workers hold one each
   }
-  // Two stalled workers hold one request each; two shard slots queue
-  // one more each — at most 4 of the 10 can be absorbed.
-  EXPECT_GE(accepted.size(), 1u);
-  EXPECT_LE(accepted.size(), 4u);
-  EXPECT_EQ(rejected, 10 - static_cast<int>(accepted.size()));
+  // Two held by the workers plus two queued: exactly 4 of the 10.
+  EXPECT_EQ(accepted.size(), 4u);
+  EXPECT_EQ(rejected, 6);
 
   stall->open();
   for (std::size_t j = 0; j < accepted.size(); ++j) {
     EXPECT_EQ(accepted[j].get(), oracle_for(f.points, sent[j])) << j;
   }
   const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.shards, 2u);
-  EXPECT_EQ(stats.submitted, accepted.size());
-  EXPECT_EQ(stats.completed, accepted.size());
-  EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(rejected));
-  EXPECT_LE(stats.max_queue_depth, 1u);  // per-shard bound held
+  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.rejected, 6u);
+  EXPECT_EQ(stats.max_queue_depth, 2u);  // the capacity bound held
 }
 
-// Block policy with every shard full parks the submitter (instead of
-// spinning the admission path) and admits it as soon as space frees.
-TEST(Serve, BlockPolicyParksWhenEveryShardIsFull) {
+// Block policy with two workers held and the ring full parks the
+// submitter (instead of spinning the admission path) and admits it as
+// soon as a worker frees space.
+TEST(Serve, BlockPolicyParksBehindStalledWorkers) {
   Fixture f = make_fixture("gmm", 400, 24, /*pool_threads=*/1);
   auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 1;
-  config.flush_window = std::chrono::microseconds(0);
-  config.queue_capacity = 2;  // 1 per shard
-  config.shards = 2;
+  config.queue_capacity = 2;
+  config.workers = 2;
   config.overflow = ServeConfig::Overflow::Block;
   QueryService service(stall, config);
 
   const auto qgen = data::make_generator("gmm", 24);
-  // Saturate: 2 in-flight + 2 queued fills the service no matter how
-  // the requests hash (admission probes every shard before parking).
+  // Saturate: 2 held by the workers + 2 queued fills the service.
   std::vector<std::future<Result>> filled;
   for (std::uint64_t j = 0; j < 4; ++j) {
     filled.push_back(
         service.submit(Request::knn(query_point(*qgen, 4000 + j), 2)));
+    if (j == 1) stall->wait_entered(2);
   }
   std::atomic<bool> fifth_admitted{false};
   std::future<Result> f5;
@@ -664,9 +729,8 @@ TEST(Serve, BlockPolicyParksWhenEveryShardIsFull) {
     fifth_admitted.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // Workers may have drained queue slots by stalling on their first
-  // batch, so the fifth submitter may or may not still be parked here;
-  // what matters is that it is admitted once the backend opens.
+  EXPECT_FALSE(fifth_admitted.load());  // ring full: submitter parked
+
   stall->open();
   blocked.join();
   EXPECT_TRUE(fifth_admitted.load());
@@ -675,7 +739,48 @@ TEST(Serve, BlockPolicyParksWhenEveryShardIsFull) {
   const ServeStats stats = service.stats();
   EXPECT_EQ(stats.submitted, 5u);
   EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_LE(stats.max_queue_depth, 1u);
+  EXPECT_EQ(stats.max_queue_depth, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Input validation at admission
+// ---------------------------------------------------------------------
+
+// A NaN or infinite coordinate would break the (dist², id) order every
+// answer is sorted by. Admission refuses such a request on its own,
+// through either entry point and for either kind, and the service then
+// answers a valid request exactly.
+TEST(Serve, NonFiniteQueriesAreRefusedAtAdmission) {
+  Fixture f = make_fixture("cosmo", 500, 31);
+  ServeConfig config;
+  QueryService service(f.backend, config);
+
+  const auto qgen = data::make_generator("cosmo", 31);
+  const std::vector<float> good = query_point(*qgen, 900);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    for (std::size_t d = 0; d < good.size(); ++d) {
+      std::vector<float> q = good;
+      q[d] = bad;
+      for (const Request& request :
+           {Request::knn(q, 5), Request::radius_search(q, 0.05f)}) {
+        EXPECT_THROW(service.submit(request), panda::Error)
+            << bad << " in dimension " << d;
+        std::future<Result> unused;
+        EXPECT_THROW(service.try_submit(request, &unused), panda::Error)
+            << bad << " in dimension " << d;
+        EXPECT_FALSE(unused.valid());
+      }
+    }
+  }
+  EXPECT_EQ(service.submit(Request::knn(good, 5)).get(),
+            baselines::brute_force_knn(f.points, good, 5));
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -684,31 +789,37 @@ TEST(Serve, BlockPolicyParksWhenEveryShardIsFull) {
 
 TEST(Serve, ShutdownIsIdempotentAndSafeUnderConcurrentCalls) {
   Fixture f = make_fixture("gmm", 500, 25);
+  auto stall = std::make_shared<StallBackend>(f.backend);
   ServeConfig config;
   config.max_batch = 4;
-  config.flush_window = std::chrono::seconds(60);
-  config.shards = 2;
-  QueryService service(f.backend, config);
+  config.workers = 2;
+  QueryService service(stall, config);
 
   const auto qgen = data::make_generator("gmm", 25);
   std::vector<std::future<Result>> futures;
   for (std::uint64_t j = 0; j < 6; ++j) {
     futures.push_back(
         service.submit(Request::knn(query_point(*qgen, 500 + j), 3)));
+    if (j == 0) stall->wait_entered(1);  // hold the rest back
   }
 
-  // Three racing shutdown calls: exactly one drains, the others are
-  // no-ops that still return only after the service is stopped.
+  // Three racing shutdown calls while requests are held: exactly one
+  // drains, the others are no-ops that still return only after the
+  // service is stopped.
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&] { service.shutdown(); });
   }
+  std::vector<std::future<Result>> late =
+      submit_until_closed(service, query_point(*qgen, 506), 3);
+  stall->open();
   for (auto& t : threads) t.join();
   service.shutdown();  // and once more, sequentially
 
   for (auto& future : futures) EXPECT_FALSE(future.get().empty());
+  for (auto& future : late) EXPECT_FALSE(future.get().empty());
   const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.completed, 6u + late.size());
   EXPECT_EQ(stats.current_queue_depth, 0u);
   EXPECT_THROW(service.submit(Request::knn(query_point(*qgen, 900), 1)),
                panda::Error);
@@ -735,7 +846,6 @@ TEST(Serve, DistBackendServesMixedTrafficExactly) {
 
   ServeConfig config;
   config.max_batch = 8;
-  config.flush_window = std::chrono::milliseconds(1);
   QueryService service(backend, config);
 
   const auto qgen = data::make_generator("cosmo", 98);
@@ -837,7 +947,7 @@ TEST(ServeIngest, WritesVisibleOnReturnAndExactBehindTraffic) {
   Fixture f = make_mutable_fixture(n, 11, /*buffer_capacity=*/64);
   ASSERT_TRUE(f.backend->mutable_index());
   ServeConfig config;
-  config.shards = 2;
+  config.workers = 2;
   QueryService service(f.backend, config);
 
   // Background clients keep the queues and merge machinery busy; their
