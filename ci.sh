@@ -3,8 +3,9 @@
 #
 #   ci.sh            — tier-1 verify (configure, build, ctest) plus
 #                      format + header checks, a microbenchmark
-#                      baseline (BENCH_seed.json), and a perf-harness
-#                      smoke run.
+#                      baseline (BENCH_seed.json), a perf-harness
+#                      smoke run, and the benchmark's own smoke test
+#                      (perf-smoke).
 #   ci.sh format     — clang-format --dry-run -Werror over src/,
 #                      tests/, bench/, examples/ (skipped with a
 #                      warning when clang-format is not installed).
@@ -77,6 +78,15 @@
 #                      no-rebuild-stall + bounded-merge-interference
 #                      contract. Runs automatically at the end of the
 #                      default mode.
+#   ci.sh perf-smoke — the benchmark's own tests
+#                      (perfbench/test_perfbench.py): the ledger
+#                      arithmetic on synthetic traces, then a Release
+#                      build of perfbench (into .bench_build/) that runs
+#                      every workload at smoke size, traced and
+#                      untraced, and fails on any oracle mismatch or
+#                      missing metric. Needs only python3; skipped with
+#                      a warning without it, like the invariant lint.
+#                      Runs last in the default mode.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -316,8 +326,22 @@ if [[ "$MODE" == "bench-smoke" ]]; then
   exit 0
 fi
 
+perf_smoke() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "ci.sh: python3 not installed — perf-smoke skipped"
+    return 0
+  fi
+  python3 perfbench/test_perfbench.py
+  echo "ci.sh: perf-smoke OK"
+}
+
+if [[ "$MODE" == "perf-smoke" ]]; then
+  perf_smoke
+  exit 0
+fi
+
 if [[ "$MODE" != "default" ]]; then
-  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|stress [N]|native|tsan|bench-smoke]" >&2
+  echo "usage: ci.sh [format|analyze|headers|sanitize|crash|stress [N]|native|tsan|bench-smoke|perf-smoke]" >&2
   exit 1
 fi
 
@@ -340,4 +364,6 @@ fi
 # Perf-harness smoke: tiny-size runs of the hot-path, serving, and
 # facade benches so the harnesses stay buildable and runnable.
 bench_smoke
+# The benchmark's own oracle checks at smoke size.
+perf_smoke
 echo "ci.sh: OK"

@@ -114,6 +114,7 @@ std::unique_ptr<Index> Index::build(const data::PointSet& points,
   PANDA_CHECK_MSG(points.dims() >= 1,
                   "Index::build needs points with at least one dimension");
   validate_options(options);
+  data::require_finite(data::PointSetView(points), "Index::build");
   switch (options.engine) {
     case IndexOptions::Engine::Local:
       return api::make_local_index(points, options);
@@ -135,11 +136,12 @@ std::unique_ptr<Index> Index::build(const data::PointStorage& points,
                   "Index::build needs points with at least one dimension");
   validate_options(options);
   if (options.engine == IndexOptions::Engine::Local) {
+    if (points.resident()) data::require_finite(points, "Index::build");
     return api::make_local_index(points, options);
   }
   // The non-local engines take owned PointSets; materialize through
   // the chunk protocol (works on every backend, needs the collection
-  // to fit in RAM).
+  // to fit in RAM). The PointSet overload checks the coordinates.
   const data::PointSet owned = points.to_point_set();
   return build(owned, options);
 }

@@ -153,9 +153,10 @@ struct SearchParams {
   /// strict convention of DESIGN.md §5); also the uniform radius of
   /// the radius_into convenience overload. Default unbounded.
   float radius = std::numeric_limits<float>::infinity();
-  /// Traversal pruning policy, honored by the kd-tree engines (Local
-  /// and Dist forward it; the baseline adapters are always exact).
-  /// The default is the only policy with an exactness guarantee.
+  /// Traversal pruning policy, honored by the kd-tree engines (Local,
+  /// Dist and Mutable forward it; the baseline adapters are always
+  /// exact). The default is the only policy with an exactness
+  /// guarantee.
   core::TraversalPolicy policy = core::TraversalPolicy::Exact;
 };
 
@@ -290,7 +291,9 @@ class Index {
 
   /// Builds an index over `points` with the engine selected by
   /// `options`. Validates options (throws panda::Error on nonsense —
-  /// empty dims, ranks < 1, negative threads).
+  /// empty dims, ranks < 1, negative threads) and refuses a NaN or
+  /// infinite coordinate with a panda::Error naming the point id and
+  /// dimension.
   static std::unique_ptr<Index> build(const data::PointSet& points,
                                       const IndexOptions& options = {});
 
@@ -300,6 +303,8 @@ class Index {
   /// options.memory_budget_bytes, switching to the out-of-core build
   /// when the points exceed it); the other engines materialize a
   /// PointSet first, so they require the collection to fit in RAM.
+  /// Coordinates are checked as above, except on non-resident storage
+  /// (the out-of-core Local build), which is not checked.
   static std::unique_ptr<Index> build(const data::PointStorage& points,
                                       const IndexOptions& options = {});
 

@@ -36,8 +36,8 @@ class MutableIndexAdapter final : public Index {
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
     core_->knn_batch(queries, params.k, results, ws.forest, params.policy);
     if (params.radius != std::numeric_limits<float>::infinity()) {
-      // The forest merge has no per-query pruning-bound plumbing;
-      // rows are ascending, so the strict prefix is the exact answer.
+      // The forest's heap takes no radius bound; rows are ascending,
+      // so the strict prefix is the exact answer.
       for (std::size_t i = 0; i < results.size(); ++i) {
         results.set_count(i,
                           radius_prefix(results[i], params.radius).size());

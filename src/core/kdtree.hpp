@@ -17,12 +17,16 @@
 // out with sibling children adjacent, while leaf bucket metadata
 // (packed offset + live count) lives in a separate cold LeafInfo
 // array touched only when a bucket is actually scanned. Querying
-// implements Algorithm 1 as an explicit-stack iterative descent with
-// a bounded max-heap, near-child-first ordering, lower-bound pruning,
-// and a prefetch of each admitted far-child record. Two pruning
-// policies are provided (see TraversalPolicy); the default is exact.
-// Radius-limited queries (the r of Algorithm 1) support the
-// distributed remote-KNN stage.
+// implements Algorithm 1 as one explicit-stack iterative descent with
+// near-child-first ordering, lower-bound pruning, and a prefetch of
+// each admitted far-child record. A small sink decides what a leaf
+// keeps, which bound prunes and when to stop, so the same loop answers
+// KNN (a bounded candidate heap), radius search (rows), the
+// leaf-budgeted approximate query, and the live forest's per-tree
+// queries (a shared heap that skips dead ids). Two pruning policies
+// are provided (see TraversalPolicy); the default is exact. Radius-
+// limited KNN (the r of Algorithm 1) supports the distributed
+// remote-KNN stage.
 //
 // Result and scratch memory are caller-owned on the native entry
 // points: query_sq_into / query_radius_into take a QueryWorkspace, the
@@ -226,12 +230,24 @@ class KdTree {
                             QueryStats* stats = nullptr,
                             std::uint64_t radius_bound_id = 0) const;
 
+  /// Feeds the caller's heap with this tree's candidates for `query`,
+  /// pruning by the heap's current k-th best (dist², id) bound, and
+  /// skips every id in `dead` (sorted ascending) at admission, so dead
+  /// ids never tighten the bound. The heap is neither reset nor
+  /// drained: the live forest (core::MutableIndex) runs one heap
+  /// through its write buffer and every tree. `ws` lends only its
+  /// offsets, stacks and distance buffer, so `heap` may be ws.heap.
+  void offer_knn(std::span<const float> query, KnnHeap& heap,
+                 QueryWorkspace& ws,
+                 std::span<const std::uint64_t> dead = {},
+                 TraversalPolicy policy = TraversalPolicy::Exact,
+                 QueryStats* stats = nullptr) const;
+
   /// Batched KNN over `queries` into a flat NeighborTable (top-k mode,
   /// stride k), the bulk entry point of the all-KNN engine and the
   /// serving backend: one parallel::for_chunks fan-out answers query i
-  /// with query_sq_into into row i, the same per-query path the forest
-  /// takes (DESIGN.md §9.2, §12.4). Results are identical to per-query
-  /// query_sq.
+  /// with query_sq_into into row i (DESIGN.md §9.2). Results are
+  /// identical to per-query query_sq.
   ///
   /// radius2s/radius_bound_ids give per-query pruning bounds with the
   /// query_sq_into semantics above (both empty = unbounded; when
@@ -269,8 +285,17 @@ class KdTree {
                    TraversalPolicy policy = TraversalPolicy::Exact,
                    QueryStats* stats = nullptr) const;
 
+  /// Appends every neighbor within metric `radius` (squared distance
+  /// strictly less than radius²) whose id is not in `dead` (sorted
+  /// ascending) to `out`, after the rows already there and unsorted.
+  /// With warm capacity the call makes zero allocations.
+  void append_radius(std::span<const float> query, float radius,
+                     QueryWorkspace& ws, std::vector<Neighbor>& out,
+                     std::span<const std::uint64_t> dead = {},
+                     QueryStats* stats = nullptr) const;
+
   /// All neighbors within metric `radius` (squared distance strictly
-  /// less than radius²), appended to `out` sorted ascending, unbounded
+  /// less than radius²), written to `out` sorted ascending, unbounded
   /// count. `out` is cleared first; with warm capacity the call makes
   /// zero allocations.
   void query_radius_into(std::span<const float> query, float radius,
@@ -423,22 +448,22 @@ class KdTree {
   /// nodes_ is bounded well under 2^32 - 1 entries).
   static constexpr std::uint32_t kNoNode = 0xffffffffu;
 
-  /// Iterative explicit-stack exact traversal from the root, with
-  /// far-child prefetch; visit order, pruning decisions and stats are
-  /// identical to the classic recursion.
-  void search_exact(const float* query, KnnHeap& heap, QueryWorkspace& ws,
+  // The descent and its leaf scan, templated on the sink that decides
+  // what a leaf keeps, which bound prunes and when to stop (the sinks
+  // and every instantiation live in kdtree_query.cpp).
+
+  /// The one exact descent: iterative explicit-stack traversal from
+  /// the root with far-child prefetch; visit order, pruning decisions
+  /// and stats are identical to the classic recursion.
+  template <typename Sink>
+  void search_exact(const float* query, Sink& sink, QueryWorkspace& ws,
                     QueryStats& stats, std::uint32_t skip_node = kNoNode) const;
-  void search_budgeted(std::uint32_t node_index, const float* query,
-                       KnnHeap& heap, float region_dist2, float* offsets,
-                       QueryWorkspace& ws, std::uint64_t& leaf_budget,
-                       QueryStats& stats) const;
-  void search_radius(std::uint32_t node_index, const float* query,
-                     float radius2, float region_dist2, float* offsets,
-                     AlignedVector<float>& dist, std::vector<Neighbor>& out,
-                     QueryStats& stats) const;
-  void search_paper(const float* query, KnnHeap& heap, QueryWorkspace& ws,
+  /// Algorithm 1 as printed (TraversalPolicy::PaperFormula).
+  template <typename Sink>
+  void search_paper(const float* query, Sink& sink, QueryWorkspace& ws,
                     QueryStats& stats) const;
-  void scan_leaf(const LeafInfo& leaf, const float* query, KnnHeap& heap,
+  template <typename Sink>
+  void scan_leaf(const LeafInfo& leaf, const float* query, Sink& sink,
                  QueryWorkspace& ws, QueryStats& stats) const;
   /// One self-join query (query_self_batch): prime with the home leaf
   /// the query point lives in, traverse skipping it, extract into the

@@ -1,15 +1,22 @@
 // Local KNN querying (paper Algorithm 1 / Section III-C).
 //
-// The exact traversal is an explicit-stack iterative DFS over the hot
-// node array (DESIGN.md §9): the near-child chain is walked inline,
-// admitted far children are pushed as FarEntry records (with a
-// prefetch of their hot node) and re-checked against the tightened
-// bound when popped — the pop-time check is exactly the recursion's
-// post-near-subtree check, so visit order, pruning decisions, stats
-// and results are identical to the classic recursive formulation. The
-// Arya–Mount offsets array is maintained with an undo log: each far
-// entry records the log level at push time; popping unwinds the log to
-// that level before applying its own plane replacement.
+// One descent answers every query: search_exact, an explicit-stack
+// iterative DFS over the hot node array (DESIGN.md §9). The near-child
+// chain is walked inline, admitted far children are pushed as FarEntry
+// records (with a prefetch of their hot node) and re-checked against
+// the tightened bound when popped — the pop-time check is exactly the
+// recursion's post-near-subtree check, so visit order, pruning
+// decisions, stats and results are identical to the classic recursive
+// formulation. The Arya–Mount offsets array is maintained with an undo
+// log: each far entry records the log level at push time; popping
+// unwinds the log to that level before applying its own plane
+// replacement.
+//
+// The descent is templated on a sink that decides what a leaf keeps,
+// which bound prunes and when to stop: a KNN heap (with a sorted
+// dead-id list the forest passes), the same heap with a leaf budget
+// (query_approx), or radius rows. search_paper, the printed
+// Algorithm 1 kept for the ablation, takes the same sinks.
 //
 // All scratch (heap, offsets, stacks, SIMD distance buffer, AoS query
 // copy) lives in the caller's QueryWorkspace; the std::vector shims
@@ -17,6 +24,7 @@
 // signatures without per-call scratch allocations.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -53,6 +61,66 @@ std::size_t strip_radius_sentinels(const Neighbor* row, std::size_t count,
   return count;
 }
 
+// The sinks of the one descent (search_exact, search_paper, scan_leaf):
+//   admit_bound() — the leaf scan offers the lanes with d2 <= it
+//                   (+inf: every lane, no mask);
+//   prune_bound() — a region whose lower bound is <= it is visited;
+//   offer(d2, id) — one lane that passed admit_bound();
+//   leaf_done()   — asked after every leaf the descent opens; true
+//                   stops the descent.
+
+/// k nearest into a caller's heap, skipping the ids of a sorted dead
+/// list. The list is searched only for candidates the heap would keep:
+/// on duplicate-heavy data every lane tied at the bound passes the
+/// mask, and a binary search per such lane would dominate the scan.
+/// Dead ids never enter the heap, so they never tighten its bound.
+struct KnnSink {
+  KnnHeap& heap;
+  std::span<const std::uint64_t> dead;
+
+  float admit_bound() const { return heap.bound(); }
+  float prune_bound() const { return heap.bound() * kBoundSlack; }
+  void offer(float d2, std::uint64_t id) {
+    if (!dead.empty() && heap.admits(d2, id) &&
+        std::binary_search(dead.begin(), dead.end(), id)) {
+      return;
+    }
+    heap.offer(d2, id);
+  }
+  static constexpr bool leaf_done() { return false; }
+};
+
+/// query_approx: KnnSink with a leaf budget. Every leaf the descent
+/// opens spends one unit, empty ones included, and the descent stops
+/// right after the leaf that spends the last.
+struct BudgetSink : KnnSink {
+  std::uint64_t budget;
+
+  bool leaf_done() { return --budget == 0; }
+};
+
+/// Fixed radius: appends every lane with d2 < r2 whose id is not dead,
+/// unsorted. Both bounds are held one float below their strict limits
+/// (std::nextafter toward -inf of r2 and of r2 · kBoundSlack), so the
+/// non-strict leaf mask and prune test compute d2 < r2 and lower bound
+/// < r2 · kBoundSlack bit for bit.
+struct RadiusSink {
+  float admit;
+  float prune;
+  std::vector<Neighbor>& out;
+  std::span<const std::uint64_t> dead;
+
+  float admit_bound() const { return admit; }
+  float prune_bound() const { return prune; }
+  void offer(float d2, std::uint64_t id) {
+    if (!dead.empty() && std::binary_search(dead.begin(), dead.end(), id)) {
+      return;
+    }
+    out.push_back({d2, id});
+  }
+  static constexpr bool leaf_done() { return false; }
+};
+
 /// Dynamic-scheduling grain: caps at `max_grain` (64 queries, or 8
 /// leaves for the self-join) but splits small batches across the pool
 /// so a 64-request serving batch does not serialize onto one thread.
@@ -65,7 +133,8 @@ std::uint64_t batch_grain(std::uint64_t n, int threads,
 
 }  // namespace
 
-void KdTree::scan_leaf(const LeafInfo& leaf, const float* query, KnnHeap& heap,
+template <typename Sink>
+void KdTree::scan_leaf(const LeafInfo& leaf, const float* query, Sink& sink,
                        QueryWorkspace& ws, QueryStats& stats) const {
   const std::uint64_t stride = simd::padded_count(leaf.count);
   if (stride == 0) return;
@@ -78,29 +147,30 @@ void KdTree::scan_leaf(const LeafInfo& leaf, const float* query, KnnHeap& heap,
     __builtin_prefetch(ids + b);
   }
   // Live lanes only: the leaf's points rounded up to one lane group.
-  // Lanes past leaf.count never reach the heap.
+  // Lanes past leaf.count never reach the sink.
   simd::squared_distances_inline(query, block, stride,
                                  simd::live_lanes(leaf.count), dims_,
                                  ws.dist.data());
   stats.leaves_visited += 1;
   stats.points_scanned += leaf.count;
-  const float bound = heap.bound();
+  const float bound = sink.admit_bound();
   const float* d2s = ws.dist.data();
-  if (bound == std::numeric_limits<float>::infinity()) {
+  if (bound == kInf) {
     // Unbounded heap (first bucket of an unseeded query): every lane
     // passes, so the mask would be pure overhead.
     for (std::uint64_t i = 0; i < leaf.count; ++i) {
-      heap.offer(d2s[i], ids[i]);
+      sink.offer(d2s[i], ids[i]);
     }
     return;
   }
   // Bitmask selection: buckets the traversal opens border the query
   // ball, so a per-lane admission branch mispredicts constantly; the
   // bound test runs as a SIMD compare instead and only set lanes are
-  // offered, in lane order. The bound is read once — offers re-validate
-  // against the tightening bound, so the admitted set is unchanged.
-  // Non-strict: a candidate exactly at the bound can still win its tie
-  // by id — offer() applies the full (dist², id) comparison.
+  // offered, in lane order. The bound is read once — a heap offer
+  // re-validates against the tightening bound, so the admitted set is
+  // unchanged. Non-strict: a candidate exactly at the bound can still
+  // win its tie by id — KnnHeap::offer applies the full (dist², id)
+  // comparison.
   for (std::uint64_t base = 0; base < leaf.count; base += simd::kMaskWord) {
     const std::size_t n =
         std::min<std::uint64_t>(simd::kMaskWord, leaf.count - base);
@@ -108,15 +178,16 @@ void KdTree::scan_leaf(const LeafInfo& leaf, const float* query, KnnHeap& heap,
          mask != 0; mask &= mask - 1) {
       const std::uint64_t i = base + static_cast<std::uint64_t>(
                                          std::countr_zero(mask));
-      heap.offer(d2s[i], ids[i]);
+      sink.offer(d2s[i], ids[i]);
     }
   }
 }
 
-void KdTree::search_exact(const float* query, KnnHeap& heap,
-                          QueryWorkspace& ws, QueryStats& stats,
-                          std::uint32_t skip_node) const {
-  float* offsets = ws.offsets.data();  // zeroed by the caller
+template <typename Sink>
+void KdTree::search_exact(const float* query, Sink& sink, QueryWorkspace& ws,
+                          QueryStats& stats, std::uint32_t skip_node) const {
+  float* offsets = ws.offsets.data();
+  std::fill_n(offsets, dims_, 0.0f);
   // Raw-pointer stacks over workspace storage: at any moment the
   // stack holds at most one far entry per level of the current
   // root-to-node path (entries of completed subtrees are popped before
@@ -134,11 +205,11 @@ void KdTree::search_exact(const float* query, KnnHeap& heap,
   std::uint32_t cur = 0;
   float region_dist2 = 0.0f;
   // Register-resident copies of the hot loop state: the stats counter
-  // and the slacked pruning bound would otherwise be re-read from (and
-  // written through) memory at every node. The bound only moves when a
-  // leaf scan admits a candidate.
+  // and the pruning bound would otherwise be re-read from (and written
+  // through) memory at every node. The bound only moves when a leaf
+  // scan admits a candidate.
   std::uint64_t nodes_visited = 0;
-  float pruning_bound = heap.bound() * kBoundSlack;
+  float pruning_bound = sink.prune_bound();
   for (;;) {
     // Near-child descent chain. Self-join queries prime the heap with
     // their home leaf up front; rescanning it here would offer every
@@ -147,8 +218,12 @@ void KdTree::search_exact(const float* query, KnnHeap& heap,
       const HotNode node = nodes[cur];
       nodes_visited += 1;
       if (node.dim == kLeafMarker) {
-        scan_leaf(leaves_[node.child], query, heap, ws, stats);
-        pruning_bound = heap.bound() * kBoundSlack;
+        scan_leaf(leaves_[node.child], query, sink, ws, stats);
+        if (sink.leaf_done()) {
+          stats.nodes_visited += nodes_visited;
+          return;
+        }
+        pruning_bound = sink.prune_bound();
         break;
       }
       const float diff = query[node.dim] - node.split;
@@ -198,8 +273,9 @@ void KdTree::search_exact(const float* query, KnnHeap& heap,
   }
 }
 
-void KdTree::search_paper(const float* query, KnnHeap& heap,
-                          QueryWorkspace& ws, QueryStats& stats) const {
+template <typename Sink>
+void KdTree::search_paper(const float* query, Sink& sink, QueryWorkspace& ws,
+                          QueryStats& stats) const {
   // Iterative traversal with an explicit stack of (node, d) pairs,
   // following Algorithm 1 line by line; d accumulates successive plane
   // offsets without same-dimension replacement.
@@ -212,21 +288,38 @@ void KdTree::search_paper(const float* query, KnnHeap& heap,
     const HotNode node = nodes_[e.node];
     stats.nodes_visited += 1;
     if (node.dim == kLeafMarker) {
-      scan_leaf(leaves_[node.child], query, heap, ws, stats);
+      scan_leaf(leaves_[node.child], query, sink, ws, stats);
       continue;
     }
     // Line 17 pruning, tie-tolerant (see kBoundSlack).
-    if (e.dist2 > heap.bound() * kBoundSlack) continue;
+    if (e.dist2 > sink.prune_bound()) continue;
     const float diff = query[node.dim] - node.split;
     const std::uint32_t go_far = diff < 0.0f ? 1u : 0u;
     const std::uint32_t near = node.child + (1u - go_far);
     const std::uint32_t far = node.child + go_far;
     const float far_dist2 = e.dist2 + diff * diff;  // lines 18-19
-    if (far_dist2 <= heap.bound() * kBoundSlack) {
+    if (far_dist2 <= sink.prune_bound()) {
       stack.push_back({far, far_dist2, 0, 0.0f, 0});  // line 23 (C2 first)
     }
     stack.push_back({near, e.dist2, 0, 0.0f, 0});  // line 24 (C1 popped first)
   }
+}
+
+void KdTree::offer_knn(std::span<const float> query, KnnHeap& heap,
+                       QueryWorkspace& ws,
+                       std::span<const std::uint64_t> dead,
+                       TraversalPolicy policy, QueryStats* stats) const {
+  PANDA_CHECK_MSG(query.size() == dims_, "query dimensionality mismatch");
+  if (nodes_.empty()) return;
+  ws.prepare(dims_);
+  QueryStats local_stats;
+  KnnSink sink{heap, dead};
+  if (policy == TraversalPolicy::Exact) {
+    search_exact(query.data(), sink, ws, local_stats);
+  } else {
+    search_paper(query.data(), sink, ws, local_stats);
+  }
+  if (stats != nullptr) *stats += local_stats;
 }
 
 std::size_t KdTree::query_sq_into(std::span<const float> query, std::size_t k,
@@ -234,12 +327,8 @@ std::size_t KdTree::query_sq_into(std::span<const float> query, std::size_t k,
                                   std::span<Neighbor> out,
                                   TraversalPolicy policy, QueryStats* stats,
                                   std::uint64_t radius_bound_id) const {
-  PANDA_CHECK_MSG(query.size() == dims_, "query dimensionality mismatch");
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   PANDA_CHECK_MSG(out.size() >= k, "result span must hold k slots");
-  if (nodes_.empty()) return 0;
-  ws.prepare(dims_);
-  QueryStats local_stats;
   KnnHeap& heap = ws.heap;
   heap.reset(k);
   // The search radius r of Algorithm 1 seeds the heap bound: filling
@@ -250,14 +339,7 @@ std::size_t KdTree::query_sq_into(std::span<const float> query, std::size_t k,
   if (bounded) {
     for (std::size_t i = 0; i < k; ++i) heap.offer(radius2, radius_bound_id);
   }
-  if (policy == TraversalPolicy::Exact) {
-    std::fill(ws.offsets.begin(),
-              ws.offsets.begin() + static_cast<std::ptrdiff_t>(dims_), 0.0f);
-    search_exact(query.data(), heap, ws, local_stats);
-  } else {
-    search_paper(query.data(), heap, ws, local_stats);
-  }
-  if (stats != nullptr) *stats += local_stats;
+  offer_knn(query, heap, ws, {}, policy, stats);
   std::size_t count = heap.extract_sorted_into(out.data());
   if (bounded) {
     count = strip_radius_sentinels(out.data(), count, radius2,
@@ -296,10 +378,9 @@ void KdTree::batch_query_one(std::uint64_t i, std::size_t k,
   const float* q = ws.query.data();
   // Prime with the home bucket, then run the root traversal with that
   // already-tight bound, skipping the primed leaf.
-  scan_leaf(leaves_[nodes_[home].child], q, heap, ws, stats);
-  std::fill(ws.offsets.begin(),
-            ws.offsets.begin() + static_cast<std::ptrdiff_t>(dims_), 0.0f);
-  search_exact(q, heap, ws, stats, home);
+  KnnSink sink{heap, {}};
+  scan_leaf(leaves_[nodes_[home].child], q, sink, ws, stats);
+  search_exact(q, sink, ws, stats, home);
   results.set_count(i, heap.extract_sorted_into(results.slot(i).data()));
 }
 
@@ -408,38 +489,6 @@ void KdTree::query_batch(const data::PointSet& queries, std::size_t k,
   query_sq_batch(queries, k, pool, results, ws, {}, {}, policy, stats);
 }
 
-void KdTree::search_budgeted(std::uint32_t node_index, const float* query,
-                             KnnHeap& heap, float region_dist2,
-                             float* offsets, QueryWorkspace& ws,
-                             std::uint64_t& leaf_budget,
-                             QueryStats& stats) const {
-  if (leaf_budget == 0) return;
-  const HotNode node = nodes_[node_index];
-  stats.nodes_visited += 1;
-  if (is_leaf(node)) {
-    scan_leaf(leaves_[node.child], query, heap, ws, stats);
-    --leaf_budget;
-    return;
-  }
-  const std::size_t dim = node.dim;
-  const float diff = query[dim] - node.split;
-  const std::uint32_t go_far = diff < 0.0f ? 1u : 0u;
-  const std::uint32_t near = node.child + (1u - go_far);
-  const std::uint32_t far = node.child + go_far;
-  search_budgeted(near, query, heap, region_dist2, offsets, ws, leaf_budget,
-                  stats);
-  if (leaf_budget == 0) return;
-  const float old_offset = offsets[dim];
-  const float far_dist2 =
-      region_dist2 - old_offset * old_offset + diff * diff;
-  if (far_dist2 <= heap.bound() * kBoundSlack) {
-    offsets[dim] = diff;
-    search_budgeted(far, query, heap, far_dist2, offsets, ws, leaf_budget,
-                    stats);
-    offsets[dim] = old_offset;
-  }
-}
-
 std::vector<Neighbor> KdTree::query_approx(std::span<const float> query,
                                            std::size_t k,
                                            std::uint64_t max_leaf_visits,
@@ -453,79 +502,37 @@ std::vector<Neighbor> KdTree::query_approx(std::span<const float> query,
   KnnHeap& heap = ws.heap;
   heap.reset(k);
   if (!nodes_.empty()) {
-    std::fill(ws.offsets.begin(),
-              ws.offsets.begin() + static_cast<std::ptrdiff_t>(dims_), 0.0f);
-    std::uint64_t budget = max_leaf_visits;
-    search_budgeted(0, query.data(), heap, 0.0f, ws.offsets.data(), ws,
-                    budget, local_stats);
+    BudgetSink sink{{heap, {}}, max_leaf_visits};
+    search_exact(query.data(), sink, ws, local_stats);
   }
   if (stats != nullptr) *stats += local_stats;
   return heap.take_sorted();
 }
 
-void KdTree::search_radius(std::uint32_t node_index, const float* query,
-                           float radius2, float region_dist2, float* offsets,
-                           AlignedVector<float>& dist,
-                           std::vector<Neighbor>& out,
-                           QueryStats& stats) const {
-  const HotNode node = nodes_[node_index];
-  stats.nodes_visited += 1;
-  if (is_leaf(node)) {
-    const LeafInfo leaf = leaves_[node.child];
-    const std::uint64_t stride = simd::padded_count(leaf.count);
-    if (stride == 0) return;
-    if (dist.size() < stride) dist.resize(stride);
-    const float* block = packed_.data() + leaf.packed_begin * dims_;
-    simd::squared_distances_inline(query, block, stride,
-                                   simd::live_lanes(leaf.count), dims_,
-                                   dist.data());
-    stats.leaves_visited += 1;
-    stats.points_scanned += leaf.count;
-    for (std::uint64_t i = 0; i < leaf.count; ++i) {
-      const float d2 = dist[i];
-      if (d2 < radius2) {
-        out.push_back({d2, packed_ids_[leaf.packed_begin + i]});
-      }
-    }
-    return;
-  }
-  const std::size_t dim = node.dim;
-  const float diff = query[dim] - node.split;
-  const std::uint32_t go_far = diff < 0.0f ? 1u : 0u;
-  const std::uint32_t near = node.child + (1u - go_far);
-  const std::uint32_t far = node.child + go_far;
-  search_radius(near, query, radius2, region_dist2, offsets, dist, out,
-                stats);
-  const float old_offset = offsets[dim];
-  const float far_dist2 =
-      region_dist2 - old_offset * old_offset + diff * diff;
-  // Slack for the same reason as in search_exact: the leaf scan's
-  // strict d2 < radius2 filter decides membership, the bound only
-  // routes.
-  if (far_dist2 < radius2 * kBoundSlack) {
-    offsets[dim] = diff;
-    search_radius(far, query, radius2, far_dist2, offsets, dist, out, stats);
-    offsets[dim] = old_offset;
-  }
+void KdTree::append_radius(std::span<const float> query, float radius,
+                           QueryWorkspace& ws, std::vector<Neighbor>& out,
+                           std::span<const std::uint64_t> dead,
+                           QueryStats* stats) const {
+  PANDA_CHECK_MSG(query.size() == dims_, "query dimensionality mismatch");
+  PANDA_CHECK_MSG(radius >= 0.0f, "radius must be non-negative");
+  if (nodes_.empty()) return;
+  ws.prepare(dims_);
+  QueryStats local_stats;
+  const float r2 = radius * radius;
+  RadiusSink sink{std::nextafter(r2, -kInf),
+                  std::nextafter(r2 * kBoundSlack, -kInf), out, dead};
+  search_exact(query.data(), sink, ws, local_stats);
+  if (stats != nullptr) *stats += local_stats;
 }
 
 void KdTree::query_radius_into(std::span<const float> query, float radius,
                                QueryWorkspace& ws, std::vector<Neighbor>& out,
                                QueryStats* stats) const {
-  PANDA_CHECK_MSG(query.size() == dims_, "query dimensionality mismatch");
-  PANDA_CHECK_MSG(radius >= 0.0f, "radius must be non-negative");
   out.clear();
-  if (nodes_.empty()) return;
-  ws.prepare(dims_);
-  QueryStats local_stats;
-  std::fill(ws.offsets.begin(),
-            ws.offsets.begin() + static_cast<std::ptrdiff_t>(dims_), 0.0f);
-  search_radius(0, query.data(), radius * radius, 0.0f, ws.offsets.data(),
-                ws.dist, out, local_stats);
+  append_radius(query, radius, ws, out, {}, stats);
   // Full (dist², id) order: tie order must not depend on traversal
   // order, or distributed truncation becomes rank-count-dependent.
   std::sort(out.begin(), out.end());
-  if (stats != nullptr) *stats += local_stats;
 }
 
 std::vector<Neighbor> KdTree::query_radius(std::span<const float> query,
@@ -571,11 +578,8 @@ void KdTree::query_radius_batch(const data::PointSet& queries,
         for (std::uint64_t i = lo; i < hi; ++i) {
           queries.copy_point(i, w.query.data());
           const std::uint64_t begin = w.staging.size();
-          std::fill(w.offsets.begin(),
-                    w.offsets.begin() + static_cast<std::ptrdiff_t>(dims_),
-                    0.0f);
-          search_radius(0, w.query.data(), radii[i] * radii[i], 0.0f,
-                        w.offsets.data(), w.dist, w.staging, w.stats);
+          append_radius(std::span<const float>(w.query.data(), dims_),
+                        radii[i], w, w.staging, {}, &w.stats);
           ws.close_row(i, tid, begin);
         }
       });

@@ -1,7 +1,6 @@
 #include "core/knn_heap.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace panda::core {
 
@@ -36,26 +35,6 @@ std::size_t merge_topk_into_row(std::span<Neighbor> row, std::size_t count,
   }
   std::copy(scratch.begin(), scratch.end(), row.begin());
   return scratch.size();
-}
-
-void merge_topk_into(std::vector<Neighbor>& accumulator,
-                     std::span<const Neighbor> incoming, std::size_t k) {
-  if (incoming.empty()) {
-    if (accumulator.size() > k) accumulator.resize(k);
-    return;
-  }
-  std::vector<Neighbor> merged;
-  merged.reserve(std::min(accumulator.size() + incoming.size(), k));
-  std::size_t a = 0;
-  std::size_t b = 0;
-  while (merged.size() < k &&
-         (a < accumulator.size() || b < incoming.size())) {
-    const bool take_acc =
-        b == incoming.size() ||
-        (a < accumulator.size() && accumulator[a] < incoming[b]);
-    merged.push_back(take_acc ? accumulator[a++] : incoming[b++]);
-  }
-  accumulator = std::move(merged);
 }
 
 }  // namespace panda::core

@@ -88,6 +88,15 @@ class KnnHeap {
                   : std::numeric_limits<float>::infinity();
   }
 
+  /// True when offer(dist2, id) would keep the candidate: the heap is
+  /// not full, or the candidate beats the current k-th best under the
+  /// (dist², id) order. A caller with a further filter (a dead-id
+  /// list) asks this first, so the filter runs only on would-be
+  /// admissions.
+  bool admits(float dist2, std::uint64_t id) const {
+    return heap_.size() < k_ || Neighbor{dist2, id} < heap_.back();
+  }
+
   /// Offers a candidate; keeps it only if it beats the current k-th
   /// best under the (dist², id) order — equal distances break toward
   /// the smaller id. Returns true if the candidate was admitted.
@@ -144,12 +153,6 @@ class KnnHeap {
 
   void clear() { heap_.clear(); }
 
-  /// Reseeds the heap with an initial radius bound: candidates at
-  /// dist² >= r2 will never be admitted even while not full. Used by
-  /// radius-limited remote queries (Algorithm 1's r parameter).
-  /// Implemented by the query driver, not the heap — see
-  /// KdTree::query's radius argument.
-
  private:
   std::size_t k_;
   std::vector<Neighbor> heap_;  // sorted ascending (dist², id)
@@ -162,18 +165,13 @@ class KnnHeap {
 std::vector<Neighbor> merge_topk(
     const std::vector<std::vector<Neighbor>>& lists, std::size_t k);
 
-/// Streaming variant: folds one ascending-sorted `incoming` list into
-/// the ascending-sorted accumulator, keeping the k nearest. The bulk
-/// all-KNN engine merges each remote response as it arrives instead of
-/// buffering all per-rank lists.
-void merge_topk_into(std::vector<Neighbor>& accumulator,
-                     std::span<const Neighbor> incoming, std::size_t k);
-
-/// Flat-table variant of merge_topk_into: merges the ascending-sorted
+/// Streaming merge into a flat-table row: folds the ascending-sorted
 /// `incoming` into row[0..count) (also ascending-sorted), keeping the
-/// k overall nearest, writing the merged run back into `row`. `scratch`
-/// is caller-owned reusable memory (no steady-state allocations once
-/// warm). Returns the new row count (<= k <= row.size()).
+/// k overall nearest, and writes the merged run back into `row`. The
+/// bulk all-KNN engine merges each remote response as it arrives
+/// instead of buffering all per-rank lists. `scratch` is caller-owned
+/// reusable memory (no steady-state allocations once warm). Returns
+/// the new row count (<= k <= row.size()).
 std::size_t merge_topk_into_row(std::span<Neighbor> row, std::size_t count,
                                 std::span<const Neighbor> incoming,
                                 std::size_t k, std::vector<Neighbor>& scratch);

@@ -16,18 +16,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <unordered_set>
 #include <utility>
 
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "data/storage.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace panda::core {
@@ -160,20 +159,8 @@ void MutableIndex::insert(const data::PointSet& points) {
                   "insert dimensionality mismatch: batch has "
                       << points.dims() << " dims, index has " << dims_);
   if (points.empty()) return;
-  // A NaN or infinite coordinate breaks the (dist², id) order and the
-  // median splits every tree is built on: refuse the whole batch before
-  // it is admitted, logged or applied.
-  for (std::size_t d = 0; d < dims_; ++d) {
-    const std::span<const float> column = points.coordinate(d);
-    for (std::size_t p = 0; p < column.size(); ++p) {
-      if (!std::isfinite(column[p])) {
-        throw Error("MutableIndex::insert: point id " +
-                    std::to_string(points.id(p)) +
-                    " has a non-finite coordinate in dimension " +
-                    std::to_string(d));
-      }
-    }
-  }
+  // Refuse the whole batch before it is admitted, logged or applied.
+  data::require_finite(data::PointSetView(points), "MutableIndex::insert");
   MutexLock lock(mutex_);
   // All-or-nothing admission: a collision rolls back the ids this
   // batch already claimed, so a failed insert leaves no trace. The
@@ -992,10 +979,6 @@ namespace {
 /// Run points the buffer scan measures per block.
 constexpr std::size_t kScanBlock = 256;
 
-/// First over-fetch beyond k on a tree with tombstones (see
-/// answer_one_query); a rare crowded neighborhood doubles from there.
-constexpr std::size_t kDeadPad = 8;
-
 /// The one buffer scan of the KNN and radius paths: calls
 /// admit(d2, id) for every live run point whose squared distance
 /// passes keep(d2), in run order. Distances accumulate in dimension
@@ -1042,24 +1025,21 @@ std::uint64_t forest_grain(std::uint64_t n, int threads) {
 
 /// Warms every pool thread's scratch before a fan-out, so the warm
 /// capacity does not depend on which threads the chunk schedule hands
-/// work: heaps and tree-row buffers for k plus the first tombstone
-/// over-fetch, distance buffers for a scan block or the widest leaf of
-/// any tree.
+/// work: heaps for k, distance buffers for a scan block or the widest
+/// leaf of any tree.
 void prepare_threads(ForestWorkspace& ws, int threads, std::size_t dims,
                      std::size_t k, const auto& trees) {
   std::size_t stride = kScanBlock;
   for (const auto& shard : trees) {
     stride = std::max(stride, shard.tree->leaf_stride());
   }
-  const std::size_t max_k = k + kDeadPad;
-  ws.batch.prepare(threads, dims, max_k, stride);
-  const auto t = static_cast<std::size_t>(threads);
-  if (ws.merge.size() < t) ws.merge.resize(t);
-  for (auto& m : ws.merge) {
-    m.row.reserve(max_k);
-    m.filtered.reserve(max_k);
-    m.scratch.reserve(max_k);
-  }
+  ws.batch.prepare(threads, dims, k, stride);
+}
+
+/// A container's sorted dead ids (empty when it has none).
+std::span<const std::uint64_t> dead_ids(const auto& container) {
+  if (container.dead == nullptr) return {};
+  return *container.dead;
 }
 
 /// Appends the live points of one pinned snapshot (runs, then trees).
@@ -1105,32 +1085,22 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
                             const Snapshot& snap, TraversalPolicy policy,
                             NeighborTable& results,
                             ForestWorkspace& ws) const {
-  // One chunk-stolen parallel region answers every query end to end:
-  // buffer scan, every tree (the single-query kernel, with lazy
-  // tombstone over-fetch), and the (dist², id) row merge. One
-  // fork-join per batch, NOT one per tree: a mid-merge forest is deep
-  // (up to fan_in trees per level), and on a loaded box every extra
-  // barrier's join tail costs a scheduler round against the background
-  // build — the per-tree two-pass form was the dominant term in
-  // bench_mutable's p99-during-merges gate. Rows are disjoint and the
-  // snapshot is immutable, so threads share nothing but the work
-  // counter.
-  // Per-tree over-fetch CAP: at min(k + |dead|, tree size) a full
-  // return always holds >= k live points, so the per-query retry loop
-  // terminates there. The common case fetches far less.
+  // One chunk-stolen parallel region answers every query end to end on
+  // one heap: the buffer scan and then every tree feed it, and each
+  // tree skips its dead ids at admission. One fork-join per batch, NOT
+  // one per tree: a mid-merge forest is deep (up to fan_in trees per
+  // level), and on a loaded box every extra barrier's join tail costs a
+  // scheduler round against the background build. Rows are disjoint
+  // and the snapshot is immutable, so threads share nothing but the
+  // work counter.
+  //
+  // Trees go in descending size: the biggest tree tightens the heap's
+  // k-th best, which then prunes every later descent, so the small
+  // trees of a deep mid-merge forest prune to near-nothing instead of
+  // each paying a fresh unbounded descent. Exact: the heap only ever
+  // holds live candidates, so its bound only excludes points that
+  // could not enter the final top-k under the (dist², id) order.
   const std::size_t n_trees = snap.trees.size();
-  if (ws.k_pad.size() < n_trees) ws.k_pad.resize(n_trees);
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    const TreeShard& shard = snap.trees[t];
-    const std::size_t dead = shard.dead != nullptr ? shard.dead->size() : 0;
-    ws.k_pad[t] =
-        std::min(k + dead, static_cast<std::size_t>(shard.tree->size()));
-  }
-  // Visit trees descending by size: the biggest tree establishes a
-  // tight k-th-best bound that the per-query loop carries into every
-  // later traversal, so the small trees of a deep mid-merge forest
-  // prune to near-nothing instead of each paying a fresh unbounded
-  // descent.
   ws.tree_order.resize(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) ws.tree_order[t] = t;
   std::sort(ws.tree_order.begin(), ws.tree_order.end(),
@@ -1138,88 +1108,27 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
               return snap.trees[a].tree->size() > snap.trees[b].tree->size();
             });
   prepare_threads(ws, pool_->size(), dims_, k, snap.trees);
-  const std::span<const std::size_t> k_pads(ws.k_pad.data(), n_trees);
-  const std::span<const std::size_t> tree_order(ws.tree_order.data(),
-                                                n_trees);
   const std::uint64_t n = queries.size();
   parallel::for_chunks(
       *pool_, n, forest_grain(n, pool_->size()), kInlineKnnBatch,
       [&](int tid, std::uint64_t lo, std::uint64_t hi) {
-        const auto t = static_cast<std::size_t>(tid);
+        QueryWorkspace& w = ws.batch.per_thread[static_cast<std::size_t>(tid)];
+        const std::span<const float> query(w.query.data(), dims_);
         for (std::uint64_t i = lo; i < hi; ++i) {
-          answer_one_query(queries, i, k, snap, k_pads, tree_order, policy,
-                           results, ws.batch.per_thread[t], ws.merge[t]);
+          queries.copy_point(i, w.query.data());
+          w.heap.reset(k);
+          scan_runs(
+              snap.runs, query.data(), dims_, w.dist.data(),
+              [&](float d2) { return d2 <= w.heap.bound(); },
+              [&](float d2, std::uint64_t id) { w.heap.offer(d2, id); });
+          for (const std::size_t t : ws.tree_order) {
+            const TreeShard& shard = snap.trees[t];
+            shard.tree->offer_knn(query, w.heap, w, dead_ids(shard), policy);
+          }
+          results.set_count(i,
+                            w.heap.extract_sorted_into(results.slot(i).data()));
         }
       });
-}
-
-void MutableIndex::answer_one_query(const data::PointSet& queries,
-                                    std::size_t i, std::size_t k,
-                                    const Snapshot& snap,
-                                    std::span<const std::size_t> k_pads,
-                                    std::span<const std::size_t> tree_order,
-                                    TraversalPolicy policy,
-                                    NeighborTable& results, QueryWorkspace& w,
-                                    ForestWorkspace::MergeScratch& m) const {
-  // The buffer scan and every tree traversal share w: the heap is
-  // drained into the row before each tree resets it, and the tree
-  // kernels read the query copy without writing it.
-  queries.copy_point(i, w.query.data());
-  const std::span<const float> query(w.query.data(), dims_);
-  w.heap.reset(k);
-  scan_runs(
-      snap.runs, query.data(), dims_, w.dist.data(),
-      [&](float d2) { return d2 <= w.heap.bound(); },
-      [&](float d2, std::uint64_t id) { w.heap.offer(d2, id); });
-  const auto slot = results.slot(i);
-  std::size_t count = w.heap.extract_sorted_into(slot.data());
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  for (const std::size_t t : tree_order) {
-    const TreeShard& shard = snap.trees[t];
-    const std::size_t cap = k_pads[t];
-    const std::size_t dead_n = shard.dead != nullptr ? shard.dead->size() : 0;
-    // Carry the running k-th best as the traversal bound: only
-    // candidates strictly below (kth dist², kth id) in the §5 tie
-    // order can still displace a merged result, which is exactly
-    // query_sq_into's admission rule — results stay exact, later
-    // (smaller) trees prune to near-nothing.
-    float bound2 = kInf;
-    std::uint64_t bound_id = 0;
-    if (count == k) {
-      bound2 = slot[k - 1].dist2;
-      bound_id = slot[k - 1].id;
-    }
-    // Tombstones over-fetch lazily: ask for k plus a little, filter,
-    // and double only if the dead ids actually crowded this query's
-    // neighborhood — padding outright to k + |dead| would turn every
-    // k=5 query on a 125-tombstone tree into a k=130 one. Exactness:
-    // if got < k_try the tree returned every point admissible under
-    // the bound, so the filtered list is already complete; any
-    // unreturned point ranks after the k_try-th returned one, so k
-    // live survivors bound the true top-k; and at the cap
-    // min(k + |dead|, tree size) a full return holds at least k live
-    // points by counting.
-    std::size_t k_try = std::min(k + std::min(dead_n, kDeadPad), cap);
-    std::span<const Neighbor> incoming;
-    for (;;) {
-      if (m.row.size() < k_try) m.row.resize(k_try);
-      const std::size_t got = shard.tree->query_sq_into(
-          query, k_try, bound2, w, std::span<Neighbor>(m.row.data(), k_try),
-          policy, nullptr, bound_id);
-      incoming = std::span<const Neighbor>(m.row.data(), got);
-      if (shard.dead != nullptr) {
-        m.filtered.clear();
-        for (const Neighbor& nb : incoming) {
-          if (!contains(*shard.dead, nb.id)) m.filtered.push_back(nb);
-        }
-        incoming = m.filtered;
-      }
-      if (got < k_try || incoming.size() >= k || k_try >= cap) break;
-      k_try = std::min(cap, k_try * 2);
-    }
-    count = merge_topk_into_row(slot, count, incoming, k, m.scratch);
-  }
-  results.set_count(i, count);
 }
 
 void MutableIndex::radius_batch(const data::PointSet& queries,
@@ -1241,18 +1150,16 @@ void MutableIndex::radius_batch(const data::PointSet& queries,
   for (auto& w : batch.per_thread) w.staging.clear();
   if (batch.row_refs.size() < n) batch.row_refs.resize(n);
   // One fork-join per batch, as in knn_rows: each thread answers a
-  // query end to end — buffer scan, every tree, dead-id filter, sort —
-  // into its staging buffer, and one stitch copies the rows out in
-  // query order.
+  // query end to end — the buffer scan and every tree append their
+  // live rows to its staging buffer, the row is sorted once — and one
+  // stitch copies the rows out in query order.
   parallel::for_chunks(
       *pool_, n, forest_grain(n, pool_->size()), kInlineRadiusBatch,
       [&](int tid, std::uint64_t lo, std::uint64_t hi) {
         QueryWorkspace& w = batch.per_thread[static_cast<std::size_t>(tid)];
-        std::vector<Neighbor>& tree_row =
-            ws.merge[static_cast<std::size_t>(tid)].row;
+        const std::span<const float> query(w.query.data(), dims_);
         for (std::uint64_t i = lo; i < hi; ++i) {
           queries.copy_point(i, w.query.data());
-          const std::span<const float> query(w.query.data(), dims_);
           const float r2 = radii[i] * radii[i];
           const std::uint64_t begin = w.staging.size();
           scan_runs(
@@ -1262,13 +1169,8 @@ void MutableIndex::radius_batch(const data::PointSet& queries,
                 w.staging.push_back(Neighbor{d2, id});
               });
           for (const TreeShard& shard : snap->trees) {
-            shard.tree->query_radius_into(query, radii[i], w, tree_row);
-            for (const Neighbor& nb : tree_row) {
-              if (shard.dead != nullptr && contains(*shard.dead, nb.id)) {
-                continue;
-              }
-              w.staging.push_back(nb);
-            }
+            shard.tree->append_radius(query, radii[i], w, w.staging,
+                                      dead_ids(shard));
           }
           batch.close_row(i, tid, begin);
         }

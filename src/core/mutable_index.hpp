@@ -21,26 +21,27 @@
 //     (bench_mutable pins this).
 //
 //   erases   — tombstones. Each container (run or tree) carries its
-//     own copy-on-write sorted dead-id list; buffer scans skip dead
-//     ids, and tree queries over-fetch slightly (k + min(|dead|, 8)),
-//     filter, and retry with a doubled k only in the rare case the
-//     dead ids actually crowded the query's neighborhood — capped at
-//     min(k + |dead|, tree points), where at least k live neighbors
-//     are guaranteed to survive the filter. Results stay exact, never
-//     approximate, no matter how tombstone-heavy the forest gets.
-//     Per-container (not global) dead sets are what make
-//     erase-then-reinsert of the same id correct: the old copy is dead
-//     in its old container, the new copy is live in its new one.
+//     own copy-on-write sorted dead-id list, and every scan skips a
+//     dead id at admission: the buffer scan before it offers, a tree
+//     descent (KdTree::offer_knn / append_radius) once the candidate
+//     would enter the heap or row. A dead id never enters the heap, so
+//     it never tightens the pruning bound, and results stay exact no
+//     matter how tombstone-heavy the forest gets. Per-container (not
+//     global) dead sets are what make erase-then-reinsert of the same
+//     id correct: the old copy is dead in its old container, the new
+//     copy is live in its new one.
 //
 //   queries  — lock-free. Writers publish an immutable Snapshot
 //     (runs + tree shards) through one atomic<shared_ptr> store;
 //     queries pin exactly one snapshot for the whole batch. One
-//     parallel::for_chunks region answers each query end to end —
-//     buffer-scan candidates, every tree (at its tombstone-padded k
-//     for KNN), the dead-id filter, and the row merge or sort — under
-//     the deterministic (dist², id) total order of DESIGN.md §5 (one
-//     fork-join per batch, KNN and radius alike, not one per tree, so
-//     a deep mid-merge forest costs no extra barriers). Buffer scans
+//     parallel::for_chunks region answers each query end to end. A
+//     KNN query runs one heap through the buffer scan and every tree
+//     in descending size, so the k-th best so far prunes each later
+//     tree; a radius query appends every container's live rows and
+//     sorts the row once. Both follow the deterministic (dist², id)
+//     total order of DESIGN.md §5 (one fork-join per batch, KNN and
+//     radius alike, not one per tree, so a deep mid-merge forest costs
+//     no extra barriers). Buffer scans
 //     and the SIMD leaf kernel accumulate distances in the same
 //     dimension order, so results are bit-identical to a
 //     from-scratch build over the live points — tests/
@@ -144,16 +145,6 @@ struct ForestWorkspace {
   /// query copy and distance buffer, and stages radius rows for the
   /// one stitch (BatchWorkspace::stitch_rows).
   BatchWorkspace batch;
-  /// Per-pool-thread tree-row buffers beside batch.per_thread: one
-  /// tree's answer, its tombstone-filtered survivors, and the top-k
-  /// merge buffer.
-  struct MergeScratch {
-    std::vector<Neighbor> row;
-    std::vector<Neighbor> filtered;
-    std::vector<Neighbor> scratch;
-  };
-  std::vector<MergeScratch> merge;
-  std::vector<std::size_t> k_pad;       // per-tree over-fetch cap
   std::vector<std::size_t> tree_order;  // trees descending by size
 };
 
@@ -356,19 +347,11 @@ class MutableIndex {
   void maybe_sync_wal_locked() PANDA_REQUIRES(mutex_);
 
   /// The KNN engine behind knn_batch/self_knn_batch: one for_chunks
-  /// region answers every query end to end (buffer scan + all trees +
-  /// row merge). `results` must already be reset to top-k mode.
+  /// region answers every query end to end on one heap (buffer scan +
+  /// every tree). `results` must already be reset to top-k mode.
   void knn_rows(const data::PointSet& queries, std::size_t k,
                 const Snapshot& snap, TraversalPolicy policy,
                 NeighborTable& results, ForestWorkspace& ws) const;
-  /// One query of knn_rows on one pool thread's scratch (`w`, `m`).
-  void answer_one_query(const data::PointSet& queries, std::size_t i,
-                        std::size_t k, const Snapshot& snap,
-                        std::span<const std::size_t> k_pads,
-                        std::span<const std::size_t> tree_order,
-                        TraversalPolicy policy, NeighborTable& results,
-                        QueryWorkspace& w,
-                        ForestWorkspace::MergeScratch& m) const;
 
   std::size_t dims_;
   MutableConfig config_;

@@ -12,7 +12,8 @@
 //   * one workspace per thread — a workspace is NOT thread-safe, and
 //     a single workspace must not be used by two concurrent queries;
 //   * callers of the single-query entry points (query_sq_into,
-//     query_radius_into) own their workspace and pass it explicitly;
+//     query_radius_into, and the forest's offer_knn / append_radius)
+//     own their workspace and pass it explicitly;
 //   * the batch entry points take a BatchWorkspace, which owns one
 //     QueryWorkspace per pool thread plus the batch-wide scratch
 //     (radius-row stitch map, uniform-bound staging).

@@ -1,6 +1,7 @@
 #include "data/storage.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -45,6 +46,20 @@ PointSet PointStorage::to_point_set() const {
     all.append(chunk);
   }
   return all;
+}
+
+void require_finite(const PointStorage& points, std::string_view caller) {
+  for (std::size_t d = 0; d < points.dims(); ++d) {
+    const std::span<const float> column = points.coordinate(d);
+    for (std::size_t p = 0; p < column.size(); ++p) {
+      if (!std::isfinite(column[p])) {
+        throw Error(std::string(caller) + ": point id " +
+                    std::to_string(points.id(p)) +
+                    " has a non-finite coordinate in dimension " +
+                    std::to_string(d));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

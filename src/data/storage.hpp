@@ -32,6 +32,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mmap_file.hpp"
@@ -92,6 +93,14 @@ class PointStorage {
   /// provided the result fits in RAM).
   PointSet to_point_set() const;
 };
+
+/// Throws panda::Error when a coordinate is NaN or infinite, naming
+/// the first such point's id and dimension after `caller`. Such a
+/// coordinate breaks the (dist², id) order and the median splits every
+/// tree is built on, so the boundaries that take in points (Index::build,
+/// MutableIndex::insert) refuse it. Reads the resident spans:
+/// `points` must be resident().
+void require_finite(const PointStorage& points, std::string_view caller);
 
 /// Non-owning resident view over an existing PointSet. The adapter
 /// behind every `const PointSet&` compatibility entry point; the

@@ -6,6 +6,7 @@
 // version-1 files) and the save/open round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -333,6 +334,71 @@ TEST(FacadeBuild, RejectsBadOptions) {
                panda::Error);
 }
 
+/// Index::build over cosmology points with one NaN or infinite
+/// coordinate must throw panda::Error naming the point id and the
+/// dimension, through both build overloads.
+void expect_build_refuses_non_finite(const IndexOptions& options,
+                                     std::uint64_t n) {
+  const data::PointSet clean =
+      data::make_generator("cosmo", 41)->generate_all(n);
+  const std::uint64_t victim = n / 2;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    data::PointSet points = clean;
+    points.coordinate(2)[victim] = bad;
+    try {
+      (void)Index::build(points, options);
+      ADD_FAILURE() << n << " points with a " << bad << " were accepted";
+    } catch (const panda::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("point id " + std::to_string(points.id(victim))),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("dimension 2"), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)Index::build(data::PointSetView(points), options),
+                 panda::Error)
+        << bad;
+  }
+}
+
+TEST(FacadeBuild, LocalRefusesNonFiniteCoordinates) {
+  IndexOptions o;
+  o.threads = 2;
+  expect_build_refuses_non_finite(o, 5000);
+}
+
+TEST(FacadeBuild, DistRefusesNonFiniteCoordinates) {
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::Dist;
+  o.cluster.ranks = 2;
+  expect_build_refuses_non_finite(o, 5000);
+}
+
+TEST(FacadeBuild, BruteForceRefusesNonFiniteCoordinates) {
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::BruteForce;
+  expect_build_refuses_non_finite(o, 5000);
+}
+
+TEST(FacadeBuild, SimpleTreeRefusesNonFiniteCoordinates) {
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::SimpleTree;
+  expect_build_refuses_non_finite(o, 5000);
+}
+
+TEST(FacadeBuild, MutableRefusesNonFiniteCoordinatesEitherSideOfTheBuffer) {
+  // Below buffer_capacity the points go through insert(); at or above
+  // it the seed tree is built directly. Both paths refuse.
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::Mutable;
+  o.threads = 2;
+  o.mutable_config.buffer_capacity = 1024;
+  expect_build_refuses_non_finite(o, 500);
+  expect_build_refuses_non_finite(o, 5000);
+}
+
 TEST(FacadeSearch, RejectsBadQueries) {
   const auto gen = data::make_generator("uniform", 2);
   const data::PointSet points = gen->generate_all(100);
@@ -532,6 +598,47 @@ TEST(FacadeMutate, InsertEraseMatchOracleThroughTheFacade) {
   index->self_knn_into(params, results, ws, &stats);
   EXPECT_EQ(stats.inserts, 90u + 90u);
   EXPECT_EQ(stats.erases, doomed.size());
+}
+
+TEST(FacadeMutate, PaperFormulaOnATombstonedForest) {
+  // The Mutable adapter forwards SearchParams::policy: the printed
+  // Algorithm 1 runs on every tree of a forest with dead ids in the
+  // seed tree, a sealed tree and the buffer. It may over-prune, but
+  // each row still holds k ascending (dist², id) entries, none dead.
+  const auto gen = data::make_generator("gmm", 909);
+  IndexOptions options;
+  options.engine = IndexOptions::Engine::Mutable;
+  options.threads = 2;
+  options.mutable_config.buffer_capacity = 64;
+  options.mutable_config.merge_fan_in = 2;
+  auto index = Index::build(gen->generate_all(600), options);
+  data::PointSet fresh(gen->dims());
+  gen->generate(600, 700, fresh);
+  index->insert(fresh);
+  std::vector<std::uint64_t> doomed;
+  for (std::uint64_t id = 0; id < 700; id += 3) doomed.push_back(id);
+  EXPECT_EQ(index->erase(doomed), doomed.size());
+
+  data::PointSet queries(gen->dims());
+  gen->generate(5000, 5100, queries);
+  SearchParams params;
+  params.k = 8;
+  params.policy = core::TraversalPolicy::PaperFormula;
+  core::NeighborTable results;
+  SearchWorkspace ws;
+  index->knn_into(queries, params, results, ws);
+  ASSERT_EQ(results.size(), queries.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto row = results[i];
+    ASSERT_EQ(row.size(), params.k) << "query " << i;
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      EXPECT_FALSE(std::binary_search(doomed.begin(), doomed.end(), row[j].id))
+          << "query " << i << " returned dead id " << row[j].id;
+      if (j > 0) {
+        EXPECT_TRUE(row[j - 1] < row[j]) << "query " << i;
+      }
+    }
+  }
 }
 
 TEST(FacadeOpen, MutableSaveOpenRoundTrip) {

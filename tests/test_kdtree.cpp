@@ -370,6 +370,108 @@ TEST(KdTreeQuery, AllPointsIdentical) {
   for (const auto& n : result) EXPECT_EQ(n.dist2, 0.0f);
 }
 
+/// Input for the live-forest entry points (offer_knn, append_radius):
+/// `points` split into a tree over the first `tree_n` points and an
+/// "elsewhere" remainder, with every third tree id dead.
+struct ForestSlice {
+  PointSet tree_points;
+  PointSet elsewhere;
+  PointSet live;
+  std::vector<std::uint64_t> dead;
+
+  ForestSlice(const PointSet& points, std::uint64_t tree_n)
+      : tree_points(points.dims()),
+        elsewhere(points.dims()),
+        live(points.dims()) {
+    std::vector<float> p(points.dims());
+    for (std::uint64_t i = 0; i < points.size(); ++i) {
+      points.copy_point(i, p.data());
+      const std::uint64_t id = points.id(i);
+      if (i < tree_n) {
+        tree_points.push_point(p, id);
+        if (i % 3 == 0) {
+          dead.push_back(id);
+          continue;
+        }
+      } else {
+        elsewhere.push_point(p, id);
+      }
+      live.push_point(p, id);
+    }
+    std::sort(dead.begin(), dead.end());
+  }
+};
+
+TEST(KdTreeQuery, OfferKnnFeedsAHeapHoldingOtherCandidates) {
+  // offer_knn neither resets nor drains the heap it is given (here the
+  // workspace's own, as the forest passes it) and skips dead ids at
+  // admission: the heap ends as the top-k of the live points of both
+  // sources. dupes data puts many lanes exactly at the bound.
+  parallel::ThreadPool pool(2);
+  const auto gen = data::make_generator("dupes", 71);
+  const ForestSlice slice(gen->generate_all(3000), 2400);
+  const KdTree tree = KdTree::build(slice.tree_points, BuildConfig{}, pool);
+  PointSet queries(gen->dims());
+  gen->generate(3000, 3040, queries);  // most sit on a duplicate site
+  QueryWorkspace ws;
+  std::vector<float> q(queries.dims());
+  std::vector<Neighbor> got;
+  for (const std::size_t k : {1, 5, 32}) {
+    for (std::uint64_t i = 0; i < queries.size(); ++i) {
+      queries.copy_point(i, q.data());
+      ws.heap.reset(k);
+      for (const Neighbor& n : baselines::brute_force_knn(slice.elsewhere, q, k)) {
+        ws.heap.offer(n.dist2, n.id);
+      }
+      tree.offer_knn(q, ws.heap, ws, slice.dead);
+      got = ws.heap.take_sorted();
+      const auto expected = baselines::brute_force_knn(slice.live, q, k);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        ASSERT_EQ(got[j], expected[j]) << "k=" << k << " query " << i
+                                       << " rank " << j;
+      }
+    }
+  }
+}
+
+TEST(KdTreeQuery, AppendRadiusAppendsUnsortedLiveRows) {
+  parallel::ThreadPool pool(2);
+  const auto gen = data::make_generator("dupes", 73);
+  const ForestSlice slice(gen->generate_all(2000), 2000);
+  const KdTree tree = KdTree::build(slice.tree_points, BuildConfig{}, pool);
+  PointSet queries(gen->dims());
+  gen->generate(2000, 2030, queries);  // most sit on a duplicate site
+  QueryWorkspace ws;
+  std::vector<float> q(queries.dims());
+  const std::vector<Neighbor> prefix{{9.0f, 900}, {1.0f, 100}, {5.0f, 500}};
+  const float radius = 0.05f;
+  std::size_t total = 0;
+  for (std::uint64_t i = 0; i < queries.size(); ++i) {
+    queries.copy_point(i, q.data());
+    std::vector<Neighbor> out = prefix;
+    tree.append_radius(q, radius, ws, out, slice.dead);
+    // The rows already there keep their (unsorted) order: the call
+    // appends and sorts nothing.
+    ASSERT_GE(out.size(), prefix.size());
+    ASSERT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+    std::vector<Neighbor> appended(out.begin() + prefix.size(), out.end());
+    for (const Neighbor& n : appended) {
+      ASSERT_FALSE(std::binary_search(slice.dead.begin(), slice.dead.end(),
+                                      n.id))
+          << "dead id " << n.id << " returned";
+    }
+    std::sort(appended.begin(), appended.end());
+    auto expected = baselines::brute_force_knn(slice.live, q, slice.live.size());
+    std::erase_if(expected, [&](const Neighbor& n) {
+      return !(n.dist2 < radius * radius);
+    });
+    ASSERT_EQ(appended, expected) << "query " << i;
+    total += appended.size();
+  }
+  EXPECT_GT(total, 0u);
+}
+
 TEST(KdTreeQuery, QueryStatsPopulated) {
   parallel::ThreadPool pool(2);
   const auto gen = data::make_generator("uniform", 37);

@@ -85,6 +85,28 @@ TEST(KnnHeap, EqualDistanceSmallerIdDisplacesFullHeap) {
   EXPECT_EQ(sorted[1].id, 10u);
 }
 
+TEST(KnnHeap, AdmitsAgreesWithOffer) {
+  // admits() is offer()'s keep-or-refuse decision without the insert:
+  // anything while not full, then only candidates below the k-th best
+  // under (dist², id) — a tie at the bound passes with a smaller id.
+  Rng rng(13);
+  KnnHeap heap(4);
+  EXPECT_TRUE(heap.admits(std::numeric_limits<float>::infinity(), 99));
+  for (int i = 0; i < 500; ++i) {
+    const float d = static_cast<float>(rng.uniform_index(8));
+    const std::uint64_t id = rng.uniform_index(64);
+    const bool predicted = heap.admits(d, id);
+    EXPECT_EQ(heap.offer(d, id), predicted) << "offer " << i;
+  }
+  heap.reset(2);
+  heap.offer(1.0f, 10);
+  heap.offer(2.0f, 20);
+  EXPECT_TRUE(heap.admits(2.0f, 19));
+  EXPECT_FALSE(heap.admits(2.0f, 20));
+  EXPECT_FALSE(heap.admits(2.5f, 0));
+  EXPECT_EQ(heap.size(), 2u);
+}
+
 TEST(KnnHeap, NeverExceedsK) {
   Rng rng(6);
   KnnHeap heap(5);
@@ -189,18 +211,24 @@ TEST(MergeTopkInto, StreamingMatchesBatchMerge) {
   }
   const std::size_t k = 8;
   const auto batch = merge_topk(lists, k);
-  std::vector<Neighbor> streaming;
+  std::vector<Neighbor> row(k);
+  std::vector<Neighbor> scratch;
+  std::size_t count = 0;
   for (const auto& list : lists) {
-    merge_topk_into(streaming, list, k);
+    count = merge_topk_into_row(row, count, list, k, scratch);
   }
-  EXPECT_EQ(streaming, batch);
+  row.resize(count);
+  EXPECT_EQ(row, batch);
 }
 
 TEST(MergeTopkInto, TruncatesOversizedAccumulator) {
-  std::vector<Neighbor> acc{{1.0f, 1}, {2.0f, 2}, {3.0f, 3}};
-  merge_topk_into(acc, {}, 2);
-  ASSERT_EQ(acc.size(), 2u);
-  EXPECT_EQ(acc[1].id, 2u);
+  std::vector<Neighbor> row{{1.0f, 1}, {2.0f, 2}, {3.0f, 3}};
+  std::vector<Neighbor> scratch;
+  const std::size_t count = merge_topk_into_row(row, row.size(), {}, 2,
+                                                scratch);
+  ASSERT_EQ(count, 2u);
+  EXPECT_EQ(row[0].id, 1u);
+  EXPECT_EQ(row[1].id, 2u);
 }
 
 TEST(MergeTopk, MatchesFlatSortReference) {

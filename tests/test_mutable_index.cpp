@@ -385,6 +385,59 @@ TEST(MutableErase, EraseEverythingThenRefill) {
   expect_knn_matches(index, oracle, queries, 5, h.results, h.ws, "refill");
 }
 
+TEST(MutableErase, CrowdedTombstonesAroundAQueryStayExact) {
+  // Every one of each query's 64 nearest neighbours in the forest's
+  // largest tree is dead. Dead ids are skipped at admission and never
+  // tighten the heap's bound, so the descent keeps going past them and
+  // the answer stays exact at every k.
+  Harness h;
+  const auto gen = data::make_generator("gmm", /*seed=*/515);
+  MutableConfig config;
+  config.buffer_capacity = 256;
+  config.merge_fan_in = 4;
+  const PointSet seed_points = gen->generate_all(4000);
+  MutableIndex index(KdTree::build(seed_points, BuildConfig{}, *h.pool),
+                     config, BuildConfig{}, h.pool);
+  LiveOracle oracle(gen->dims());
+  oracle.insert(seed_points);
+  // A level-0 tree (300 points seal at once) and 40 buffered points
+  // beside the seed tree.
+  std::uint64_t next_id = 4000;
+  for (const std::uint64_t count : {300, 40}) {
+    PointSet fresh(gen->dims());
+    gen->generate(next_id, next_id + count, fresh);
+    next_id += count;
+    index.insert(fresh);
+    oracle.insert(fresh);
+    index.quiesce();
+  }
+  ASSERT_EQ(index.stats().trees, 2u);
+  ASSERT_EQ(index.stats().buffered_points, 40u);
+
+  PointSet queries(gen->dims());
+  gen->generate(9000, 9006, queries);
+  std::vector<std::uint64_t> doomed;
+  std::vector<float> q(gen->dims());
+  for (std::uint64_t i = 0; i < queries.size(); ++i) {
+    queries.copy_point(i, q.data());
+    for (const Neighbor& n : baselines::brute_force_knn(seed_points, q, 64)) {
+      doomed.push_back(n.id);
+    }
+  }
+  const std::size_t erased = oracle.erase(doomed);
+  EXPECT_EQ(index.erase(doomed), erased);
+  ASSERT_GE(index.stats().tombstones, 64u);
+
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                              std::size_t{32}}) {
+    expect_knn_matches(index, oracle, queries, k, h.results, h.ws,
+                       "crowded k=" + std::to_string(k));
+  }
+  const std::vector<float> radii(queries.size(), 0.08f);
+  expect_radius_matches(index, oracle, queries, radii, h.results, h.ws,
+                        "crowded radius");
+}
+
 // ---------------------------------------------------------------------
 // Input validation: typed errors, all-or-nothing batches.
 // ---------------------------------------------------------------------
