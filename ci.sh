@@ -56,13 +56,15 @@
 #                      flow.
 #   ci.sh tsan       — the concurrency suites (MPMC ring, serving
 #                      frontend, thread pool, mutable index, kd-tree
-#                      build across pool sizes) built
-#                      with -fsanitize=thread: data-race checks the
-#                      lock-free admission ring, its
+#                      build across pool sizes, distributed all-KNN)
+#                      built with -fsanitize=thread: data-race checks
+#                      the lock-free admission ring, its
 #                      batching workers, snapshot swap, shared pool, the
-#                      distributed index session, and the mutable
+#                      distributed index session, the all-KNN engine's
+#                      per-rank self-join, and the mutable
 #                      tier's merge thread + COW snapshot publishing
-#                      (readers racing insert/erase/seal/merge).
+#                      (readers and self-joins racing
+#                      insert/erase/seal/merge).
 #   ci.sh bench-smoke — Release build of the perf harnesses
 #                      (bench_hotpath, bench_serve, bench_facade,
 #                      bench_mmap, bench_mutable) run at tiny sizes
@@ -265,7 +267,7 @@ if [[ "$MODE" == "tsan" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
   cmake --build build-tsan -j --target test_mpmc_queue test_serve \
     test_parallel test_neighbor_table test_index test_mutable_index \
-    test_wal test_kdtree
+    test_wal test_kdtree test_all_knn
   # TSan serializes heavily on this container's core count; the mpmc /
   # serve / parallel suites are the ones whose bugs would be data
   # races (test_mpmc_queue hammers the Vyukov ring's release/acquire
@@ -283,12 +285,16 @@ if [[ "$MODE" == "tsan" ]]; then
   # surface. test_kdtree builds trees on pools of up to 8 threads:
   # phase-1 batches and phase-2 subtrees run split selection (its
   # stack-held sampling state) concurrently on disjoint index ranges.
+  # test_all_knn drives the Dist all-KNN engine across ranks, whose
+  # local pass is the packed-leaf self-join (query_self_batch: scattered
+  # row writes with a one-ahead prefetch) on every rank's pool at once;
+  # test_mutable_index runs the forest's self-join against a writer.
   # tsan.supp silences one libstdc++-internal report (the GCC 12
   # atomic<shared_ptr> lock-bit protocol — see the file); our own code
   # is still fully race-checked.
   (cd build-tsan && TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp" \
     ctest --output-on-failure \
-    -R '^(test_mpmc_queue|test_serve|test_parallel|test_neighbor_table|test_index|test_mutable_index|test_wal|test_kdtree)$' \
+    -R '^(test_mpmc_queue|test_serve|test_parallel|test_neighbor_table|test_index|test_mutable_index|test_wal|test_kdtree|test_all_knn)$' \
     --timeout 900)
   echo "ci.sh: tsan OK"
   exit 0

@@ -46,8 +46,9 @@ std::shared_ptr<parallel::ThreadPool> resolve_pool(
     const IndexOptions& options);
 
 /// Strict dist² < radius² prefix of an ascending (dist², id) row —
-/// the one boundary convention every adapter reduces with
-/// (DESIGN.md §5). An infinite radius keeps the whole row.
+/// the boundary convention of DESIGN.md §5, which the Dist and baseline
+/// adapters reduce their rows with (Local and Mutable bound their heaps
+/// instead). An infinite radius keeps the whole row.
 inline std::span<const core::Neighbor> radius_prefix(
     std::span<const core::Neighbor> row, float radius) {
   if (radius == std::numeric_limits<float>::infinity()) return row;

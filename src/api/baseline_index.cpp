@@ -33,6 +33,7 @@ class BaselineIndex : public Index {
                 core::NeighborTable& results, SearchWorkspace& ws) override {
     PANDA_CHECK_MSG(queries.empty() || queries.dims() == dims(),
                     "query dimensionality mismatch");
+    data::require_finite(data::PointSetView(queries), "Index::knn_into");
     PANDA_CHECK_MSG(params.k >= 1, "k must be >= 1");
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
     results.reset_topk(queries.size(), params.k);
@@ -49,6 +50,7 @@ class BaselineIndex : public Index {
                    SearchWorkspace& ws) override {
     PANDA_CHECK_MSG(queries.empty() || queries.dims() == dims(),
                     "query dimensionality mismatch");
+    data::require_finite(data::PointSetView(queries), "Index::radius_into");
     PANDA_CHECK_MSG(radii.size() == queries.size(),
                     "one radius per query required");
     results.reset_rows(queries.size());

@@ -174,6 +174,7 @@ class DistIndex final : public Index {
                 core::NeighborTable& results, SearchWorkspace&) override {
     PANDA_CHECK_MSG(queries.empty() || queries.dims() == dims_,
                     "query dimensionality mismatch");
+    data::require_finite(data::PointSetView(queries), "Index::knn_into");
     PANDA_CHECK_MSG(params.k >= 1, "k must be >= 1");
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
     if (queries.empty()) {
@@ -199,6 +200,7 @@ class DistIndex final : public Index {
                    SearchWorkspace&) override {
     PANDA_CHECK_MSG(queries.empty() || queries.dims() == dims_,
                     "query dimensionality mismatch");
+    data::require_finite(data::PointSetView(queries), "Index::radius_into");
     PANDA_CHECK_MSG(radii.size() == queries.size(),
                     "one radius per query required");
     float r_max = 0.0f;

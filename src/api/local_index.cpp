@@ -26,6 +26,7 @@ class LocalIndex final : public Index {
 
   void knn_into(const data::PointSet& queries, const SearchParams& params,
                 core::NeighborTable& results, SearchWorkspace& ws) override {
+    data::require_finite(data::PointSetView(queries), "Index::knn_into");
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
     tree_.query_batch(queries, params.k, *pool_, results, ws.batch,
                       params.radius, params.policy);
@@ -34,6 +35,7 @@ class LocalIndex final : public Index {
   void radius_into(const data::PointSet& queries,
                    std::span<const float> radii, core::NeighborTable& results,
                    SearchWorkspace& ws) override {
+    data::require_finite(data::PointSetView(queries), "Index::radius_into");
     tree_.query_radius_batch(queries, radii, *pool_, results, ws.batch);
   }
 

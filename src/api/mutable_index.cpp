@@ -2,7 +2,8 @@
 // adapter whose insert()/erase() succeed (DESIGN.md §12).
 //
 // Search calls map 1:1 onto the forest's batched kernels with the
-// caller's ForestWorkspace (inside SearchWorkspace), so results carry
+// caller's ForestWorkspace (inside SearchWorkspace) — a KNN radius
+// bound included, which the forest's heap prunes with — so results carry
 // the same deterministic (dist², id) contract as every other adapter
 // and stay id-exact against the brute-force oracle after any
 // interleaving of mutations (tests/test_mutable_index.cpp). The one
@@ -33,21 +34,16 @@ class MutableIndexAdapter final : public Index {
 
   void knn_into(const data::PointSet& queries, const SearchParams& params,
                 core::NeighborTable& results, SearchWorkspace& ws) override {
+    data::require_finite(data::PointSetView(queries), "Index::knn_into");
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
-    core_->knn_batch(queries, params.k, results, ws.forest, params.policy);
-    if (params.radius != std::numeric_limits<float>::infinity()) {
-      // The forest's heap takes no radius bound; rows are ascending,
-      // so the strict prefix is the exact answer.
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        results.set_count(i,
-                          radius_prefix(results[i], params.radius).size());
-      }
-    }
+    core_->knn_batch(queries, params.k, results, ws.forest, params.policy,
+                     params.radius);
   }
 
   void radius_into(const data::PointSet& queries,
                    std::span<const float> radii, core::NeighborTable& results,
                    SearchWorkspace& ws) override {
+    data::require_finite(data::PointSetView(queries), "Index::radius_into");
     core_->radius_batch(queries, radii, results, ws.forest);
   }
 

@@ -1,12 +1,15 @@
 // Id bookkeeping for the live index (DESIGN.md §12.6): a flat
-// open-addressing set of 64-bit ids and a linear-time sorted id list.
+// open-addressing set of 64-bit ids and a linear-time id sort.
 //
 // core::MutableIndex asks two kinds of id question. "Is this id live
 // anywhere?" (insert admission, erase) goes to one FlatIdSet; "which
 // container holds this id?" (erase routing, merge residuals) goes to
 // the per-container sorted lists that sorted_unique_ids builds. Both
 // run once per id when a seeded or recovered index opens, so both are
-// linear and allocate O(1) times, whatever the id count.
+// linear and allocate O(1) times, whatever the id count. The same
+// radix sort, carrying a position beside each id, puts the live set in
+// id order for the self-join's row keys and the compaction and save
+// builds.
 #pragma once
 
 #include <algorithm>
@@ -138,28 +141,50 @@ class FlatIdSet {
   bool has_empty_id_ = false;
 };
 
-/// `ids` ascending, by an LSD radix sort over 8-bit digits that skips
-/// every digit all ids share (ids below 2^24 take at most three passes,
-/// not eight): linear in ids.size(), one scratch allocation. Throws
-/// panda::Error naming `caller` on a duplicate (a container's ids must
-/// be unique for the live set to mean anything).
-inline std::vector<std::uint64_t> sorted_unique_ids(
-    std::vector<std::uint64_t> ids, std::string_view caller) {
+/// Sorts `items` ascending by the 64-bit key(item): a stable LSD radix
+/// sort over 8-bit digits that skips every digit all keys share (keys
+/// below 2^24 take at most three passes, not eight). Linear in
+/// items.size(), one scratch allocation; items with equal keys keep
+/// their input order.
+template <typename T, typename Key>
+void radix_sort_by_key(std::vector<T>& items, const Key& key) {
+  if (items.empty()) return;
+  const std::uint64_t first = key(items.front());
   std::uint64_t differ = 0;
-  for (const std::uint64_t id : ids) differ |= id ^ ids.front();
-  std::vector<std::uint64_t> scratch;
+  for (const T& item : items) differ |= key(item) ^ first;
+  std::vector<T> scratch;
   for (int shift = 0; shift < 64; shift += 8) {
     if (((differ >> shift) & 0xff) == 0) continue;
     std::array<std::size_t, 256> offset{};
-    for (const std::uint64_t id : ids) ++offset[(id >> shift) & 0xff];
+    for (const T& item : items) ++offset[(key(item) >> shift) & 0xff];
     std::size_t sum = 0;
     for (std::size_t& slot : offset) sum += std::exchange(slot, sum);
-    scratch.resize(ids.size());
-    for (const std::uint64_t id : ids) {
-      scratch[offset[(id >> shift) & 0xff]++] = id;
+    scratch.resize(items.size());
+    for (const T& item : items) {
+      scratch[offset[(key(item) >> shift) & 0xff]++] = item;
     }
-    ids.swap(scratch);
+    items.swap(scratch);
   }
+}
+
+/// An id with the position it came from (a point index, a self-join
+/// schedule slot), carried through radix_sort_by_key.
+struct IdPosition {
+  std::uint64_t id = 0;
+  std::uint64_t position = 0;
+};
+
+/// Sorts `pairs` ascending by id (radix_sort_by_key).
+inline void sort_by_id(std::vector<IdPosition>& pairs) {
+  radix_sort_by_key(pairs, [](const IdPosition& p) { return p.id; });
+}
+
+/// `ids` ascending (radix_sort_by_key). Throws panda::Error naming
+/// `caller` on a duplicate (a container's ids must be unique for the
+/// live set to mean anything).
+inline std::vector<std::uint64_t> sorted_unique_ids(
+    std::vector<std::uint64_t> ids, std::string_view caller) {
+  radix_sort_by_key(ids, [](std::uint64_t id) { return id; });
   const auto dup = std::adjacent_find(ids.begin(), ids.end());
   PANDA_CHECK_MSG(dup == ids.end(), caller << ": duplicate id " << *dup);
   return ids;

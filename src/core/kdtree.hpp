@@ -266,15 +266,44 @@ class KdTree {
   /// point i (the point itself included as its own 0-distance
   /// neighbor). Results are id-identical to query_sq_batch over the
   /// original build PointSet, but the schedule is the packed leaves
-  /// themselves: queries run leaf by leaf, each first scans the
-  /// (L1-hot) bucket it lives in for a tight initial bound and then
-  /// traverses from the root skipping that leaf, and query coordinates
-  /// are gathered from the packed block instead of the caller's
-  /// PointSet. This is stage 2 of the bulk all-KNN engine (DESIGN.md
-  /// §7, §9).
+  /// themselves: queries run leaf by leaf through offer_self, so
+  /// consecutive queries are spatial neighbours whose descents share
+  /// hot nodes and buckets. Rows land scattered (slot order is not
+  /// build order), so the loop prefetches the next query's row one
+  /// query ahead. This is stage 2 of the bulk all-KNN engine
+  /// (DESIGN.md §7, §9).
   void query_self_batch(std::size_t k, parallel::ThreadPool& pool,
                         NeighborTable& results, BatchWorkspace& ws,
                         QueryStats* stats = nullptr) const;
+
+  /// Packed slot range of one leaf: its points occupy slots
+  /// [begin, begin + count) of packed_ids(); padding follows them.
+  struct LeafSlots {
+    std::uint64_t begin = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// The self-join schedule (query_self_batch and the live forest's
+  /// MutableIndex::self_knn_batch): leaves in packed order, their slot
+  /// ranges, and the global id of every packed slot (padding slots
+  /// included).
+  std::size_t leaf_count() const { return leaves_.size(); }
+  LeafSlots leaf_slots(std::size_t leaf) const {
+    return {leaves_[leaf].packed_begin, leaves_[leaf].count};
+  }
+  std::span<const std::uint64_t> packed_ids() const { return packed_ids_; }
+
+  /// The per-slot self query of both self-joins: copies the point in
+  /// slot `j` of `leaf` straight from the packed block into ws.query,
+  /// primes `heap` with that (L1-hot) home bucket, then descends from
+  /// the root skipping it. Ids in `dead` (sorted ascending) are skipped
+  /// at admission, as in offer_knn. The heap is neither reset nor
+  /// drained, and ws.query keeps the query for the caller's other
+  /// containers.
+  void offer_self(std::size_t leaf, std::uint32_t j, KnnHeap& heap,
+                  QueryWorkspace& ws,
+                  std::span<const std::uint64_t> dead = {},
+                  QueryStats* stats = nullptr) const;
 
   /// Batched metric-radius KNN into a flat NeighborTable: row i holds
   /// the k nearest neighbors of queries[i] within `radius`.
@@ -465,12 +494,6 @@ class KdTree {
   template <typename Sink>
   void scan_leaf(const LeafInfo& leaf, const float* query, Sink& sink,
                  QueryWorkspace& ws, QueryStats& stats) const;
-  /// One self-join query (query_self_batch): prime with the home leaf
-  /// the query point lives in, traverse skipping it, extract into the
-  /// table row.
-  void batch_query_one(std::uint64_t i, std::size_t k, std::uint32_t home,
-                       QueryWorkspace& ws, NeighborTable& results,
-                       QueryStats& stats) const;
 
   /// Owned backing arrays — populated by build()/load(), empty on a
   /// mapped tree. Only rebind_owned() and the builders touch these;
@@ -513,7 +536,7 @@ class KdTree {
   std::span<const float> packed_;
   std::span<const std::uint64_t> packed_ids_;
   /// Build-time point index of each packed slot (padding slots hold
-  /// ~0): the self-KNN batch writes its result rows through this map.
+  /// ~0): query_self_batch writes its result rows through this map.
   std::span<const std::uint64_t> packed_local_idx_;
   TreeStats stats_;
 };

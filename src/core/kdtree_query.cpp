@@ -48,19 +48,6 @@ QueryWorkspace& shim_workspace() {
   return ws;
 }
 
-/// Removes the radius sentinels a bounded query seeded its heap with.
-/// Real candidates are strictly below (radius2, bound_id) in the
-/// (dist², id) order, so sentinels — all exactly equal to it — sort to
-/// the back of the row.
-std::size_t strip_radius_sentinels(const Neighbor* row, std::size_t count,
-                                   float radius2, std::uint64_t bound_id) {
-  while (count > 0 && row[count - 1].dist2 == radius2 &&
-         row[count - 1].id == bound_id) {
-    --count;
-  }
-  return count;
-}
-
 // The sinks of the one descent (search_exact, search_paper, scan_leaf):
 //   admit_bound() — the leaf scan offers the lanes with d2 <= it
 //                   (+inf: every lane, no mask);
@@ -336,9 +323,7 @@ std::size_t KdTree::query_sq_into(std::span<const float> query, std::size_t k,
   // strictly better under the (dist², id) order, without affecting
   // results (sentinels are stripped afterwards).
   const bool bounded = radius2 < kInf;
-  if (bounded) {
-    for (std::size_t i = 0; i < k; ++i) heap.offer(radius2, radius_bound_id);
-  }
+  if (bounded) seed_radius_sentinels(heap, radius2, radius_bound_id);
   offer_knn(query, heap, ws, {}, policy, stats);
   std::size_t count = heap.extract_sorted_into(out.data());
   if (bounded) {
@@ -370,18 +355,23 @@ std::vector<Neighbor> KdTree::query_sq(std::span<const float> query,
   return out;
 }
 
-void KdTree::batch_query_one(std::uint64_t i, std::size_t k,
-                             std::uint32_t home, QueryWorkspace& ws,
-                             NeighborTable& results, QueryStats& stats) const {
-  KnnHeap& heap = ws.heap;
-  heap.reset(k);
-  const float* q = ws.query.data();
+void KdTree::offer_self(std::size_t leaf, std::uint32_t j, KnnHeap& heap,
+                        QueryWorkspace& ws,
+                        std::span<const std::uint64_t> dead,
+                        QueryStats* stats) const {
+  ws.prepare(dims_);
+  const LeafInfo home = leaves_[leaf];
+  const std::uint64_t stride = simd::padded_count(home.count);
+  const float* block = packed_.data() + home.packed_begin * dims_;
+  float* q = ws.query.data();
+  for (std::size_t d = 0; d < dims_; ++d) q[d] = block[d * stride + j];
   // Prime with the home bucket, then run the root traversal with that
   // already-tight bound, skipping the primed leaf.
-  KnnSink sink{heap, {}};
-  scan_leaf(leaves_[nodes_[home].child], q, sink, ws, stats);
-  search_exact(q, sink, ws, stats, home);
-  results.set_count(i, heap.extract_sorted_into(results.slot(i).data()));
+  QueryStats local_stats;
+  KnnSink sink{heap, dead};
+  scan_leaf(home, q, sink, ws, local_stats);
+  search_exact(q, sink, ws, local_stats, leaf_nodes_[leaf]);
+  if (stats != nullptr) *stats += local_stats;
 }
 
 void KdTree::query_sq_batch(const data::PointSet& queries, std::size_t k,
@@ -434,8 +424,10 @@ void KdTree::query_self_batch(std::size_t k, parallel::ThreadPool& pool,
   ws.prepare(pool.size(), dims_, k, leaf_stride());
   for (auto& t : ws.per_thread) t.stats = QueryStats{};
 
-  // The packed leaves are the schedule: iterate buckets and query each
-  // resident point against its own (L1-hot) home bucket first.
+  // The packed leaves are the schedule: each bucket's points query in
+  // slot order, so consecutive descents share hot nodes and buckets.
+  // Their rows are build positions, scattered over the table, so each
+  // query prefetches the next one's row.
   const std::uint64_t n_leaves = leaves_.size();
   parallel::for_chunks(
       pool, n_leaves, batch_grain(n_leaves, pool.size(), 8), kInlineKnnBatch,
@@ -443,15 +435,20 @@ void KdTree::query_self_batch(std::size_t k, parallel::ThreadPool& pool,
         QueryWorkspace& w = ws.per_thread[static_cast<std::size_t>(tid)];
         for (std::uint64_t l = lo; l < hi; ++l) {
           const LeafInfo leaf = leaves_[l];
-          const std::uint32_t home = leaf_nodes_[l];
-          const std::uint64_t stride = simd::padded_count(leaf.count);
-          const float* block = packed_.data() + leaf.packed_begin * dims_;
+          const std::uint64_t* rows =
+              packed_local_idx_.data() + leaf.packed_begin;
           for (std::uint32_t j = 0; j < leaf.count; ++j) {
-            for (std::size_t d = 0; d < dims_; ++d) {
-              w.query[d] = block[d * stride + j];
+            if (j + 1 < leaf.count) {
+              results.prefetch_row(rows[j + 1]);
+            } else if (l + 1 < hi && leaves_[l + 1].count > 0) {
+              results.prefetch_row(
+                  packed_local_idx_[leaves_[l + 1].packed_begin]);
             }
-            const std::uint64_t i = packed_local_idx_[leaf.packed_begin + j];
-            batch_query_one(i, k, home, w, results, w.stats);
+            w.heap.reset(k);
+            offer_self(l, j, w.heap, w, {}, &w.stats);
+            const std::uint64_t row = rows[j];
+            results.set_count(
+                row, w.heap.extract_sorted_into(results.slot(row).data()));
           }
         }
       });

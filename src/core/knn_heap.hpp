@@ -158,6 +158,30 @@ class KnnHeap {
   std::vector<Neighbor> heap_;  // sorted ascending (dist², id)
 };
 
+/// Radius-bounded KNN on one heap (KdTree::query_sq_into and the live
+/// forest's knn_batch): seeding a freshly reset heap with k sentinels
+/// at (radius2, bound_id) makes it admit only candidates strictly below
+/// that bound under the (dist², id) order, so the bound prunes from the
+/// first candidate on.
+inline void seed_radius_sentinels(KnnHeap& heap, float radius2,
+                                  std::uint64_t bound_id) {
+  for (std::size_t i = 0; i < heap.k(); ++i) heap.offer(radius2, bound_id);
+}
+
+/// Removes the sentinels seed_radius_sentinels put in, from the back of
+/// the extracted row of `count` entries, and returns the new count. Real
+/// candidates sort strictly before the sentinels, which all equal
+/// (radius2, bound_id).
+inline std::size_t strip_radius_sentinels(const Neighbor* row,
+                                          std::size_t count, float radius2,
+                                          std::uint64_t bound_id) {
+  while (count > 0 && row[count - 1].dist2 == radius2 &&
+         row[count - 1].id == bound_id) {
+    --count;
+  }
+  return count;
+}
+
 /// Merges any number of ascending-sorted neighbor lists, keeping the k
 /// overall nearest under the (dist², id) order (used by the
 /// distributed top-k merge, stage 5). Order-independent: the result is

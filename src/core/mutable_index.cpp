@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -53,15 +54,14 @@ bool contains(const std::vector<std::uint64_t>& sorted, std::uint64_t id) {
   return std::binary_search(sorted.begin(), sorted.end(), id);
 }
 
-/// Reorders `points` ascending by id — the self-KNN row order and the
+/// Reorders `points` ascending by id — the live_points() order and the
 /// deterministic point order of compaction/save builds.
 data::PointSet sort_by_id(const data::PointSet& points) {
-  std::vector<std::uint64_t> order(points.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::uint64_t a, std::uint64_t b) {
-              return points.id(a) < points.id(b);
-            });
+  std::vector<IdPosition> keyed(points.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) keyed[i] = {points.id(i), i};
+  sort_by_id(keyed);
+  std::vector<std::uint64_t> order(keyed.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = keyed[i].position;
   return points.extract(order);
 }
 
@@ -976,6 +976,8 @@ void MutableIndex::maybe_sync_wal_locked() {
 
 namespace {
 
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
 /// Run points the buffer scan measures per block.
 constexpr std::size_t kScanBlock = 256;
 
@@ -1042,6 +1044,55 @@ std::span<const std::uint64_t> dead_ids(const auto& container) {
   return *container.dead;
 }
 
+/// No tree to skip (offer_forest).
+constexpr std::size_t kNoTree = ~std::size_t{0};
+
+/// Feeds w.heap, for the query in w.query, the live candidates of every
+/// buffered run and of every tree in `order` except `skip` (a
+/// snap.trees index): the buffer scan and the forest fan-out that
+/// every forest KNN query runs on its one heap.
+void offer_forest(const auto& snap, std::span<const std::size_t> order,
+                  std::size_t skip, std::size_t dims, QueryWorkspace& w,
+                  TraversalPolicy policy) {
+  scan_runs(
+      snap.runs, w.query.data(), dims, w.dist.data(),
+      [&](float d2) { return d2 <= w.heap.bound(); },
+      [&](float d2, std::uint64_t id) { w.heap.offer(d2, id); });
+  const std::span<const float> query(w.query.data(), dims);
+  for (const std::size_t t : order) {
+    if (t == skip) continue;
+    const auto& shard = snap.trees[t];
+    shard.tree->offer_knn(query, w.heap, w, dead_ids(shard), policy);
+  }
+}
+
+/// ws.tree_order = the snapshot's trees, descending by size: the
+/// biggest tree tightens the heap's k-th best, which then prunes every
+/// later descent, so the small trees of a deep mid-merge forest prune
+/// to near-nothing instead of each paying a fresh unbounded descent.
+void order_trees(const auto& trees, ForestWorkspace& ws) {
+  ws.tree_order.resize(trees.size());
+  for (std::size_t t = 0; t < trees.size(); ++t) ws.tree_order[t] = t;
+  std::sort(ws.tree_order.begin(), ws.tree_order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return trees[a].tree->size() > trees[b].tree->size();
+            });
+}
+
+/// One unit of the self-join's fan-out: a packed leaf of a tree, or a
+/// block of up to kScanBlock run points. `container` counts trees in
+/// ws.tree_order first, then the snapshot's runs; `part` is the leaf or
+/// block index; `base` is the schedule position of its first slot.
+struct SelfUnit {
+  std::uint64_t base = 0;
+  std::uint32_t container = 0;
+  std::uint32_t part = 0;
+  std::uint32_t count = 0;
+};
+
+/// A schedule position that answers no row: a dead slot.
+constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
+
 /// Appends the live points of one pinned snapshot (runs, then trees).
 void gather_snapshot_live(std::size_t dims, const auto& runs,
                           const auto& trees, data::PointSet& out) {
@@ -1072,18 +1123,20 @@ void gather_snapshot_live(std::size_t dims, const auto& runs,
 
 void MutableIndex::knn_batch(const data::PointSet& queries, std::size_t k,
                              NeighborTable& results, ForestWorkspace& ws,
-                             TraversalPolicy policy) const {
+                             TraversalPolicy policy, float radius) const {
   PANDA_CHECK_MSG(queries.dims() == dims_, "query dimensionality mismatch");
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
+  PANDA_CHECK_MSG(radius >= 0.0f, "radius must be non-negative");
   const auto snap = snapshot();
   results.reset_topk(queries.size(), k);
   if (queries.empty()) return;
-  knn_rows(queries, k, *snap, policy, results, ws);
+  const float radius2 = radius < kInf ? radius * radius : kInf;
+  knn_rows(queries, k, radius2, *snap, policy, results, ws);
 }
 
 void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
-                            const Snapshot& snap, TraversalPolicy policy,
-                            NeighborTable& results,
+                            float radius2, const Snapshot& snap,
+                            TraversalPolicy policy, NeighborTable& results,
                             ForestWorkspace& ws) const {
   // One chunk-stolen parallel region answers every query end to end on
   // one heap: the buffer scan and then every tree feed it, and each
@@ -1094,39 +1147,30 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
   // and the snapshot is immutable, so threads share nothing but the
   // work counter.
   //
-  // Trees go in descending size: the biggest tree tightens the heap's
-  // k-th best, which then prunes every later descent, so the small
-  // trees of a deep mid-merge forest prune to near-nothing instead of
-  // each paying a fresh unbounded descent. Exact: the heap only ever
-  // holds live candidates, so its bound only excludes points that
-  // could not enter the final top-k under the (dist², id) order.
-  const std::size_t n_trees = snap.trees.size();
-  ws.tree_order.resize(n_trees);
-  for (std::size_t t = 0; t < n_trees; ++t) ws.tree_order[t] = t;
-  std::sort(ws.tree_order.begin(), ws.tree_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return snap.trees[a].tree->size() > snap.trees[b].tree->size();
-            });
+  // Trees go in descending size (order_trees). Exact: the heap only
+  // ever holds live candidates, so its bound only excludes points that
+  // could not enter the final top-k under the (dist², id) order. A
+  // finite radius2 seeds the heap with k sentinels at (radius2, 0)
+  // before the buffer scan, so the bound prunes from the first
+  // candidate on (query_sq_into's contract); they are stripped after
+  // extraction.
+  order_trees(snap.trees, ws);
   prepare_threads(ws, pool_->size(), dims_, k, snap.trees);
+  const bool bounded = radius2 < kInf;
   const std::uint64_t n = queries.size();
   parallel::for_chunks(
       *pool_, n, forest_grain(n, pool_->size()), kInlineKnnBatch,
       [&](int tid, std::uint64_t lo, std::uint64_t hi) {
         QueryWorkspace& w = ws.batch.per_thread[static_cast<std::size_t>(tid)];
-        const std::span<const float> query(w.query.data(), dims_);
         for (std::uint64_t i = lo; i < hi; ++i) {
           queries.copy_point(i, w.query.data());
           w.heap.reset(k);
-          scan_runs(
-              snap.runs, query.data(), dims_, w.dist.data(),
-              [&](float d2) { return d2 <= w.heap.bound(); },
-              [&](float d2, std::uint64_t id) { w.heap.offer(d2, id); });
-          for (const std::size_t t : ws.tree_order) {
-            const TreeShard& shard = snap.trees[t];
-            shard.tree->offer_knn(query, w.heap, w, dead_ids(shard), policy);
-          }
-          results.set_count(i,
-                            w.heap.extract_sorted_into(results.slot(i).data()));
+          if (bounded) seed_radius_sentinels(w.heap, radius2, 0);
+          offer_forest(snap, ws.tree_order, kNoTree, dims_, w, policy);
+          Neighbor* row = results.slot(i).data();
+          std::size_t count = w.heap.extract_sorted_into(row);
+          if (bounded) count = strip_radius_sentinels(row, count, radius2, 0);
+          results.set_count(i, count);
         }
       });
 }
@@ -1180,16 +1224,120 @@ void MutableIndex::radius_batch(const data::PointSet& queries,
 
 void MutableIndex::self_knn_batch(std::size_t k, NeighborTable& results,
                                   ForestWorkspace& ws) const {
+  PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   // One snapshot serves both the query set and the answers, so the
   // call is exact even while writers race it.
   const auto snap = snapshot();
-  data::PointSet live(dims_);
-  gather_snapshot_live(dims_, snap->runs, snap->trees, live);
-  const data::PointSet queries = sort_by_id(live);
-  PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
-  results.reset_topk(queries.size(), k);
-  if (queries.empty()) return;
-  knn_rows(queries, k, *snap, TraversalPolicy::Exact, results, ws);
+  const Snapshot& s = *snap;
+  order_trees(s.trees, ws);
+  const std::size_t n_trees = s.trees.size();
+
+  // The schedule: every tree's packed slots (descending tree size,
+  // padding included), then every run's points. Row keys: a live slot's
+  // row is its id's rank among the live ids — one radix sort of (id,
+  // schedule position) pairs, then one scatter into row_of. Dead slots
+  // keep kNoRow: neither a query nor a row. The units list the same
+  // slots in the same order for the fan-out.
+  std::vector<SelfUnit> units;
+  std::vector<std::uint64_t> row_of;
+  std::uint64_t live = 0;
+  {
+    std::uint64_t points = 0;
+    for (const TreeShard& shard : s.trees) points += shard.tree->size();
+    for (const Run& run : s.runs) points += run.points->size();
+    std::vector<IdPosition> keys;
+    keys.reserve(points);
+    const auto key = [&](std::uint64_t id, std::uint64_t position,
+                         std::span<const std::uint64_t> dead) {
+      if (dead.empty() || !std::binary_search(dead.begin(), dead.end(), id)) {
+        keys.push_back({id, position});
+      }
+    };
+    std::uint64_t positions = 0;
+    for (std::size_t c = 0; c < n_trees; ++c) {
+      const TreeShard& shard = s.trees[ws.tree_order[c]];
+      const KdTree& tree = *shard.tree;
+      const std::span<const std::uint64_t> ids = tree.packed_ids();
+      for (std::size_t l = 0; l < tree.leaf_count(); ++l) {
+        const KdTree::LeafSlots leaf = tree.leaf_slots(l);
+        const std::uint64_t base = positions + leaf.begin;
+        units.push_back({base, static_cast<std::uint32_t>(c),
+                         static_cast<std::uint32_t>(l), leaf.count});
+        for (std::uint32_t j = 0; j < leaf.count; ++j) {
+          key(ids[leaf.begin + j], base + j, dead_ids(shard));
+        }
+      }
+      positions += ids.size();
+    }
+    for (std::size_t r = 0; r < s.runs.size(); ++r) {
+      const data::PointSet& ps = *s.runs[r].points;
+      for (std::size_t p = 0; p < ps.size(); p += kScanBlock) {
+        units.push_back({positions + p,
+                         static_cast<std::uint32_t>(n_trees + r),
+                         static_cast<std::uint32_t>(p / kScanBlock),
+                         static_cast<std::uint32_t>(
+                             std::min(kScanBlock, ps.size() - p))});
+      }
+      for (std::size_t p = 0; p < ps.size(); ++p) {
+        key(ps.id(p), positions + p, dead_ids(s.runs[r]));
+      }
+      positions += ps.size();
+    }
+    sort_by_id(keys);
+    live = keys.size();
+    row_of.assign(positions, kNoRow);
+    for (std::uint64_t rank = 0; rank < live; ++rank) {
+      row_of[keys[rank].position] = rank;
+    }
+  }
+  results.reset_topk(live, k);
+  if (live == 0) return;
+
+  // The answers, unit by unit. A tree slot reads its query from the
+  // packed block, primes the heap with its home bucket and descends its
+  // own tree skipping it (KdTree::offer_self), then feeds the runs and
+  // every other tree; a run point is an ordinary forest query. Rows are
+  // id ranks, scattered over the table, so each query prefetches the
+  // next one's row.
+  prepare_threads(ws, pool_->size(), dims_, k, s.trees);
+  const std::uint64_t n_units = units.size();
+  parallel::for_chunks(
+      *pool_, n_units, forest_grain(n_units, pool_->size()), kInlineKnnBatch,
+      [&](int tid, std::uint64_t lo, std::uint64_t hi) {
+        QueryWorkspace& w = ws.batch.per_thread[static_cast<std::size_t>(tid)];
+        for (std::uint64_t u = lo; u < hi; ++u) {
+          const SelfUnit unit = units[u];
+          const bool in_tree = unit.container < n_trees;
+          const std::size_t home =
+              in_tree ? ws.tree_order[unit.container] : kNoTree;
+          for (std::uint32_t j = 0; j < unit.count; ++j) {
+            const std::uint64_t row = row_of[unit.base + j];
+            if (row == kNoRow) continue;
+            std::uint64_t next = kNoRow;
+            if (j + 1 < unit.count) {
+              next = row_of[unit.base + j + 1];
+            } else if (u + 1 < hi && units[u + 1].count > 0) {
+              next = row_of[units[u + 1].base];
+            }
+            if (next != kNoRow) results.prefetch_row(next);
+            w.heap.reset(k);
+            if (in_tree) {
+              const TreeShard& shard = s.trees[home];
+              shard.tree->offer_self(unit.part, j, w.heap, w,
+                                     dead_ids(shard));
+            } else {
+              const data::PointSet& ps =
+                  *s.runs[unit.container - n_trees].points;
+              ps.copy_point(std::size_t{unit.part} * kScanBlock + j,
+                            w.query.data());
+            }
+            offer_forest(s, ws.tree_order, home, dims_, w,
+                         TraversalPolicy::Exact);
+            results.set_count(
+                row, w.heap.extract_sorted_into(results.slot(row).data()));
+          }
+        }
+      });
 }
 
 data::PointSet MutableIndex::live_points() const {

@@ -65,6 +65,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -138,7 +139,10 @@ struct MutationStats {
 /// Caller-owned, grow-only scratch for MutableIndex queries — one per
 /// concurrent caller, reusable across calls (the forest analogue of
 /// BatchWorkspace; SearchWorkspace embeds one). Every pool thread's
-/// slots are warmed before each fan-out.
+/// slots are warmed before each fan-out. Nothing here scales with the
+/// index: self_knn_batch's row keys and schedule are per call and
+/// freed on return, because a serving process keeps its workspace
+/// alive and grow-only scratch would sit in its resident set.
 struct ForestWorkspace {
   /// One QueryWorkspace per pool thread: a thread drives each query of
   /// its chunk through the buffer scan and every tree on the same heap,
@@ -208,10 +212,13 @@ class MutableIndex {
 
   /// K nearest live neighbors of every query, top-k mode rows of
   /// ascending (dist², id) — bit-identical to a fresh build over the
-  /// live points.
+  /// live points. A finite metric `radius` keeps only neighbors with
+  /// dist² < radius² and prunes with that bound from the first
+  /// candidate on (KdTree::query_sq_into's contract); it must be >= 0.
   void knn_batch(const data::PointSet& queries, std::size_t k,
                  NeighborTable& results, ForestWorkspace& ws,
-                 TraversalPolicy policy = TraversalPolicy::Exact) const;
+                 TraversalPolicy policy = TraversalPolicy::Exact,
+                 float radius = std::numeric_limits<float>::infinity()) const;
 
   /// All live neighbors with dist² < radii[i]² (rows mode, ascending),
   /// answered in the same single fork-join as knn_batch.
@@ -222,7 +229,15 @@ class MutableIndex {
   /// Bulk self-KNN of the live set: row i answers the i-th live point
   /// in ascending id order (the only stable ordering a mutating index
   /// can offer; equals build position when ids were inserted
-  /// ascending).
+  /// ascending). A join over the forest's own packed leaves (DESIGN.md
+  /// §12.7): trees in descending size, leaf by leaf, each live slot
+  /// reads its query from the packed block, primes its heap with its
+  /// home bucket and descends its own tree (KdTree::offer_self), then
+  /// feeds the runs and every other tree; buffered run points follow as
+  /// ordinary forest queries. A slot's row is its id's rank among the
+  /// live ids, from one radix sort of (id, schedule position) pairs;
+  /// that per-call scratch (about 40 bytes per live point) is freed on
+  /// return. No live-set copy is made.
   void self_knn_batch(std::size_t k, NeighborTable& results,
                       ForestWorkspace& ws) const;
 
@@ -346,10 +361,11 @@ class MutableIndex {
   /// wal_flush_interval_us elapsed since the last sync.
   void maybe_sync_wal_locked() PANDA_REQUIRES(mutex_);
 
-  /// The KNN engine behind knn_batch/self_knn_batch: one for_chunks
-  /// region answers every query end to end on one heap (buffer scan +
-  /// every tree). `results` must already be reset to top-k mode.
-  void knn_rows(const data::PointSet& queries, std::size_t k,
+  /// The KNN engine behind knn_batch: one for_chunks region answers
+  /// every query end to end on one heap (buffer scan + every tree),
+  /// bounded by `radius2` when finite. `results` must already be reset
+  /// to top-k mode.
+  void knn_rows(const data::PointSet& queries, std::size_t k, float radius2,
                 const Snapshot& snap, TraversalPolicy policy,
                 NeighborTable& results, ForestWorkspace& ws) const;
 

@@ -95,6 +95,17 @@ class NeighborTable {
     counts_[i] = static_cast<std::uint32_t>(count);
   }
 
+  /// Top-k mode: hints row i's slots and count into cache ahead of
+  /// their write — for producers that fill rows in scattered order
+  /// (the self-joins, one query ahead).
+  void prefetch_row(std::size_t i) const {
+    PANDA_ASSERT(mode_ == Mode::TopK && i < rows_);
+    const Neighbor* row = arena_.data() + i * stride_;
+    __builtin_prefetch(row, 1);
+    __builtin_prefetch(row + stride_ - 1, 1);
+    __builtin_prefetch(counts_.data() + i, 1);
+  }
+
   /// Top-k mode: copies `row` (size <= k) into slot i and sets the
   /// count.
   void assign_row(std::size_t i, std::span<const Neighbor> row) {

@@ -1,7 +1,8 @@
 // Oracle tests for the live index's id bookkeeping (core/id_set.hpp,
 // DESIGN.md §12.6): FlatIdSet must behave exactly like
-// std::unordered_set under long insert/erase/contains streams, and
-// sorted_unique_ids must agree with std::sort and reject duplicates.
+// std::unordered_set under long insert/erase/contains streams,
+// sorted_unique_ids must agree with std::sort and reject duplicates, and
+// the position-carrying sort_by_id must agree with std::stable_sort.
 // The id families are the ones a hash or a digit-skipping radix sort
 // gets wrong first: 0 and ~0, sequential runs, multiples of 2^20, and
 // ids that differ only in their top byte.
@@ -182,6 +183,55 @@ TEST(SortedUniqueIds, MatchesStdSort) {
   expect_sorts_like_std({});
   expect_sorts_like_std({42});
   expect_sorts_like_std({kMax, 0});
+}
+
+TEST(SortById, CarriesPositionsLikeStdSort) {
+  // Shuffled ids that differ in every one of the eight digits, 0 and ~0
+  // included; each pair's position must travel with its id.
+  std::mt19937_64 rng(13);
+  std::vector<std::uint64_t> ids = {0, kMax};
+  for (int digit = 0; digit < 8; ++digit) {
+    for (std::uint64_t v = 1; v < 256; v += 17) ids.push_back(v << (8 * digit));
+  }
+  for (int i = 0; i < 20000; ++i) ids.push_back(rng());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::shuffle(ids.begin(), ids.end(), rng);
+  std::vector<IdPosition> pairs(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) pairs[i] = {ids[i], i * 3 + 1};
+  std::vector<IdPosition> want = pairs;
+  std::sort(want.begin(), want.end(),
+            [](const IdPosition& a, const IdPosition& b) { return a.id < b.id; });
+  sort_by_id(pairs);
+  ASSERT_EQ(pairs.size(), want.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_EQ(pairs[i].id, want[i].id) << i;
+    ASSERT_EQ(pairs[i].position, want[i].position) << i;
+  }
+
+  std::vector<IdPosition> none;
+  sort_by_id(none);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(SortById, EqualIdsKeepTheirInputOrder) {
+  // Stable like std::stable_sort: the forest relies on no order among
+  // equal ids, but a stable sort keeps any caller's tie order defined.
+  std::mt19937_64 rng(17);
+  std::vector<IdPosition> pairs(5000);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const std::uint64_t high = (rng() % 64) << 40;
+    pairs[i] = {high | (rng() % 3), i};
+  }
+  std::vector<IdPosition> want = pairs;
+  std::stable_sort(
+      want.begin(), want.end(),
+      [](const IdPosition& a, const IdPosition& b) { return a.id < b.id; });
+  sort_by_id(pairs);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_EQ(pairs[i].id, want[i].id) << i;
+    ASSERT_EQ(pairs[i].position, want[i].position) << i;
+  }
 }
 
 TEST(SortedUniqueIds, DuplicateThrowsNamingTheCaller) {

@@ -399,6 +399,97 @@ TEST(FacadeBuild, MutableRefusesNonFiniteCoordinatesEitherSideOfTheBuffer) {
   expect_build_refuses_non_finite(o, 5000);
 }
 
+/// Every query entry refuses a batch with a NaN or infinite coordinate
+/// with panda::Error naming the query id and the dimension — knn_into
+/// (unbounded and bounded), both radius_into overloads, and the
+/// single-query knn and radius_search shims — and still answers a
+/// clean batch afterwards.
+void expect_queries_refuse_non_finite(const IndexOptions& options) {
+  const auto gen = data::make_generator("cosmo", 43);
+  const data::PointSet points = gen->generate_all(2000);
+  auto index = Index::build(points, options);
+  data::PointSet clean(points.dims());
+  gen->generate(5000, 5008, clean);
+  const std::uint64_t victim = 5;
+  core::NeighborTable results;
+  SearchWorkspace ws;
+  SearchParams params;
+  params.k = 4;
+  SearchParams bounded = params;
+  bounded.radius = 0.1f;
+  const std::vector<float> radii(clean.size(), 0.05f);
+  std::vector<float> q(points.dims());
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    data::PointSet queries = clean;
+    queries.coordinate(1)[victim] = bad;
+    const std::string at =
+        std::string(index->engine_name()) + " " + std::to_string(bad);
+    const auto expect_refused = [&](const auto& call, const char* entry) {
+      try {
+        call();
+        ADD_FAILURE() << at << " " << entry << " accepted the query";
+      } catch (const panda::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("point id " + std::to_string(queries.id(victim))),
+                  std::string::npos)
+            << at << " " << entry << ": " << what;
+        EXPECT_NE(what.find("dimension 1"), std::string::npos)
+            << at << " " << entry << ": " << what;
+      }
+    };
+    expect_refused([&] { index->knn_into(queries, params, results, ws); },
+                   "knn_into");
+    expect_refused([&] { index->knn_into(queries, bounded, results, ws); },
+                   "bounded knn_into");
+    expect_refused([&] { index->radius_into(queries, radii, results, ws); },
+                   "radius_into");
+    expect_refused([&] { index->radius_into(queries, bounded, results, ws); },
+                   "uniform radius_into");
+    queries.copy_point(victim, q.data());
+    EXPECT_THROW((void)index->knn(q, 4), panda::Error) << at << " knn()";
+    EXPECT_THROW((void)index->radius_search(q, 0.05f), panda::Error)
+        << at << " radius_search()";
+  }
+  index->knn_into(clean, params, results, ws);
+  ASSERT_EQ(results.size(), clean.size());
+  EXPECT_EQ(results[0].size(), 4u);
+}
+
+TEST(FacadeQuery, LocalRefusesNonFiniteQueries) {
+  IndexOptions o;
+  o.threads = 2;
+  expect_queries_refuse_non_finite(o);
+}
+
+TEST(FacadeQuery, DistRefusesNonFiniteQueries) {
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::Dist;
+  o.cluster.ranks = 2;
+  expect_queries_refuse_non_finite(o);
+}
+
+TEST(FacadeQuery, BruteForceRefusesNonFiniteQueries) {
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::BruteForce;
+  expect_queries_refuse_non_finite(o);
+}
+
+TEST(FacadeQuery, SimpleTreeRefusesNonFiniteQueries) {
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::SimpleTree;
+  expect_queries_refuse_non_finite(o);
+}
+
+TEST(FacadeQuery, MutableRefusesNonFiniteQueries) {
+  IndexOptions o;
+  o.engine = IndexOptions::Engine::Mutable;
+  o.threads = 2;
+  o.mutable_config.buffer_capacity = 128;
+  expect_queries_refuse_non_finite(o);
+}
+
 TEST(FacadeSearch, RejectsBadQueries) {
   const auto gen = data::make_generator("uniform", 2);
   const data::PointSet points = gen->generate_all(100);

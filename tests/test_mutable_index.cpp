@@ -1008,5 +1008,287 @@ TEST(MutableDurability, ReinsertedIdSurvivesALevelMergeAndReopen) {
   expect_reopens_to(oracle, gen->dims(), config, h);
 }
 
+// ---------------------------------------------------------------------
+// The forest self-join (self_knn_batch): a join over the trees' own
+// packed leaves with rows keyed by id rank. Pinned against brute force
+// over the live set on a forest with several trees, open runs,
+// tombstones on both sides, erased-then-reinserted ids, and ids whose
+// rank differs from their insertion position.
+// ---------------------------------------------------------------------
+
+/// Builds the self-join fixture forest on `pool`: 3,000 points with
+/// shuffled ids sealed into ten level-0 trees (a fan-in of 16 keeps the
+/// shape free of merge timing), then erases, reinserts and open runs on
+/// top. Mirrors every step into `oracle`.
+std::unique_ptr<MutableIndex> make_self_join_forest(
+    std::shared_ptr<parallel::ThreadPool> pool, LiveOracle& oracle) {
+  const auto gen = data::make_generator("gmm", /*seed=*/2029);
+  MutableConfig config;
+  config.buffer_capacity = 256;
+  config.merge_fan_in = 16;
+  auto owned =
+      std::make_unique<MutableIndex>(gen->dims(), config, BuildConfig{}, pool);
+  MutableIndex& index = *owned;
+  Rng rng(derive_seed(0x5E1F, 1));
+
+  // Ids 7·p + 3 for p in a shuffled 0..2999: insertion position, id
+  // and rank all differ.
+  std::vector<std::uint64_t> ids(3000);
+  for (std::uint64_t p = 0; p < ids.size(); ++p) ids[p] = 7 * p + 3;
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.uniform_index(i + 1)]);
+  }
+  for (std::size_t b = 0; b < ids.size(); b += 100) {
+    const std::vector<std::uint64_t> batch_ids(ids.begin() + b,
+                                               ids.begin() + b + 100);
+    const PointSet batch = points_with_ids(*gen, b, batch_ids);
+    index.insert(batch);
+    oracle.insert(batch);
+  }
+  index.quiesce();
+
+  // Tombstones in the trees; half of them come back at new coordinates
+  // in a run, so their old copies stay dead in their trees.
+  std::vector<std::uint64_t> doomed;
+  for (std::size_t e = 0; e < 120; ++e) {
+    doomed.push_back(ids[rng.uniform_index(ids.size())]);
+  }
+  EXPECT_EQ(index.erase(doomed), oracle.erase(doomed));
+  std::sort(doomed.begin(), doomed.end());
+  doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
+  const std::vector<std::uint64_t> reborn_ids(doomed.begin(),
+                                              doomed.begin() + 60);
+  const PointSet reborn = points_with_ids(*gen, 50000, reborn_ids);
+  index.insert(reborn);
+  oracle.insert(reborn);
+
+  // Two more open runs of new ids, then tombstones inside the runs
+  // (a reborn id and a fresh one) and one more in a tree.
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    std::vector<std::uint64_t> fresh_ids(50);
+    for (std::uint64_t i = 0; i < fresh_ids.size(); ++i) {
+      fresh_ids[i] = 1000000 - 97 * (r * 50 + i);
+    }
+    const PointSet fresh = points_with_ids(*gen, 60000 + r * 50, fresh_ids);
+    index.insert(fresh);
+    oracle.insert(fresh);
+  }
+  const std::uint64_t run_doomed[] = {reborn_ids[3], 1000000 - 97 * 7,
+                                      ids[17]};
+  EXPECT_EQ(index.erase(run_doomed), oracle.erase(run_doomed));
+  return owned;
+}
+
+TEST(MutableSelfKnn, ForestJoinMatchesBruteForceOverTheLiveSet) {
+  for (const int threads : {1, 4}) {
+    auto pool = std::make_shared<parallel::ThreadPool>(threads);
+    LiveOracle oracle(3);
+    const auto forest = make_self_join_forest(pool, oracle);
+    const MutableIndex& index = *forest;
+    const MutationStats stats = index.stats();
+    ASSERT_EQ(stats.trees, 10u);
+    ASSERT_GT(stats.buffered_points, 0u);
+    ASSERT_GT(stats.tombstones, 0u);
+    // More leaves than the inline cutoff: a pool of 4 fans the leaves
+    // out across chunks.
+    ASSERT_GT(oracle.size() / BuildConfig{}.bucket_size, kInlineKnnBatch);
+    NeighborTable results;
+    ForestWorkspace ws;
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{6}, std::size_t{32}}) {
+      expect_self_knn_matches(index, oracle, k, results, ws,
+                              "pool " + std::to_string(threads) + " k=" +
+                                  std::to_string(k));
+    }
+  }
+}
+
+TEST(MutableSelfKnn, AllDeadAndEmptyForests) {
+  Harness h;
+  MutableIndex index = h.make(3, /*buffer_capacity=*/16, /*fan_in=*/2);
+  index.self_knn_batch(4, h.results, h.ws);
+  EXPECT_EQ(h.results.size(), 0u);
+  const auto gen = data::make_generator("uniform", /*seed=*/8);
+  PointSet batch(gen->dims());
+  gen->generate(0, 40, batch);
+  index.insert(batch);
+  index.quiesce();
+  std::vector<std::uint64_t> all(40);
+  for (std::uint64_t id = 0; id < all.size(); ++id) all[id] = id;
+  EXPECT_EQ(index.erase(all), 40u);
+  index.self_knn_batch(4, h.results, h.ws);
+  EXPECT_EQ(h.results.size(), 0u);
+  EXPECT_THROW(index.self_knn_batch(0, h.results, h.ws), panda::Error);
+}
+
+TEST(MutableConcurrency, SelfJoinDuringInsertsErasesAndSeals) {
+  // Each self_knn_batch call pins one snapshot, and every snapshot a
+  // writer publishes holds the live set after one whole insert or
+  // erase. So every call's rows must equal the self-KNN oracle of one
+  // state of the writer's schedule.
+  Harness h;
+  const auto gen = data::make_generator("uniform", /*seed=*/77);
+  MutableIndex index = h.make(gen->dims(), /*buffer_capacity=*/32,
+                              /*fan_in=*/2);
+  LiveOracle oracle(gen->dims());
+  PointSet seed_batch(gen->dims());
+  gen->generate(0, 150, seed_batch);
+  index.insert(seed_batch);
+  oracle.insert(seed_batch);
+  std::vector<LiveOracle> states{oracle};
+
+  constexpr std::size_t kSelfK = 4;
+  std::atomic<bool> stop{false};
+  std::vector<std::vector<std::vector<Neighbor>>> seen;
+  std::thread reader([&] {
+    NeighborTable results;
+    ForestWorkspace ws;
+    int remaining_min_passes = 3;
+    while (remaining_min_passes-- > 0 ||
+           !stop.load(std::memory_order_relaxed)) {
+      index.self_knn_batch(kSelfK, results, ws);
+      if (seen.size() < 48) seen.push_back(results.to_vectors());
+    }
+  });
+
+  Rng rng(derive_seed(0xBEEF, 2));
+  std::uint64_t next_id = 150;
+  for (int round = 0; round < 20; ++round) {
+    PointSet fresh(gen->dims());
+    gen->generate(next_id, next_id + 16, fresh);
+    next_id += 16;
+    index.insert(fresh);
+    oracle.insert(fresh);
+    states.push_back(oracle);
+    if (round % 2 == 1) {
+      const auto live = oracle.ids();
+      std::vector<std::uint64_t> doomed;
+      for (int e = 0; e < 6; ++e) {
+        doomed.push_back(live[rng.uniform_index(live.size())]);
+      }
+      EXPECT_EQ(index.erase(doomed), oracle.erase(doomed));
+      states.push_back(oracle);
+    }
+  }
+  stop.store(true);
+  reader.join();
+  ASSERT_FALSE(seen.empty());
+
+  const auto matches = [&](const std::vector<std::vector<Neighbor>>& rows,
+                           const LiveOracle& state) {
+    const PointSet& pts = state.points();
+    if (rows.size() != pts.size()) return false;
+    std::vector<float> q(pts.dims());
+    for (std::uint64_t i = 0; i < pts.size(); ++i) {
+      pts.copy_point(i, q.data());
+      if (rows[i] != state.knn(q, kSelfK)) return false;
+    }
+    return true;
+  };
+  for (std::size_t c = 0; c < seen.size(); ++c) {
+    EXPECT_TRUE(std::any_of(states.begin(), states.end(),
+                            [&](const LiveOracle& state) {
+                              return matches(seen[c], state);
+                            }))
+        << "self-join call " << c << " (" << seen[c].size()
+        << " rows) matches no state of the schedule";
+  }
+  index.quiesce();
+  expect_self_knn_matches(index, oracle, kSelfK, h.results, h.ws,
+                          "after concurrent schedule");
+}
+
+// ---------------------------------------------------------------------
+// Radius-bounded KNN: the forest's heap takes the bound (k sentinels
+// at (r², 0)), so rows equal Local's bounded query and the strict
+// prefix of brute force, ties at the bound included.
+// ---------------------------------------------------------------------
+
+TEST(MutableBoundedKnn, MatchesLocalAndBruteForceAcrossTiesAtTheBound) {
+  // Points on a 1/8 grid, each present twice (distinct ids): squared
+  // distances between grid points are exact in float, so every query
+  // on the grid sees tie groups of equal distance, and a radius of one
+  // or two grid steps lands exactly on one.
+  Harness h;
+  MutableConfig config;
+  config.buffer_capacity = 200;
+  config.merge_fan_in = 8;
+  MutableIndex index(3, config, BuildConfig{}, h.pool);
+  LiveOracle oracle(3);
+  Rng rng(derive_seed(0x71E5, 3));
+  PointSet grid(3);
+  std::uint64_t p = 0;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int x = 0; x < 8; ++x) {
+      for (int y = 0; y < 8; ++y) {
+        for (int z = 0; z < 8; ++z) {
+          // Id 0 sits on the grid too: a candidate at exactly (r², 0)
+          // must lose to the sentinel.
+          grid.push_point(std::vector<float>{x / 8.0f, y / 8.0f, z / 8.0f},
+                          (p++ * 37) % 1024);
+        }
+      }
+    }
+  }
+  // Seal 800 into trees (four seals of 200), keep the rest as runs.
+  for (std::size_t b = 0; b < grid.size(); b += 100) {
+    std::vector<std::uint64_t> rows(std::min<std::size_t>(100, grid.size() - b));
+    for (std::uint64_t i = 0; i < rows.size(); ++i) rows[i] = b + i;
+    const PointSet batch = grid.extract(rows);
+    index.insert(batch);
+    oracle.insert(batch);
+    if (b + 100 == 800) index.quiesce();
+  }
+  std::vector<std::uint64_t> doomed;
+  for (int e = 0; e < 40; ++e) doomed.push_back(rng.uniform_index(1024));
+  EXPECT_EQ(index.erase(doomed), oracle.erase(doomed));
+  const MutationStats stats = index.stats();
+  ASSERT_GE(stats.trees, 2u);
+  ASSERT_GT(stats.buffered_points, 0u);
+  ASSERT_GT(stats.tombstones, 0u);
+
+  PointSet queries(3);
+  for (int q = 0; q < 24; ++q) {
+    // Grid points (ties at 0, 1/8, √2/8, ...) and a few off-grid ones.
+    const float off = q % 4 == 3 ? 0.03f : 0.0f;
+    queries.push_point(
+        std::vector<float>{static_cast<float>(q % 8) / 8.0f + off,
+                           static_cast<float>((q * 3) % 8) / 8.0f,
+                           static_cast<float>((q * 5) % 8) / 8.0f},
+        static_cast<std::uint64_t>(q));
+  }
+  const KdTree local = KdTree::build(oracle.points(), BuildConfig{}, *h.pool);
+  BatchWorkspace local_ws;
+  NeighborTable local_rows;
+  std::vector<float> q(3);
+  for (const float radius : {0.125f, 0.25f, 0.2f, 0.0f}) {
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{4}, std::size_t{9}, std::size_t{40}}) {
+      const std::string at = "r=" + std::to_string(radius) +
+                             " k=" + std::to_string(k);
+      index.knn_batch(queries, k, h.results, h.ws, TraversalPolicy::Exact,
+                      radius);
+      local.query_batch(queries, k, *h.pool, local_rows, local_ws, radius);
+      ASSERT_EQ(h.results.size(), queries.size()) << at;
+      for (std::uint64_t i = 0; i < queries.size(); ++i) {
+        queries.copy_point(i, q.data());
+        std::vector<Neighbor> want = oracle.knn(q, k);
+        while (!want.empty() && !(want.back().dist2 < radius * radius)) {
+          want.pop_back();
+        }
+        const std::string row = at + " query " + std::to_string(i);
+        expect_row_identical(h.results[i], want, row + " vs brute force");
+        const auto lr = local_rows[i];
+        expect_row_identical(h.results[i],
+                             std::vector<Neighbor>(lr.begin(), lr.end()),
+                             row + " vs Local");
+      }
+    }
+  }
+  EXPECT_THROW(index.knn_batch(queries, 3, h.results, h.ws,
+                               TraversalPolicy::Exact, -1.0f),
+               panda::Error);
+}
+
 }  // namespace
 }  // namespace panda::core
