@@ -66,12 +66,12 @@
 #                      (readers and self-joins racing
 #                      insert/erase/seal/merge).
 #   ci.sh bench-smoke — Release build of the perf harnesses
-#                      (bench_hotpath, bench_serve, bench_facade,
-#                      bench_mmap, bench_mutable) run at tiny sizes
-#                      from the build directory (no checked-in JSON is
-#                      touched), so the harnesses themselves cannot
-#                      rot. bench_facade digest-gates the panda::Index
-#                      facade against direct engine calls; bench_mmap
+#                      (bench_hotpath, bench_serve, bench_mmap,
+#                      bench_mutable) run at tiny sizes from the build
+#                      directory (no checked-in JSON is touched), so the
+#                      harnesses themselves cannot rot (the facade's
+#                      digest gate against direct engine calls is a
+#                      test_index case, FacadeLocal.*); bench_mmap
 #                      digest-gates mapped-index queries against the
 #                      owned build and gates the unverified open under
 #                      an owned KdTree::load of the same v4 file;
@@ -302,18 +302,17 @@ fi
 
 bench_smoke() {
   cmake -B build -S .
-  cmake --build build -j --target bench_hotpath bench_serve bench_facade \
-    bench_mmap bench_mutable
+  cmake --build build -j --target bench_hotpath bench_serve bench_mmap \
+    bench_mutable
   # Run inside build/ so smoke outputs (bench_serve writes
   # BENCH_serve.json to its cwd) never clobber the checked-in
-  # baselines; bench_hotpath/bench_facade --smoke write no JSON at
-  # all. bench_serve's run includes the admission microbench (mpmc
-  # ring vs mutex+condvar) and the saturation sweep over {1, 2, 4}
-  # workers, whose closed-loop digests must match, so multi-worker
-  # serving gets a smoke run here too.
+  # baselines; bench_hotpath --smoke writes no JSON at all.
+  # bench_serve's run includes the admission microbench (mpmc ring vs
+  # mutex+condvar) and the saturation sweep over {1, 2, 4} workers,
+  # whose closed-loop digests must match, so multi-worker serving gets
+  # a smoke run here too.
   (cd build && ./bench_hotpath --smoke 20000 1024)
   (cd build && ./bench_serve 20000 8 20)
-  (cd build && ./bench_facade --smoke 20000 1024)
   # bench_mmap writes its smoke BENCH_mmap.json into build/ (the
   # checked-in one at the repo root is the full-size run) and exits
   # nonzero on a digest mismatch or an open-latency regression.

@@ -136,6 +136,8 @@ std::unique_ptr<Index> Index::build(const data::PointStorage& points,
                   "Index::build needs points with at least one dimension");
   validate_options(options);
   if (options.engine == IndexOptions::Engine::Local) {
+    // Non-resident storage is checked chunk by chunk as the out-of-core
+    // build reads it.
     if (points.resident()) data::require_finite(points, "Index::build");
     return api::make_local_index(points, options);
   }

@@ -303,8 +303,7 @@ class Index {
   /// options.memory_budget_bytes, switching to the out-of-core build
   /// when the points exceed it); the other engines materialize a
   /// PointSet first, so they require the collection to fit in RAM.
-  /// Coordinates are checked as above, except on non-resident storage
-  /// (the out-of-core Local build), which is not checked.
+  /// Coordinates are checked as above.
   static std::unique_ptr<Index> build(const data::PointStorage& points,
                                       const IndexOptions& options = {});
 

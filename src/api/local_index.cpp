@@ -3,8 +3,9 @@
 // The thinnest adapter — every native facade call maps 1:1 onto one
 // batched KdTree kernel with the caller's workspace, so the facade
 // adds no staging, no copies, and no allocations over a direct engine
-// call (bench_facade pins the overhead at noise level, at identical
-// result digests).
+// call (tests/test_index.cpp pins the rows bit-identical to the direct
+// kernels; perfbench's api.knn_overhead and api.self_overhead measure
+// the overhead).
 #include <memory>
 #include <utility>
 

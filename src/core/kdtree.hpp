@@ -46,9 +46,11 @@
 // through std::span views. A built or load()ed tree owns its arrays;
 // an open_mmap()ed tree binds the same views straight into a mapped
 // v4 index file — open cost is one mmap plus header validation, no
-// matter how many points the index holds. Either way the views are
-// immutable after construction, so KdTree is move-only (a copy would
-// alias the owner's buffers).
+// matter how many points the index holds; the verified open also
+// checks every section CRC and every node and leaf record. Either way
+// the views are immutable after construction, so KdTree is move-only
+// (a copy would alias the owner's buffers). The live forest reads its
+// trees slot by slot from the packed leaves (copy_slot).
 #pragma once
 
 #include <cstdint>
@@ -283,23 +285,26 @@ class KdTree {
     std::uint32_t count = 0;
   };
 
-  /// The self-join schedule (query_self_batch and the live forest's
-  /// MutableIndex::self_knn_batch): leaves in packed order, their slot
-  /// ranges, and the global id of every packed slot (padding slots
-  /// included).
+  /// The packed leaves as the self-join schedule (query_self_batch and
+  /// the live forest's MutableIndex::self_knn_batch) and the live
+  /// forest's gather: leaves in packed order, their slot ranges, and
+  /// the global id of every packed slot (padding slots included).
   std::size_t leaf_count() const { return leaves_.size(); }
   LeafSlots leaf_slots(std::size_t leaf) const {
     return {leaves_[leaf].packed_begin, leaves_[leaf].count};
   }
   std::span<const std::uint64_t> packed_ids() const { return packed_ids_; }
 
+  /// Copies the coordinates of slot `j` (below its count) of `leaf`
+  /// from the packed block into out[0..dims()).
+  void copy_slot(std::size_t leaf, std::uint32_t j, float* out) const;
+
   /// The per-slot self query of both self-joins: copies the point in
-  /// slot `j` of `leaf` straight from the packed block into ws.query,
-  /// primes `heap` with that (L1-hot) home bucket, then descends from
-  /// the root skipping it. Ids in `dead` (sorted ascending) are skipped
-  /// at admission, as in offer_knn. The heap is neither reset nor
-  /// drained, and ws.query keeps the query for the caller's other
-  /// containers.
+  /// slot `j` of `leaf` into ws.query (copy_slot), primes `heap` with
+  /// that (L1-hot) home bucket, then descends from the root skipping
+  /// it. Ids in `dead` (sorted ascending) are skipped at admission, as
+  /// in offer_knn. The heap is neither reset nor drained, and ws.query
+  /// keeps the query for the caller's other containers.
   void offer_self(std::size_t leaf, std::uint32_t j, KnnHeap& heap,
                   QueryWorkspace& ws,
                   std::span<const std::uint64_t> dead = {},
@@ -396,18 +401,11 @@ class KdTree {
   /// cannot size it past the index itself.
   std::size_t leaf_stride() const;
 
-  /// Appends every indexed point (global id + coordinates, de-padded
-  /// from the packed SoA leaf blocks) to `out`, leaf-contiguous order.
-  /// out.dims() must equal dims(). This is how the mutable tier's
-  /// level merges rebuild larger trees from smaller ones
-  /// (core::MutableIndex, DESIGN.md §12); works identically on owned
-  /// and mapped trees.
-  void export_points(data::PointSet& out) const;
-
-  /// Appends every indexed point's global id to `out`, in the same
-  /// leaf-contiguous order as export_points — read straight from the
-  /// packed id array, no coordinates copied. This is how a seeded or
-  /// recovered MutableIndex learns its ids (DESIGN.md §12.6).
+  /// Appends every indexed point's global id to `out`, leaf-contiguous
+  /// order — read straight from the packed id array, no coordinates
+  /// copied. This is how every tree entering a MutableIndex forest
+  /// (seed, recovery, seal, merge, compaction) lists its ids
+  /// (DESIGN.md §12.6).
   void export_ids(std::vector<std::uint64_t>& out) const;
 
   /// Persists the built tree (hot/cold node arrays + packed leaf
@@ -432,10 +430,12 @@ class KdTree {
   /// (magic, version, dims, section offsets/alignment against the
   /// file size, header CRC), and binds the query views straight into
   /// the map. With verify_sections (the default) every section CRC is
-  /// checked too — a full sequential read; pass false to keep open
-  /// cost independent of index size and trust the mapping (the header
-  /// CRC is always checked). Throws panda::Error on any mismatch,
-  /// naming the offending header field or section.
+  /// checked too, and one linear pass checks the records a CRC cannot
+  /// vouch for (verify_records) — a full sequential read; pass false
+  /// to keep open cost independent of index size and trust the
+  /// mapping (the header CRC is always checked). Throws panda::Error
+  /// on any mismatch, naming the offending header field, section or
+  /// record.
   static KdTree open_mmap(const std::string& path,
                           bool verify_sections = true);
 
@@ -494,6 +494,12 @@ class KdTree {
   template <typename Sink>
   void scan_leaf(const LeafInfo& leaf, const float* query, Sink& sink,
                  QueryWorkspace& ws, QueryStats& stats) const;
+
+  /// The verified open's record pass (DESIGN.md §11.2): child links,
+  /// split dimensions, leaf references, bucket counts and slot ranges,
+  /// the point total and every build row, in one linear pass. Throws
+  /// panda::Error naming `path` and the first bad record.
+  void verify_records(const std::string& path) const;
 
   /// Owned backing arrays — populated by build()/load(), empty on a
   /// mapped tree. Only rebind_owned() and the builders touch these;

@@ -562,25 +562,6 @@ KdTree KdTree::build(const data::PointSet& points, const BuildConfig& config,
                breakdown);
 }
 
-void KdTree::export_points(data::PointSet& out) const {
-  PANDA_CHECK_MSG(out.dims() == dims_,
-                  "export_points needs a PointSet of the tree's "
-                  "dimensionality (got "
-                      << out.dims() << ", tree has " << dims_ << ")");
-  out.reserve(out.size() + size());
-  std::vector<float> point(dims_);
-  for (const LeafInfo& leaf : leaves_) {
-    const std::uint64_t stride = simd::padded_count(leaf.count);
-    const float* block = packed_.data() + leaf.packed_begin * dims_;
-    for (std::uint32_t i = 0; i < leaf.count; ++i) {
-      for (std::size_t d = 0; d < dims_; ++d) {
-        point[d] = block[d * stride + i];
-      }
-      out.push_point(point, packed_ids_[leaf.packed_begin + i]);
-    }
-  }
-}
-
 void KdTree::export_ids(std::vector<std::uint64_t>& out) const {
   out.reserve(out.size() + std::min(size(), packed_ids_.size()));
   for (const LeafInfo& leaf : leaves_) {

@@ -171,13 +171,16 @@ class ExternalBuilder {
     if (points_.resident()) return points_;
     materialized_ = points_.to_point_set();
     owned_view_.emplace(materialized_);
+    data::require_finite(*owned_view_, "KdTree::build_external");
     return *owned_view_;
   }
 
   /// Visits every point as (coords, id, global position) without
   /// materializing a resident input: resident storages (owned or
   /// mapped) are walked through their spans in place; spill-backed
-  /// ones stream one chunk at a time.
+  /// ones stream one chunk at a time, each refused if it holds a
+  /// non-finite coordinate (the caller checks a resident input, as
+  /// Index::build does).
   template <typename Fn>
   void for_each_point(Fn&& fn) const {
     const std::size_t dims = points_.dims();
@@ -199,6 +202,8 @@ class ExternalBuilder {
     std::vector<std::uint64_t> positions;
     for (std::size_t c = 0; c < points_.chunk_count(); ++c) {
       points_.read_chunk(c, chunk, &positions);
+      data::require_finite(data::PointSetView(chunk),
+                           "KdTree::build_external");
       for (std::uint64_t i = 0; i < chunk.size(); ++i) {
         chunk.copy_point(i, coords.data());
         fn(coords.data(), chunk.id(i), positions[i]);

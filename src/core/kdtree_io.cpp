@@ -7,8 +7,10 @@
 // torn writes and bit rot are detected instead of served. open_mmap()
 // is the one parser: it maps the file, validates the header (and,
 // unless the caller opts out, the section checksums) and binds the
-// query views straight into the map. load() copies the sections out
-// of a fully verified mapping. Every other version is refused with a
+// query views straight into the map; the verified open then checks
+// every node and leaf record against the section sizes
+// (verify_records). load() copies the sections out of a fully
+// verified mapping. Every other version is refused with a
 // rebuild diagnostic. All saves go through common::AtomicFileWriter:
 // a crash mid-save leaves the previous file intact, never a prefix.
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "common/error.hpp"
 #include "core/kdtree.hpp"
 #include "core/kdtree_format.hpp"
+#include "simd/distance.hpp"
 
 namespace panda::core {
 
@@ -244,7 +247,52 @@ KdTree KdTree::open_mmap(const std::string& path, bool verify_sections) {
   tree.packed_local_idx_ = {
       reinterpret_cast<const std::uint64_t*>(base + header.local_idx_off),
       header.id_count};
+  if (verify_sections) tree.verify_records(path);
   return tree;
+}
+
+void KdTree::verify_records(const std::string& path) const {
+  const std::uint64_t node_count = nodes_.size();
+  for (std::uint64_t i = 0; i < node_count; ++i) {
+    // A leaf names a leaf record; an internal node's children lie after
+    // it (so every descent ends) and inside the array.
+    const HotNode& n = nodes_[i];
+    PANDA_CHECK_MSG(is_leaf(n) ? n.child < leaves_.size()
+                               : n.child > i && n.child < node_count - 1 &&
+                                     n.dim < dims_,
+                    "kd-tree node " << i << " out of bounds (child " << n.child
+                                    << ", dim " << n.dim << "; " << node_count
+                                    << " nodes, " << leaves_.size()
+                                    << " leaves, " << dims_
+                                    << " dims): " << path);
+  }
+  const std::uint64_t room =
+      std::min<std::uint64_t>(packed_ids_.size(), packed_.size() / dims_);
+  std::uint64_t points = 0;
+  for (std::uint64_t l = 0; l < leaves_.size(); ++l) {
+    const LeafInfo& leaf = leaves_[l];
+    PANDA_CHECK_MSG(leaf.count <= config_.bucket_size &&
+                        leaf.packed_begin <= room &&
+                        simd::padded_count(leaf.count) <=
+                            room - leaf.packed_begin,
+                    "kd-tree leaf " << l << " out of bounds (" << leaf.count
+                                    << " points from slot " << leaf.packed_begin
+                                    << "; bucket_size " << config_.bucket_size
+                                    << ", " << room << " slots): " << path);
+    for (std::uint32_t j = 0; j < leaf.count; ++j) {
+      const std::uint64_t row = packed_local_idx_[leaf.packed_begin + j];
+      PANDA_CHECK_MSG(row < stats_.points,
+                      "kd-tree slot " << leaf.packed_begin + j << " names row "
+                                      << row << " of " << stats_.points << ": "
+                                      << path);
+    }
+    points += leaf.count;
+  }
+  PANDA_CHECK_MSG(points == stats_.points,
+                  "kd-tree header stats.points " << stats_.points
+                                                 << " disagrees with the "
+                                                 << points
+                                                 << " leaf points: " << path);
 }
 
 }  // namespace panda::core

@@ -355,21 +355,25 @@ std::vector<Neighbor> KdTree::query_sq(std::span<const float> query,
   return out;
 }
 
+void KdTree::copy_slot(std::size_t leaf, std::uint32_t j, float* out) const {
+  const LeafInfo& info = leaves_[leaf];
+  const std::uint64_t stride = simd::padded_count(info.count);
+  const float* block = packed_.data() + info.packed_begin * dims_;
+  for (std::size_t d = 0; d < dims_; ++d) out[d] = block[d * stride + j];
+}
+
 void KdTree::offer_self(std::size_t leaf, std::uint32_t j, KnnHeap& heap,
                         QueryWorkspace& ws,
                         std::span<const std::uint64_t> dead,
                         QueryStats* stats) const {
   ws.prepare(dims_);
-  const LeafInfo home = leaves_[leaf];
-  const std::uint64_t stride = simd::padded_count(home.count);
-  const float* block = packed_.data() + home.packed_begin * dims_;
   float* q = ws.query.data();
-  for (std::size_t d = 0; d < dims_; ++d) q[d] = block[d * stride + j];
+  copy_slot(leaf, j, q);
   // Prime with the home bucket, then run the root traversal with that
   // already-tight bound, skipping the primed leaf.
   QueryStats local_stats;
   KnnSink sink{heap, dead};
-  scan_leaf(home, q, sink, ws, local_stats);
+  scan_leaf(leaves_[leaf], q, sink, ws, local_stats);
   search_exact(q, sink, ws, local_stats, leaf_nodes_[leaf]);
   if (stats != nullptr) *stats += local_stats;
 }

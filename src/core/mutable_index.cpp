@@ -2,7 +2,7 @@
 // (DESIGN.md §12).
 //
 // Concurrency shape in one paragraph: mutex_ guards the write-side
-// state (runs, sealed groups, forest, live-id set); every mutation
+// state (the run list, sealed groups, forest, live-id set); every mutation
 // ends by publishing a fresh immutable Snapshot through one
 // atomic<shared_ptr> store, and queries only ever touch that snapshot.
 // The merge thread claims work under the lock (copying the claimed
@@ -20,7 +20,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -54,15 +56,142 @@ bool contains(const std::vector<std::uint64_t>& sorted, std::uint64_t id) {
   return std::binary_search(sorted.begin(), sorted.end(), id);
 }
 
-/// Reorders `points` ascending by id — the live_points() order and the
-/// deterministic point order of compaction/save builds.
-data::PointSet sort_by_id(const data::PointSet& points) {
-  std::vector<IdPosition> keyed(points.size());
-  for (std::size_t i = 0; i < keyed.size(); ++i) keyed[i] = {points.id(i), i};
-  sort_by_id(keyed);
-  std::vector<std::uint64_t> order(keyed.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = keyed[i].position;
-  return points.extract(order);
+/// A container's sorted dead ids (empty when it has none).
+std::span<const std::uint64_t> dead_ids(const auto& container) {
+  if (container.dead == nullptr) return {};
+  return *container.dead;
+}
+
+/// Run points the buffer scan measures per block (and the self-join's
+/// unit of run work).
+constexpr std::size_t kScanBlock = 256;
+
+/// One unit of a walk over the live slots of a (trees, runs) list: a
+/// packed leaf of a tree, or a block of up to kScanBlock run points.
+/// `container` counts the trees first, then the runs; `part` is the
+/// leaf or block index; `base` is the position of its first slot.
+struct SlotUnit {
+  std::uint64_t base = 0;
+  std::uint32_t container = 0;
+  std::uint32_t part = 0;
+  std::uint32_t count = 0;
+};
+
+/// A slot position that answers no row: a dead slot.
+constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
+
+/// The live slots of a (trees, runs) list, ranked by id. Positions
+/// number every tree's packed slots in list order (padding included),
+/// then every run's points; `units` cover them in that order, and
+/// row_of[position] is the live slot's rank among the live ids, or
+/// kNoRow. One radix sort of (id, position) pairs does the ranking.
+struct LiveRanks {
+  std::vector<SlotUnit> units;
+  std::vector<std::uint64_t> row_of;
+  std::uint64_t live = 0;
+};
+
+LiveRanks rank_live(const auto& trees, const auto& runs) {
+  LiveRanks out;
+  std::uint64_t points = 0;
+  std::uint64_t n_units = 0;
+  for (const auto& shard : trees) {
+    points += shard.tree->size();
+    n_units += shard.tree->leaf_count();
+  }
+  for (const auto& run : runs) {
+    points += run.points->size();
+    n_units += (run.points->size() + kScanBlock - 1) / kScanBlock;
+  }
+  out.units.reserve(n_units);
+  std::vector<IdPosition> keys;
+  keys.reserve(points);
+  const auto key = [&](std::uint64_t id, std::uint64_t position,
+                       std::span<const std::uint64_t> dead) {
+    if (dead.empty() || !std::binary_search(dead.begin(), dead.end(), id)) {
+      keys.push_back({id, position});
+    }
+  };
+  std::uint64_t positions = 0;
+  std::uint32_t container = 0;
+  for (const auto& shard : trees) {
+    const KdTree& tree = *shard.tree;
+    const std::span<const std::uint64_t> ids = tree.packed_ids();
+    for (std::size_t l = 0; l < tree.leaf_count(); ++l) {
+      const KdTree::LeafSlots leaf = tree.leaf_slots(l);
+      const std::uint64_t base = positions + leaf.begin;
+      out.units.push_back(
+          {base, container, static_cast<std::uint32_t>(l), leaf.count});
+      for (std::uint32_t j = 0; j < leaf.count; ++j) {
+        key(ids[leaf.begin + j], base + j, dead_ids(shard));
+      }
+    }
+    positions += ids.size();
+    ++container;
+  }
+  for (const auto& run : runs) {
+    const data::PointSet& ps = *run.points;
+    for (std::size_t p = 0; p < ps.size(); ++p) {
+      if (p % kScanBlock == 0) {
+        out.units.push_back(
+            {positions + p, container,
+             static_cast<std::uint32_t>(p / kScanBlock),
+             static_cast<std::uint32_t>(std::min(kScanBlock, ps.size() - p))});
+      }
+      key(ps.id(p), positions + p, dead_ids(run));
+    }
+    positions += ps.size();
+    ++container;
+  }
+  sort_by_id(keys);
+  out.live = keys.size();
+  out.row_of.assign(positions, kNoRow);
+  for (std::uint64_t rank = 0; rank < out.live; ++rank) {
+    out.row_of[keys[rank].position] = rank;
+  }
+  return out;
+}
+
+/// The live points of a (trees, runs) list in ascending id order, each
+/// copied once: rank_live gives every live slot its row, and one pass
+/// writes the slot's coordinates and id there, read from the packed
+/// leaf (KdTree::copy_slot) or the run. What every rebuild and
+/// live_points() start from.
+data::PointSet gather_live(std::size_t dims, const auto& trees,
+                           const auto& runs) {
+  const LiveRanks ranks = rank_live(trees, runs);
+  data::PointSet out(dims, ranks.live);
+  std::vector<float> point(dims);
+  const std::size_t n_trees = std::size(trees);
+  for (const SlotUnit& unit : ranks.units) {
+    for (std::uint32_t j = 0; j < unit.count; ++j) {
+      const std::uint64_t row = ranks.row_of[unit.base + j];
+      if (row == kNoRow) continue;
+      if (unit.container < n_trees) {
+        const KdTree& tree = *trees[unit.container].tree;
+        tree.copy_slot(unit.part, j, point.data());
+        out.set_id(row,
+                   tree.packed_ids()[tree.leaf_slots(unit.part).begin + j]);
+      } else {
+        const data::PointSet& ps = *runs[unit.container - n_trees].points;
+        const std::size_t p = std::size_t{unit.part} * kScanBlock + j;
+        ps.copy_point(p, point.data());
+        out.set_id(row, ps.id(p));
+      }
+      for (std::size_t d = 0; d < dims; ++d) out.set(row, d, point[d]);
+    }
+  }
+  return out;
+}
+
+/// Appends to `out` the ids erased from a container since it was
+/// claimed: its current dead list minus the one copied at claim.
+void append_residual(const auto& claimed, const auto& current,
+                     std::vector<std::uint64_t>& out) {
+  const auto now = dead_ids(current);
+  const auto then = dead_ids(claimed);
+  std::set_difference(now.begin(), now.end(), then.begin(), then.end(),
+                      std::back_inserter(out));
 }
 
 }  // namespace
@@ -97,10 +226,9 @@ MutableIndex::MutableIndex(KdTree seed, const MutableConfig& config,
                            std::shared_ptr<parallel::ThreadPool> pool)
     : MutableIndex(seed.dims(), config, build, std::move(pool)) {
   if (!seed.empty()) {
-    IdList seed_ids;
-    seed.export_ids(seed_ids);
-    auto ids = std::make_shared<const IdList>(
-        sorted_unique_ids(std::move(seed_ids), "MutableIndex seed"));
+    const std::uint32_t level = level_for_size(seed.size());
+    TreeShard shard =
+        make_shard(std::move(seed), level, 0, "MutableIndex seed");
     MutexLock lock(mutex_);
     if (durable()) {
       // Seeding writes the seed as committed state; a directory that
@@ -112,14 +240,10 @@ MutableIndex::MutableIndex(KdTree seed, const MutableConfig& config,
                           << " (open it without a seed, or point at a fresh "
                              "directory)");
     }
-    live_.reserve(ids->size());
-    for (const std::uint64_t id : *ids) live_.insert(id);
+    live_.reserve(shard.ids->size());
+    for (const std::uint64_t id : *shard.ids) live_.insert(id);
     // order: relaxed — live_count_ is the size() gauge; see the hpp.
-    live_count_.store(ids->size(), std::memory_order_relaxed);
-    TreeShard shard;
-    shard.level = level_for_size(seed.size());
-    shard.ids = std::move(ids);
-    shard.tree = std::make_shared<const KdTree>(std::move(seed));
+    live_count_.store(shard.ids->size(), std::memory_order_relaxed);
     if (durable()) {
       shard.file_seq = next_file_seq_++;
       shard.tree->save(tree_path(shard.file_seq));
@@ -201,16 +325,17 @@ void MutableIndex::insert(const data::PointSet& points) {
 /// The state mutation behind insert() and WAL replay: the batch's ids
 /// must already be admitted into live_ by the caller.
 void MutableIndex::apply_insert_locked(const data::PointSet& points) {
-  Run run;
-  run.points = std::make_shared<const data::PointSet>(points);
-  open_runs_.push_back(std::move(run));
+  runs_.push_back({std::make_shared<const data::PointSet>(points), nullptr});
   open_points_ += points.size();
   inserts_ += points.size();
   // order: relaxed — size() gauge; see the hpp.
   live_count_.fetch_add(points.size(), std::memory_order_relaxed);
   if (open_points_ >= config_.buffer_capacity) {
-    sealed_groups_.push_back(std::move(open_runs_));
-    open_runs_.clear();
+    // Every run past the sealed groups becomes the newest group.
+    sealed_groups_.push_back(runs_.size() -
+                             std::accumulate(sealed_groups_.begin(),
+                                             sealed_groups_.end(),
+                                             std::size_t{0}));
     open_points_ = 0;
     seal_cv_.notify_one();
   }
@@ -273,18 +398,10 @@ void MutableIndex::tombstone_locked(std::uint64_t id) {
     const auto ids = run.points->ids();
     return std::find(ids.begin(), ids.end(), id) != ids.end();
   };
-  for (Run& run : open_runs_) {
+  for (Run& run : runs_) {
     if (run_holds_live(run)) {
       add_dead(run.dead);
       return;
-    }
-  }
-  for (auto& group : sealed_groups_) {
-    for (Run& run : group) {
-      if (run_holds_live(run)) {
-        add_dead(run.dead);
-        return;
-      }
     }
   }
   for (TreeShard& shard : trees_) {
@@ -300,13 +417,7 @@ void MutableIndex::tombstone_locked(std::uint64_t id) {
 
 void MutableIndex::publish_locked() {
   auto snap = std::make_shared<Snapshot>();
-  std::size_t n_runs = open_runs_.size();
-  for (const auto& group : sealed_groups_) n_runs += group.size();
-  snap->runs.reserve(n_runs);
-  for (const auto& group : sealed_groups_) {
-    snap->runs.insert(snap->runs.end(), group.begin(), group.end());
-  }
-  snap->runs.insert(snap->runs.end(), open_runs_.begin(), open_runs_.end());
+  snap->runs = runs_;
   snap->trees = trees_;
   // order: release — publishes the fully built Snapshot; pairs with the
   // acquire load in snapshot().
@@ -368,7 +479,9 @@ void MutableIndex::seal_loop() {
     // lists are COW — this copy IS the dead-at-claim baseline. The
     // durable file sequence is allocated at claim, under the lock, so
     // the build can write tree-<seq>.panda without holding it.
-    std::vector<Run> claimed = sealed_groups_.front();
+    std::vector<Run> claimed(
+        runs_.begin(),
+        runs_.begin() + static_cast<std::ptrdiff_t>(sealed_groups_.front()));
     const std::uint64_t seq = durable() ? next_file_seq_++ : 0;
     lock.unlock();
     do_seal(std::move(claimed), seq);
@@ -405,65 +518,68 @@ void MutableIndex::merge_loop() {
   }
 }
 
-void MutableIndex::do_seal(std::vector<Run> claimed, std::uint64_t file_seq) {
-  // Gather the points live at claim time and build outside the lock;
-  // queries keep brute-scanning the runs from their pinned snapshots.
-  data::PointSet pts(dims_);
-  std::vector<float> buf(dims_);
-  for (const Run& run : claimed) {
-    const data::PointSet& ps = *run.points;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      const std::uint64_t id = ps.id(p);
-      if (run.dead != nullptr && contains(*run.dead, id)) continue;
-      ps.copy_point(p, buf.data());
-      pts.push_point(buf, id);
-    }
-  }
-  std::shared_ptr<const KdTree> tree;
-  std::shared_ptr<const IdList> ids;
-  if (!pts.empty()) {
-    tree = std::make_shared<const KdTree>(
-        KdTree::build(pts, build_, merge_build_pool_));
-    ids = std::make_shared<const IdList>(sorted_unique_ids(
-        IdList(pts.ids().begin(), pts.ids().end()), "MutableIndex seal"));
-  }
+MutableIndex::TreeShard MutableIndex::make_shard(KdTree tree,
+                                                 std::uint32_t level,
+                                                 std::uint64_t file_seq,
+                                                 std::string_view caller) {
+  IdList ids;
+  tree.export_ids(ids);
+  TreeShard shard;
+  shard.ids =
+      std::make_shared<const IdList>(sorted_unique_ids(std::move(ids), caller));
+  shard.tree = std::make_shared<const KdTree>(std::move(tree));
+  shard.level = level;
+  shard.file_seq = file_seq;
+  return shard;
+}
+
+MutableIndex::TreeShard MutableIndex::rebuild(std::span<const TreeShard> trees,
+                                              std::span<const Run> runs,
+                                              std::uint32_t level,
+                                              std::uint64_t file_seq,
+                                              std::string_view caller) {
+  // Queries keep answering from the claimed containers in their pinned
+  // snapshots while this builds.
+  const data::PointSet live = gather_live(dims_, trees, runs);
+  if (live.empty()) return {};
+  TreeShard shard = make_shard(KdTree::build(live, build_, merge_build_pool_),
+                               level, file_seq, caller);
   // Persist outside the lock too — the file is invisible until the
   // MANIFEST names it, so writers/queries never stall on this I/O. An
   // uncommitted file left by a crash is swept at recovery.
-  if (durable() && tree != nullptr) tree->save(tree_path(file_seq));
+  if (durable()) shard.tree->save(tree_path(file_seq));
+  return shard;
+}
 
+void MutableIndex::add_tree_locked(TreeShard shard, IdList residual) {
+  if (shard.tree == nullptr) {
+    // Everything was dead at claim: nothing live remained for an erase
+    // to target afterwards, so there can be no residual.
+    PANDA_ASSERT(residual.empty());
+    return;
+  }
+  std::sort(residual.begin(), residual.end());
+  if (!residual.empty()) {
+    shard.dead = std::make_shared<const IdList>(std::move(residual));
+  }
+  trees_.push_back(std::move(shard));
+}
+
+void MutableIndex::do_seal(std::vector<Run> claimed, std::uint64_t file_seq) {
+  TreeShard shard = rebuild({}, claimed, 0, file_seq, "MutableIndex seal");
   MutexLock lock(mutex_);
-  // Writers only ever COW dead lists inside the queued group, so the
-  // front still matches `claimed` position by position. Ids erased
-  // since the claim are inside the new tree — carry them as residual
+  // Writers only ever COW dead lists of buffered runs, so the leading
+  // runs still match `claimed` position by position. Ids erased since
+  // the claim are inside the new tree — carry them as residual
   // tombstones.
   IdList residual;
-  const std::vector<Run>& current = sealed_groups_.front();
-  for (std::size_t r = 0; r < current.size(); ++r) {
-    if (current[r].dead == nullptr) continue;
-    for (const std::uint64_t id : *current[r].dead) {
-      if (claimed[r].dead == nullptr || !contains(*claimed[r].dead, id)) {
-        residual.push_back(id);
-      }
-    }
+  for (std::size_t r = 0; r < claimed.size(); ++r) {
+    append_residual(claimed[r], runs_[r], residual);
   }
+  runs_.erase(runs_.begin(),
+              runs_.begin() + static_cast<std::ptrdiff_t>(claimed.size()));
   sealed_groups_.pop_front();
-  if (tree != nullptr) {
-    std::sort(residual.begin(), residual.end());
-    TreeShard shard;
-    shard.tree = std::move(tree);
-    shard.level = 0;
-    shard.ids = std::move(ids);
-    shard.file_seq = file_seq;
-    if (!residual.empty()) {
-      shard.dead = std::make_shared<const IdList>(std::move(residual));
-    }
-    trees_.push_back(std::move(shard));
-  } else {
-    // Everything was dead at claim: nothing live remained for an
-    // erase to target afterwards, so there can be no residual.
-    PANDA_ASSERT(residual.empty());
-  }
+  add_tree_locked(std::move(shard), std::move(residual));
   ++seals_;
   // Commit the seal and shrink the log in one step: the fresh WAL holds
   // only the still-buffered state, and the old one (whose frames the
@@ -475,66 +591,19 @@ void MutableIndex::do_seal(std::vector<Run> claimed, std::uint64_t file_seq) {
 void MutableIndex::do_level_merge(std::uint32_t level,
                                   std::vector<TreeShard> claimed,
                                   std::uint64_t file_seq) {
-  data::PointSet pts(dims_);
-  data::PointSet exported(dims_);
-  std::vector<float> buf(dims_);
-  for (const TreeShard& shard : claimed) {
-    exported.clear();
-    shard.tree->export_points(exported);
-    for (std::size_t p = 0; p < exported.size(); ++p) {
-      const std::uint64_t id = exported.id(p);
-      if (shard.dead != nullptr && contains(*shard.dead, id)) continue;
-      exported.copy_point(p, buf.data());
-      pts.push_point(buf, id);
-    }
-  }
-  std::shared_ptr<const KdTree> tree;
-  std::shared_ptr<const IdList> ids;
-  if (!pts.empty()) {
-    tree = std::make_shared<const KdTree>(
-        KdTree::build(pts, build_, merge_build_pool_));
-    ids = std::make_shared<const IdList>(
-        sorted_unique_ids(IdList(pts.ids().begin(), pts.ids().end()),
-                          "MutableIndex level merge"));
-  }
-  if (durable() && tree != nullptr) tree->save(tree_path(file_seq));
-
+  TreeShard shard =
+      rebuild(claimed, {}, level + 1, file_seq, "MutableIndex level merge");
   MutexLock lock(mutex_);
   IdList residual;
-  std::vector<TreeShard> rest;
-  rest.reserve(trees_.size());
-  for (TreeShard& current : trees_) {
+  std::erase_if(trees_, [&](const TreeShard& current) {
     const auto source = std::find_if(
-        claimed.begin(), claimed.end(), [&](const TreeShard& c) {
-          return c.tree.get() == current.tree.get();
-        });
-    if (source == claimed.end()) {
-      rest.push_back(std::move(current));
-      continue;
-    }
-    if (current.dead != nullptr) {
-      for (const std::uint64_t id : *current.dead) {
-        if (source->dead == nullptr || !contains(*source->dead, id)) {
-          residual.push_back(id);
-        }
-      }
-    }
-  }
-  trees_ = std::move(rest);
-  if (tree != nullptr) {
-    std::sort(residual.begin(), residual.end());
-    TreeShard shard;
-    shard.tree = std::move(tree);
-    shard.level = level + 1;
-    shard.ids = std::move(ids);
-    shard.file_seq = file_seq;
-    if (!residual.empty()) {
-      shard.dead = std::make_shared<const IdList>(std::move(residual));
-    }
-    trees_.push_back(std::move(shard));
-  } else {
-    PANDA_ASSERT(residual.empty());
-  }
+        claimed.begin(), claimed.end(),
+        [&](const TreeShard& c) { return c.tree == current.tree; });
+    if (source == claimed.end()) return false;
+    append_residual(*source, current, residual);
+    return true;
+  });
+  add_tree_locked(std::move(shard), std::move(residual));
   ++merges_;
   if (durable()) {
     // The merge dropped the dead copies its sources held, which the
@@ -567,32 +636,18 @@ void MutableIndex::compact() {
   idle_cv_.wait(lock, [&]() PANDA_REQUIRES(mutex_) {
     return !seal_busy_ && !merge_busy_ && !has_work_locked();
   });
-  data::PointSet pts(dims_);
-  gather_live_locked(pts);
-  data::PointSet sorted = sort_by_id(pts);
-  std::vector<std::uint64_t> old_files;
-  if (durable()) {
-    old_files.reserve(trees_.size());
-    for (const TreeShard& shard : trees_) old_files.push_back(shard.file_seq);
-  }
-  open_runs_.clear();
+  const data::PointSet live = gather_live(dims_, trees_, runs_);
+  const std::vector<TreeShard> old = std::exchange(trees_, {});
+  runs_.clear();
   open_points_ = 0;
-  trees_.clear();
-  if (!sorted.empty()) {
+  if (!live.empty()) {
     // Built under the lock: writers wait, queries keep serving the
     // pre-compaction snapshot.
-    TreeShard shard;
-    shard.tree = std::make_shared<const KdTree>(
-        KdTree::build(sorted, build_, *pool_));
-    shard.level = level_for_size(sorted.size());
-    shard.ids = std::make_shared<const IdList>(
-        sorted_unique_ids(IdList(sorted.ids().begin(), sorted.ids().end()),
-                          "MutableIndex compaction"));
-    if (durable()) {
-      shard.file_seq = next_file_seq_++;
-      shard.tree->save(tree_path(shard.file_seq));
-    }
-    trees_.push_back(std::move(shard));
+    const std::uint64_t seq = durable() ? next_file_seq_++ : 0;
+    trees_.push_back(make_shard(KdTree::build(live, build_, *pool_),
+                                level_for_size(live.size()), seq,
+                                "MutableIndex compaction"));
+    if (durable()) trees_.back().tree->save(tree_path(seq));
   }
   ++compactions_;
   if (durable()) {
@@ -600,39 +655,11 @@ void MutableIndex::compact() {
     // rotated WAL is just a fresh header.
     commit_locked();
     std::error_code ec;
-    for (const std::uint64_t seq : old_files) {
-      std::filesystem::remove(tree_path(seq), ec);
+    for (const TreeShard& shard : old) {
+      std::filesystem::remove(tree_path(shard.file_seq), ec);
     }
   }
   publish_locked();
-}
-
-void MutableIndex::gather_live_locked(data::PointSet& out) const {
-  std::vector<float> buf(dims_);
-  const auto gather_run = [&](const Run& run) {
-    const data::PointSet& ps = *run.points;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      const std::uint64_t id = ps.id(p);
-      if (run.dead != nullptr && contains(*run.dead, id)) continue;
-      ps.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  };
-  for (const auto& group : sealed_groups_) {
-    for (const Run& run : group) gather_run(run);
-  }
-  for (const Run& run : open_runs_) gather_run(run);
-  data::PointSet exported(dims_);
-  for (const TreeShard& shard : trees_) {
-    exported.clear();
-    shard.tree->export_points(exported);
-    for (std::size_t p = 0; p < exported.size(); ++p) {
-      const std::uint64_t id = exported.id(p);
-      if (shard.dead != nullptr && contains(*shard.dead, id)) continue;
-      exported.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -743,20 +770,13 @@ void MutableIndex::recover_durable() {
     }
   }
 
-  // Committed trees: mmap-open (header + section CRCs verified), each
-  // with its sorted id list. Dead lists are not persisted — the WAL's
+  // Committed trees: mmap-open (header, section CRCs and records
+  // verified), each with its sorted id list. Dead lists are not persisted — the WAL's
   // Tombstones/Erase frames reconstruct them below.
   for (const auto& [seq, level] : entries) {
-    KdTree tree = KdTree::open_mmap(tree_path(seq), /*verify_sections=*/true);
-    IdList tree_ids;
-    tree.export_ids(tree_ids);
-    TreeShard shard;
-    shard.ids = std::make_shared<const IdList>(sorted_unique_ids(
-        std::move(tree_ids), "MutableIndex recovery of " + tree_path(seq)));
-    shard.tree = std::make_shared<const KdTree>(std::move(tree));
-    shard.level = level;
-    shard.file_seq = seq;
-    trees_.push_back(std::move(shard));
+    trees_.push_back(
+        make_shard(KdTree::open_mmap(tree_path(seq), /*verify_sections=*/true),
+                   level, seq, "MutableIndex recovery of " + tree_path(seq)));
   }
 
   // The WAL's valid prefix. A torn tail is the expected shape after a
@@ -783,6 +803,9 @@ void MutableIndex::recover_durable() {
               std::span<const float>(frame.coords.data() + p * dims_, dims_),
               frame.ids[p]);
         }
+        // A frame's CRC vouches for its bytes, not for what they hold.
+        data::require_finite(data::PointSetView(points),
+                             "durable WAL replay of " + wal_path(wal_seq_));
         for (std::size_t p = 0; p < points.size(); ++p) {
           PANDA_CHECK_MSG(live_.insert(points.id(p)),
                           "durable WAL replays id "
@@ -947,10 +970,7 @@ void MutableIndex::rotate_wal_locked() {
     }
     if (!ids.empty()) fresh.append_insert(ids, coords);
   };
-  for (const auto& group : sealed_groups_) {
-    for (const Run& run : group) relog(run);
-  }
-  for (const Run& run : open_runs_) relog(run);
+  for (const Run& run : runs_) relog(run);
   fresh.sync();
   wal_ = std::move(fresh);
   wal_seq_ = seq;
@@ -977,9 +997,6 @@ void MutableIndex::maybe_sync_wal_locked() {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/// Run points the buffer scan measures per block.
-constexpr std::size_t kScanBlock = 256;
 
 /// The one buffer scan of the KNN and radius paths: calls
 /// admit(d2, id) for every live run point whose squared distance
@@ -1038,12 +1055,6 @@ void prepare_threads(ForestWorkspace& ws, int threads, std::size_t dims,
   ws.batch.prepare(threads, dims, k, stride);
 }
 
-/// A container's sorted dead ids (empty when it has none).
-std::span<const std::uint64_t> dead_ids(const auto& container) {
-  if (container.dead == nullptr) return {};
-  return *container.dead;
-}
-
 /// No tree to skip (offer_forest).
 constexpr std::size_t kNoTree = ~std::size_t{0};
 
@@ -1077,46 +1088,6 @@ void order_trees(const auto& trees, ForestWorkspace& ws) {
             [&](std::size_t a, std::size_t b) {
               return trees[a].tree->size() > trees[b].tree->size();
             });
-}
-
-/// One unit of the self-join's fan-out: a packed leaf of a tree, or a
-/// block of up to kScanBlock run points. `container` counts trees in
-/// ws.tree_order first, then the snapshot's runs; `part` is the leaf or
-/// block index; `base` is the schedule position of its first slot.
-struct SelfUnit {
-  std::uint64_t base = 0;
-  std::uint32_t container = 0;
-  std::uint32_t part = 0;
-  std::uint32_t count = 0;
-};
-
-/// A schedule position that answers no row: a dead slot.
-constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
-
-/// Appends the live points of one pinned snapshot (runs, then trees).
-void gather_snapshot_live(std::size_t dims, const auto& runs,
-                          const auto& trees, data::PointSet& out) {
-  std::vector<float> buf(dims);
-  for (const auto& run : runs) {
-    const data::PointSet& ps = *run.points;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      const std::uint64_t id = ps.id(p);
-      if (run.dead != nullptr && contains(*run.dead, id)) continue;
-      ps.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  }
-  data::PointSet exported(dims);
-  for (const auto& shard : trees) {
-    exported.clear();
-    shard.tree->export_points(exported);
-    for (std::size_t p = 0; p < exported.size(); ++p) {
-      const std::uint64_t id = exported.id(p);
-      if (shard.dead != nullptr && contains(*shard.dead, id)) continue;
-      exported.copy_point(p, buf.data());
-      out.push_point(buf, id);
-    }
-  }
 }
 
 }  // namespace
@@ -1226,72 +1197,15 @@ void MutableIndex::self_knn_batch(std::size_t k, NeighborTable& results,
                                   ForestWorkspace& ws) const {
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   // One snapshot serves both the query set and the answers, so the
-  // call is exact even while writers race it.
+  // call is exact even while writers race it. The schedule is
+  // rank_live's: every tree's packed leaves, then every run's blocks;
+  // a live slot's row is its id's rank among the live ids, a dead slot
+  // is neither a query nor a row.
   const auto snap = snapshot();
   const Snapshot& s = *snap;
-  order_trees(s.trees, ws);
-  const std::size_t n_trees = s.trees.size();
-
-  // The schedule: every tree's packed slots (descending tree size,
-  // padding included), then every run's points. Row keys: a live slot's
-  // row is its id's rank among the live ids — one radix sort of (id,
-  // schedule position) pairs, then one scatter into row_of. Dead slots
-  // keep kNoRow: neither a query nor a row. The units list the same
-  // slots in the same order for the fan-out.
-  std::vector<SelfUnit> units;
-  std::vector<std::uint64_t> row_of;
-  std::uint64_t live = 0;
-  {
-    std::uint64_t points = 0;
-    for (const TreeShard& shard : s.trees) points += shard.tree->size();
-    for (const Run& run : s.runs) points += run.points->size();
-    std::vector<IdPosition> keys;
-    keys.reserve(points);
-    const auto key = [&](std::uint64_t id, std::uint64_t position,
-                         std::span<const std::uint64_t> dead) {
-      if (dead.empty() || !std::binary_search(dead.begin(), dead.end(), id)) {
-        keys.push_back({id, position});
-      }
-    };
-    std::uint64_t positions = 0;
-    for (std::size_t c = 0; c < n_trees; ++c) {
-      const TreeShard& shard = s.trees[ws.tree_order[c]];
-      const KdTree& tree = *shard.tree;
-      const std::span<const std::uint64_t> ids = tree.packed_ids();
-      for (std::size_t l = 0; l < tree.leaf_count(); ++l) {
-        const KdTree::LeafSlots leaf = tree.leaf_slots(l);
-        const std::uint64_t base = positions + leaf.begin;
-        units.push_back({base, static_cast<std::uint32_t>(c),
-                         static_cast<std::uint32_t>(l), leaf.count});
-        for (std::uint32_t j = 0; j < leaf.count; ++j) {
-          key(ids[leaf.begin + j], base + j, dead_ids(shard));
-        }
-      }
-      positions += ids.size();
-    }
-    for (std::size_t r = 0; r < s.runs.size(); ++r) {
-      const data::PointSet& ps = *s.runs[r].points;
-      for (std::size_t p = 0; p < ps.size(); p += kScanBlock) {
-        units.push_back({positions + p,
-                         static_cast<std::uint32_t>(n_trees + r),
-                         static_cast<std::uint32_t>(p / kScanBlock),
-                         static_cast<std::uint32_t>(
-                             std::min(kScanBlock, ps.size() - p))});
-      }
-      for (std::size_t p = 0; p < ps.size(); ++p) {
-        key(ps.id(p), positions + p, dead_ids(s.runs[r]));
-      }
-      positions += ps.size();
-    }
-    sort_by_id(keys);
-    live = keys.size();
-    row_of.assign(positions, kNoRow);
-    for (std::uint64_t rank = 0; rank < live; ++rank) {
-      row_of[keys[rank].position] = rank;
-    }
-  }
-  results.reset_topk(live, k);
-  if (live == 0) return;
+  const LiveRanks ranks = rank_live(s.trees, s.runs);
+  results.reset_topk(ranks.live, k);
+  if (ranks.live == 0) return;
 
   // The answers, unit by unit. A tree slot reads its query from the
   // packed block, primes the heap with its home bucket and descends its
@@ -1299,17 +1213,20 @@ void MutableIndex::self_knn_batch(std::size_t k, NeighborTable& results,
   // every other tree; a run point is an ordinary forest query. Rows are
   // id ranks, scattered over the table, so each query prefetches the
   // next one's row.
+  order_trees(s.trees, ws);
   prepare_threads(ws, pool_->size(), dims_, k, s.trees);
+  const std::size_t n_trees = s.trees.size();
+  const std::vector<SlotUnit>& units = ranks.units;
+  const std::vector<std::uint64_t>& row_of = ranks.row_of;
   const std::uint64_t n_units = units.size();
   parallel::for_chunks(
       *pool_, n_units, forest_grain(n_units, pool_->size()), kInlineKnnBatch,
       [&](int tid, std::uint64_t lo, std::uint64_t hi) {
         QueryWorkspace& w = ws.batch.per_thread[static_cast<std::size_t>(tid)];
         for (std::uint64_t u = lo; u < hi; ++u) {
-          const SelfUnit unit = units[u];
+          const SlotUnit unit = units[u];
           const bool in_tree = unit.container < n_trees;
-          const std::size_t home =
-              in_tree ? ws.tree_order[unit.container] : kNoTree;
+          const std::size_t home = in_tree ? unit.container : kNoTree;
           for (std::uint32_t j = 0; j < unit.count; ++j) {
             const std::uint64_t row = row_of[unit.base + j];
             if (row == kNoRow) continue;
@@ -1342,9 +1259,7 @@ void MutableIndex::self_knn_batch(std::size_t k, NeighborTable& results,
 
 data::PointSet MutableIndex::live_points() const {
   const auto snap = snapshot();
-  data::PointSet live(dims_);
-  gather_snapshot_live(dims_, snap->runs, snap->trees, live);
-  return sort_by_id(live);
+  return gather_live(dims_, snap->trees, snap->runs);
 }
 
 void MutableIndex::save(const std::string& path) const {
@@ -1372,14 +1287,10 @@ MutationStats MutableIndex::stats() const {
   out.live_points = live_count_.load(std::memory_order_relaxed);
   out.buffered_points = 0;
   out.tombstones = 0;
-  const auto count_run = [&](const Run& run) {
+  for (const Run& run : runs_) {
     out.buffered_points += run.points->size();
     if (run.dead != nullptr) out.tombstones += run.dead->size();
-  };
-  for (const auto& group : sealed_groups_) {
-    for (const Run& run : group) count_run(run);
   }
-  for (const Run& run : open_runs_) count_run(run);
   for (const TreeShard& shard : trees_) {
     if (shard.dead != nullptr) out.tombstones += shard.dead->size();
   }

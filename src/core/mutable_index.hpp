@@ -7,18 +7,20 @@
 // Bentley–Saxe decomposition:
 //
 //   inserts  — each insert() batch becomes one immutable Run (a copied
-//     PointSet, brute-force scanned by queries). When the buffered
-//     runs reach MutableConfig::buffer_capacity points they are sealed
-//     as a group and a background seal thread compacts them into a
-//     level-0 packed kd-tree; a separate background merge thread
-//     compacts merge_fan_in trees at one level into one tree at the
-//     next (two lanes, so a small seal never queues behind a long
+//     PointSet, brute-force scanned by queries), appended to the one
+//     oldest-first run list. When the open runs reach
+//     MutableConfig::buffer_capacity points they are sealed as a group
+//     (a leading run count) and a background seal thread compacts them
+//     into a level-0 packed kd-tree; a separate background merge
+//     thread compacts merge_fan_in trees at one level into one tree at
+//     the next (two lanes, so a small seal never queues behind a long
 //     level merge and the scanned buffer stays bounded). The forest
-//     thus holds
-//     O(log(n / capacity)) trees of geometrically growing sizes and
-//     every point is rebuilt O(log n) times in total. No insert ever
-//     rebuilds the whole index — the full-rebuild stall is gone
-//     (bench_mutable pins this).
+//     thus holds O(log(n / capacity)) trees of geometrically growing
+//     sizes and every point is rebuilt O(log n) times in total. No
+//     insert ever rebuilds the whole index — the full-rebuild stall is
+//     gone (bench_mutable pins this). Every rebuild (seal, level
+//     merge, compact(), save()) reads its points in id order from one
+//     gather, so a rebuilt tree depends only on its live set.
 //
 //   erases   — tombstones. Each container (run or tree) carries its
 //     own copy-on-write sorted dead-id list, and every scan skips a
@@ -70,6 +72,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -241,15 +244,16 @@ class MutableIndex {
   void self_knn_batch(std::size_t k, NeighborTable& results,
                       ForestWorkspace& ws) const;
 
-  /// The live points, ascending by id (the self_knn_batch row order).
-  /// Gathered from the same snapshot a query batch would pin.
+  /// The live points, ascending by id (the self_knn_batch row order and
+  /// row keys), from the snapshot a query batch would pin: each point
+  /// is copied once, from its packed leaf (KdTree::copy_slot) or run.
   data::PointSet live_points() const;
 
-  /// Persists the state as of the call: gathers the live points from
-  /// the current snapshot, builds one packed tree (zero tombstones,
-  /// ascending-id point order), and saves it as a v4 file — the
-  /// compact-on-save contract of Index::save. The in-memory forest is
-  /// untouched; Index::open seeds a new forest from the file.
+  /// Persists the state as of the call: builds one packed tree over
+  /// live_points() (zero tombstones, ascending-id point order) and
+  /// saves it as a v4 file — the compact-on-save contract of
+  /// Index::save. The in-memory forest is untouched; Index::open seeds
+  /// a new forest from the file.
   void save(const std::string& path) const;
 
   MutationStats stats() const;
@@ -304,10 +308,23 @@ class MutableIndex {
   bool has_work_locked() const PANDA_REQUIRES(mutex_);
   int overfull_level_locked() const PANDA_REQUIRES(mutex_);
   void tombstone_locked(std::uint64_t id) PANDA_REQUIRES(mutex_);
-  /// Appends every live point of the current state to `out` (and its
-  /// id to `ids` when non-null). Order: runs first, then trees.
-  void gather_live_locked(data::PointSet& out) const PANDA_REQUIRES(mutex_);
   std::uint32_t level_for_size(std::uint64_t points) const;
+
+  /// How every tree enters the forest (seed, recovery, seal, merge,
+  /// compaction): with its sorted ids; a duplicate names `caller`.
+  static TreeShard make_shard(KdTree tree, std::uint32_t level,
+                              std::uint64_t file_seq, std::string_view caller);
+  /// A background lane's rebuild of the points live at claim, built
+  /// on merge_build_pool_ and saved in durable mode; no tree when
+  /// nothing was live.
+  TreeShard rebuild(std::span<const TreeShard> trees,
+                    std::span<const Run> runs, std::uint32_t level,
+                    std::uint64_t file_seq, std::string_view caller)
+      PANDA_EXCLUDES(mutex_);
+  /// Adds a rebuilt tree to the forest, dead from birth for the ids
+  /// erased from its sources since the claim (`residual`).
+  void add_tree_locked(TreeShard shard, IdList residual)
+      PANDA_REQUIRES(mutex_);
 
   void seal_loop();
   void merge_loop();
@@ -380,7 +397,7 @@ class MutableIndex {
   parallel::ThreadPool merge_build_pool_{1};
 
   /// The writer mutex (DESIGN.md §12/§14): every mutable member below
-  /// that carries PANDA_GUARDED_BY(mutex_) — buffer runs, seal/merge
+  /// that carries PANDA_GUARDED_BY(mutex_) — buffered runs, seal/merge
   /// lanes, the live-id set, counters, and the whole durable-mode
   /// block — is reachable only while it is held.
   mutable Mutex mutex_;
@@ -391,10 +408,14 @@ class MutableIndex {
   bool seal_busy_ PANDA_GUARDED_BY(mutex_) = false;
   bool merge_busy_ PANDA_GUARDED_BY(mutex_) = false;
 
-  std::vector<Run> open_runs_ PANDA_GUARDED_BY(mutex_);
-  /// Total points across open runs.
+  /// Every buffered run, oldest first: the sealed groups lead, the
+  /// open runs follow. A snapshot's runs are a copy of this list.
+  std::vector<Run> runs_ PANDA_GUARDED_BY(mutex_);
+  /// Run counts of the sealed groups, oldest first: the first
+  /// sealed_groups_.front() runs of runs_ are the next seal's input.
+  std::deque<std::size_t> sealed_groups_ PANDA_GUARDED_BY(mutex_);
+  /// Total points across the open runs.
   std::size_t open_points_ PANDA_GUARDED_BY(mutex_) = 0;
-  std::deque<std::vector<Run>> sealed_groups_ PANDA_GUARDED_BY(mutex_);
   std::vector<TreeShard> trees_ PANDA_GUARDED_BY(mutex_);
   /// Every live id, in one flat open-addressing set (DESIGN.md §12.6):
   /// insert admission (duplicate rejection) and erase (is the id live
@@ -429,9 +450,9 @@ class MutableIndex {
   /// builds) must never queue behind a level merge (large, rare) —
   /// otherwise sealed groups pile up during a long merge and every
   /// query brute-scans the backlog. The lanes compose under mutex_:
-  /// do_seal only pops sealed_groups_.front() and appends a level-0
-  /// tree; do_level_merge splices by tree pointer, so trees sealed
-  /// mid-merge survive its publish.
+  /// do_seal only drops the leading sealed group's runs and appends a
+  /// level-0 tree; do_level_merge splices by tree pointer, so trees
+  /// sealed mid-merge survive its publish.
   std::thread seal_thread_;
   std::thread merge_thread_;
 };

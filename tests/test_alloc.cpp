@@ -260,6 +260,38 @@ TEST(AllocSetup, SeedingMakesConstantAllocatorCalls) {
       << calls_100k;
 }
 
+TEST(AllocSetup, LivePointsCopiesEachPointOnce) {
+  // live_points() ranks the live slots by id once and writes each point
+  // straight into its row, from the packed leaf or the run: a few
+  // buffers whatever the point count. Copying through a scratch set and
+  // a set grown by doubling took 81 allocator calls at 20k points and
+  // 88 at 100k. save() and compact() gather the same way.
+  const auto gen = data::make_generator("gmm", 20260801);
+  const auto pool = std::make_shared<parallel::ThreadPool>(1);
+  auto gather_calls = [&](std::uint64_t n) {
+    core::MutableConfig config;
+    config.buffer_capacity = 4096;  // the run stays buffered
+    core::MutableIndex index(
+        core::KdTree::build(gen->generate_all(n), core::BuildConfig{}, *pool),
+        config, core::BuildConfig{}, pool);
+    data::PointSet run(gen->dims());
+    gen->generate(n, n + 300, run);
+    index.insert(run);
+    std::vector<std::uint64_t> doomed;  // 1% of the ids, trees and run
+    for (std::uint64_t id = 0; id < n + 300; id += 100) doomed.push_back(id);
+    EXPECT_EQ(index.erase(doomed), doomed.size());
+    index.quiesce();
+    const std::uint64_t before = panda::testing::alloc_count();
+    const data::PointSet live = index.live_points();
+    const std::uint64_t calls = panda::testing::alloc_count() - before;
+    EXPECT_EQ(live.size(), n + 300 - doomed.size());
+    EXPECT_TRUE(std::is_sorted(live.ids().begin(), live.ids().end()));
+    return calls;
+  };
+  EXPECT_LT(gather_calls(20000), 16u);
+  EXPECT_LT(gather_calls(100000), 16u);
+}
+
 // Sanity: the probe actually counts.
 TEST(AllocProbe, CountsAllocations) {
   const std::uint64_t before = panda::testing::alloc_count();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "common/error.hpp"
 #include "core/kdtree.hpp"
 #include "data/generators.hpp"
+#include "data/storage.hpp"
 #include "index_bytes.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -130,6 +132,46 @@ TEST(ExternalBuildApi, IndexBuildHonorsTheMemoryBudget) {
     for (std::size_t j = 0; j < a.size(); ++j) {
       ASSERT_EQ(a[j].id, b[j].id);
       ASSERT_EQ(a[j].dist2, b[j].dist2);
+    }
+  }
+  std::remove(out.c_str());
+}
+
+TEST(ExternalBuildApi, NonFiniteSpilledPointIsRefused) {
+  // Non-resident points reach an index only through the out-of-core
+  // build, which checks each chunk it reads: one +Inf coordinate in a
+  // spill chunk refuses the build, whether the budget takes the points
+  // in one chunk (materialized) or splits them into four (streamed).
+  data::PointSet points =
+      data::make_generator("cosmo", 11)->generate_all(4000);
+  const std::uint64_t victim = 3000;
+  points.coordinate(2)[victim] = std::numeric_limits<float>::infinity();
+  data::ChunkedStorage spill(::testing::TempDir() + "/panda_ext_inf_spill",
+                             points.dims(), 2);
+  for (std::uint64_t half = 0; half < 2; ++half) {
+    std::vector<std::uint64_t> rows(points.size() / 2);
+    for (std::uint64_t i = 0; i < rows.size(); ++i) {
+      rows[i] = half * rows.size() + i;
+    }
+    spill.append(half, points.extract(rows), rows);
+  }
+  spill.finish_writing();
+  const std::string out = ::testing::TempDir() + "/panda_ext_inf.kdt";
+  for (const std::uint64_t budget :
+       {std::uint64_t{1} << 32,
+        budget_for_chunks(points.size(), points.dims(), 4)}) {
+    IndexOptions options;
+    options.memory_budget_bytes = budget;
+    options.external_index_path = out;
+    try {
+      (void)Index::build(spill, options);
+      ADD_FAILURE() << "built over a +Inf coordinate, budget " << budget;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("point id " + std::to_string(points.id(victim))),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("dimension 2"), std::string::npos) << what;
     }
   }
   std::remove(out.c_str());

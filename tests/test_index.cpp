@@ -3,10 +3,12 @@
 // id-exact, element-for-element oracle results through the one search
 // interface, across datasets {uniform, gmm, dupes} x k {1, 5, 32};
 // plus the error paths (bad options, wrong-dim queries, refused
-// version-1 files) and the save/open round trip.
+// version-1 files), the save/open round trip, and the Local adapter's
+// rows bit-identical to the direct tree kernels it forwards to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +21,7 @@
 #include "api/index.hpp"
 #include "baselines/brute_force.hpp"
 #include "common/error.hpp"
+#include "core/kdtree.hpp"
 #include "data/generators.hpp"
 #include "ml/knn_classifier.hpp"
 
@@ -248,6 +251,67 @@ TEST(FacadeSelfKnn, NonIdentityIdsStillKeyRowsByBuildPosition) {
                         name + " sparse-id self " + std::to_string(i));
     }
   }
+}
+
+/// Row-for-row equality of two tables, dist² compared bit for bit.
+void expect_tables_identical(const core::NeighborTable& direct,
+                             const core::NeighborTable& facade,
+                             const std::string& entry) {
+  ASSERT_EQ(facade.size(), direct.size()) << entry;
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    const auto want = direct[i];
+    const auto got = facade[i];
+    ASSERT_EQ(got.size(), want.size()) << entry << " row " << i;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      ASSERT_EQ(got[j].id, want[j].id) << entry << " row " << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j].dist2),
+                std::bit_cast<std::uint32_t>(want[j].dist2))
+          << entry << " row " << i;
+    }
+  }
+}
+
+TEST(FacadeLocal, EveryEntryMatchesTheDirectTreeKernelBitForBit) {
+  // The Local adapter forwards each native entry 1:1 onto one batched
+  // tree kernel (DESIGN.md §10): on the same points and the same pool,
+  // every facade call returns the direct call's rows bit for bit.
+  const auto gen = data::make_generator("cosmo", 1234);
+  const data::PointSet points = gen->generate_all(20000);
+  data::PointSet queries(gen->dims());
+  data::make_generator("cosmo", 99)->generate(20000, 21024, queries);
+  IndexOptions options;
+  options.pool = std::make_shared<parallel::ThreadPool>(4);
+  parallel::ThreadPool& pool = *options.pool;
+  const auto index = Index::build(points, options);
+  const core::KdTree tree = core::KdTree::build(points, options.build, pool);
+
+  core::NeighborTable direct;
+  core::NeighborTable facade;
+  core::BatchWorkspace direct_ws;
+  SearchWorkspace facade_ws;
+  SearchParams params;
+  params.k = 5;
+  tree.query_batch(queries, params.k, pool, direct, direct_ws);
+  index->knn_into(queries, params, facade, facade_ws);
+  expect_tables_identical(direct, facade, "knn_into");
+
+  params.radius = 0.02f;
+  tree.query_batch(queries, params.k, pool, direct, direct_ws, params.radius);
+  index->knn_into(queries, params, facade, facade_ws);
+  expect_tables_identical(direct, facade, "bounded knn_into");
+
+  std::vector<float> radii(queries.size());
+  for (std::size_t i = 0; i < radii.size(); ++i) {
+    radii[i] = 0.005f * static_cast<float>(1 + i % 7);
+  }
+  tree.query_radius_batch(queries, radii, pool, direct, direct_ws);
+  index->radius_into(queries, radii, facade, facade_ws);
+  expect_tables_identical(direct, facade, "radius_into");
+
+  params.radius = std::numeric_limits<float>::infinity();
+  tree.query_self_batch(params.k, pool, direct, direct_ws);
+  index->self_knn_into(params, facade, facade_ws);
+  expect_tables_identical(direct, facade, "self_knn_into");
 }
 
 TEST(FacadeMl, BatchClassifyAndRegressThroughAnyIndex) {

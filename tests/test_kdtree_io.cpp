@@ -1,10 +1,11 @@
 // Tests for kd-tree persistence: save/load round trips preserve query
 // results bit-for-bit; v4 files open zero-copy via mmap; malformed
 // inputs are rejected with header diagnostics, including crafted
-// headers whose counts or offsets wrap 64-bit arithmetic; a single
-// flipped byte in any section is caught by the CRC32C checksums with
-// a section-naming diagnostic; every other version is refused by
-// every reader with one diagnostic.
+// headers whose counts or offsets wrap 64-bit arithmetic and crafted
+// node and leaf records under recomputed CRCs; a single flipped byte
+// in any section is caught by the CRC32C checksums with a
+// section-naming diagnostic; every other version is refused by every
+// reader with one diagnostic.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -12,7 +13,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/index.hpp"
@@ -406,6 +409,153 @@ TEST(KdTreeIo, WrappedHeaderFieldsAreRefusedByEveryReader) {
       EXPECT_NE(msg.find(c.field), std::string::npos)
           << reader << " on a crafted " << c.field << ": " << msg;
     });
+  }
+  std::remove(path.c_str());
+}
+
+/// A saved index as bytes: records are edited in place, then write()
+/// recomputes every section CRC and the header CRC — what a crafted
+/// file would carry, since a CRC is not a MAC.
+struct CraftedIndex {
+  explicit CraftedIndex(std::string file)
+      : path(std::move(file)), bytes(panda::testing::read_bytes(path)) {
+    std::memcpy(&header, bytes.data(), sizeof(header));
+  }
+  template <typename Record>
+  Record get(std::uint64_t section_off, std::uint64_t index) const {
+    Record record;
+    std::memcpy(&record, bytes.data() + section_off + index * sizeof(Record),
+                sizeof(Record));
+    return record;
+  }
+  template <typename Record>
+  void set(std::uint64_t section_off, std::uint64_t index,
+           const Record& record) {
+    std::memcpy(bytes.data() + section_off + index * sizeof(Record), &record,
+                sizeof(Record));
+  }
+  void write() {
+    const detail::KdTreeHeader& h = header;
+    const std::uint64_t offs[] = {h.nodes_off,  h.leaves_off, h.leaf_nodes_off,
+                                  h.packed_off, h.ids_off,    h.local_idx_off};
+    const std::uint64_t sizes[] = {
+        h.node_count * detail::kHotNodeBytes,
+        h.leaf_count * detail::kLeafInfoBytes,
+        h.leaf_count * sizeof(std::uint32_t),
+        h.packed_count * sizeof(float),
+        h.id_count * sizeof(std::uint64_t),
+        h.id_count * sizeof(std::uint64_t)};
+    for (std::size_t s = 0; s < detail::kKdTreeSectionCount; ++s) {
+      header.section_crc[s] = common::crc32c(bytes.data() + offs[s], sizes[s]);
+    }
+    header.header_crc = 0;
+    header.header_crc = common::crc32c(&header, sizeof(header));
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::string path;
+  std::vector<char> bytes;
+  detail::KdTreeHeader header{};
+};
+
+TEST(KdTreeIo, CraftedRecordsAreRefusedByTheVerifiedOpen) {
+  // Child links, leaf references, leaf slot ranges and build rows are
+  // what queries index with; a crafted file recomputes its CRCs, so the
+  // verified open checks the records themselves and names the bad one.
+  // The unverified open trusts them (DESIGN.md §11.2).
+  const auto gen = data::make_generator("uniform", 88);
+  const data::PointSet points = gen->generate_all(2000);
+  parallel::ThreadPool pool(2);
+  const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
+  const std::string path = ::testing::TempDir() + "/panda_tree_records.kdt";
+  struct Node {
+    float split;
+    std::uint32_t dim;
+    std::uint32_t child;
+  };
+  struct Leaf {
+    std::uint64_t packed_begin;
+    std::uint32_t count;
+    std::uint32_t pad;
+  };
+  static_assert(sizeof(Node) == detail::kHotNodeBytes);
+  static_assert(sizeof(Leaf) == detail::kLeafInfoBytes);
+  constexpr std::uint32_t kLeafMarker = 0xffffffffu;
+  const auto edit_root = [&](CraftedIndex& f, auto&& change) {
+    Node root = f.get<Node>(f.header.nodes_off, 0);
+    EXPECT_NE(root.dim, kLeafMarker);
+    change(root);
+    f.set(f.header.nodes_off, 0, root);
+  };
+  const auto edit_leaf = [](CraftedIndex& f, std::uint64_t l, auto&& change) {
+    Leaf leaf = f.get<Leaf>(f.header.leaves_off, l);
+    change(leaf);
+    f.set(f.header.leaves_off, l, leaf);
+  };
+  // Each case crafts one record and returns what the refusal must say.
+  const std::function<std::string(CraftedIndex&)> cases[] = {
+      [&](CraftedIndex& f) {  // a cycle: children before their parent
+        edit_root(f, [](Node& n) { n.child = 0; });
+        return std::string("kd-tree node 0 out of bounds (child 0,");
+      },
+      [&](CraftedIndex& f) {  // the right child past the node array
+        const auto last = static_cast<std::uint32_t>(f.header.node_count - 1);
+        edit_root(f, [&](Node& n) { n.child = last; });
+        return "kd-tree node 0 out of bounds (child " + std::to_string(last) +
+               ",";
+      },
+      [&](CraftedIndex& f) {  // a split dimension past dims
+        edit_root(f, [&](Node& n) { n.dim = f.header.dims; });
+        return ", dim " + std::to_string(f.header.dims) + ";";
+      },
+      [&](CraftedIndex& f) {  // a leaf node naming no leaf record
+        std::uint64_t i = 0;
+        while (f.get<Node>(f.header.nodes_off, i).dim != kLeafMarker) ++i;
+        Node leaf = f.get<Node>(f.header.nodes_off, i);
+        leaf.child = static_cast<std::uint32_t>(f.header.leaf_count);
+        f.set(f.header.nodes_off, i, leaf);
+        return "kd-tree node " + std::to_string(i) +
+               " out of bounds (child " + std::to_string(f.header.leaf_count);
+      },
+      [&](CraftedIndex& f) {  // more points than a bucket holds
+        const std::uint32_t over = f.header.config.bucket_size + 1;
+        edit_leaf(f, 0, [&](Leaf& l) { l.count = over; });
+        return "kd-tree leaf 0 out of bounds (" + std::to_string(over) +
+               " points";
+      },
+      [&](CraftedIndex& f) {  // a slot range past the id section
+        const std::uint64_t last = f.header.leaf_count - 1;
+        edit_leaf(f, last,
+                  [&](Leaf& l) { l.packed_begin = f.header.id_count; });
+        return "kd-tree leaf " + std::to_string(last) + " out of bounds";
+      },
+      [&](CraftedIndex& f) {  // leaf counts that miss stats.points
+        edit_leaf(f, 0, [](Leaf& l) { --l.count; });
+        return std::string("kd-tree header stats.points 2000 disagrees");
+      },
+      [&](CraftedIndex& f) {  // a build row past the point count
+        f.set(f.header.local_idx_off, 0, std::uint64_t{2000});
+        return std::string("kd-tree slot 0 names row 2000 of 2000");
+      },
+  };
+  for (const auto& craft : cases) {
+    tree.save(path);
+    CraftedIndex file(path);
+    const std::string want = craft(file);
+    file.write();
+    for (const auto& [reader, msg] :
+         {std::pair<const char*, std::string>{
+              "load", error_of([&] { KdTree::load(path); })},
+          {"open_mmap", error_of([&] { KdTree::open_mmap(path); })},
+          {"Index::open", error_of([&] { Index::open(path); })}}) {
+      EXPECT_NE(msg.find(want), std::string::npos)
+          << reader << " on a crafted record, want '" << want << "': " << msg;
+      EXPECT_NE(msg.find(path), std::string::npos) << reader << ": " << msg;
+    }
+    EXPECT_NO_THROW(KdTree::open_mmap(path, /*verify_sections=*/false))
+        << want;
   }
   std::remove(path.c_str());
 }

@@ -27,6 +27,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/mutable_index.hpp"
+#include "core/wal.hpp"
 #include "data/generators.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -343,6 +344,51 @@ TEST(MutableErase, EraseThenReinsertSameIdInATree) {
   EXPECT_EQ(index.stats().tombstones, 0u);
   expect_knn_matches(index, oracle, queries, 4, h.results, h.ws,
                      "after compact");
+}
+
+// An erase that lands while a seal or a level merge builds goes to the
+// dead list of a claimed container; the rebuilt tree must carry it over
+// (dead now minus dead at claim), or the erased points come back. Each
+// build here takes 100k+ points on the size-1 lane pool, and each erase
+// is issued once the stats show that build running.
+TEST(MutableErase, ErasesDuringInFlightSealAndMergeAreCarried) {
+  Harness h;
+  const auto gen = data::make_generator("uniform", /*seed=*/29);
+  const std::uint64_t n = 100000;
+  MutableIndex index = h.make(gen->dims(), /*buffer_capacity=*/n,
+                              /*fan_in=*/2);
+  std::vector<std::uint64_t> doomed;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    PointSet batch(gen->dims());
+    gen->generate(round * n, (round + 1) * n, batch);
+    index.insert(batch);  // a full buffer: seal `round` is queued
+    // Round 0 waits for the seal of this batch, round 1 for the merge of
+    // the two level-0 trees (or, on a stalled test thread, for either
+    // to finish: the erase then lands afterwards, as an ordinary one).
+    for (;;) {
+      const MutationStats s = index.stats();
+      const bool running =
+          s.merge_in_flight && (round == 0 || s.seals == 2);
+      if (running || s.seals + s.merges > 2 * round) break;
+      std::this_thread::yield();
+    }
+    // Round 1 erases from both trees the merge reads.
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t id = 7 + 50 * round; id < (round + 1) * n; id += 101) {
+      ids.push_back(id);
+    }
+    EXPECT_EQ(index.erase(ids), ids.size());
+    doomed.insert(doomed.end(), ids.begin(), ids.end());
+  }
+  index.quiesce();
+  EXPECT_EQ(index.stats().trees, 1u);
+  std::sort(doomed.begin(), doomed.end());
+  const PointSet live = index.live_points();
+  ASSERT_EQ(live.size(), 2 * n - doomed.size());
+  for (std::uint64_t i = 0; i < live.size(); ++i) {
+    ASSERT_FALSE(std::binary_search(doomed.begin(), doomed.end(), live.id(i)))
+        << "erased id " << live.id(i) << " came back";
+  }
 }
 
 TEST(MutableErase, EraseEverythingThenRefill) {
@@ -882,6 +928,50 @@ TEST(MutableDurability, NonFiniteBatchIsRefusedBeforeTheLog) {
   MutableIndex reopened(gen->dims(), config, BuildConfig{}, h.pool);
   reopened.insert(fresh);  // no id of the refused batch was admitted
   EXPECT_EQ(reopened.size(), 30u);
+}
+
+// A frame's CRC vouches for its bytes, not for what they hold: a
+// CRC-valid Insert frame with a NaN coordinate, appended to the log of
+// a closed directory, makes the reopen throw naming the log, the point
+// id and the dimension.
+TEST(MutableDurability, NonFiniteWalInsertIsRefusedAtReplay) {
+  DurableDir dir;
+  Harness h;
+  const MutableConfig config = durable_config(dir.path(), 32);
+  {
+    MutableIndex index(3, config, BuildConfig{}, h.pool);
+    PointSet batch(3);
+    batch.push_point(std::vector<float>{0.1f, 0.2f, 0.3f}, 1);
+    batch.push_point(std::vector<float>{0.4f, 0.5f, 0.6f}, 2);
+    index.insert(batch);
+  }
+  std::string wal;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    if (entry.path().filename().string().starts_with("wal-")) {
+      wal = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(wal.empty());
+  {
+    const Wal::ReplayResult replayed = Wal::replay(wal, 3);
+    ASSERT_FALSE(replayed.torn) << replayed.diagnostic;
+    Wal log = Wal::open_for_append(wal, 3, replayed.valid_bytes);
+    const std::vector<std::uint64_t> ids = {7, 8};
+    const std::vector<float> coords = {
+        0.7f, 0.8f, 0.9f, 0.1f, std::numeric_limits<float>::quiet_NaN(), 0.2f};
+    log.append_insert(ids, coords);
+    log.sync();
+  }
+  try {
+    MutableIndex reopened(3, config, BuildConfig{}, h.pool);
+    FAIL() << "replayed a NaN coordinate into " << reopened.size()
+           << " live points";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(wal), std::string::npos) << what;
+    EXPECT_NE(what.find("point id 8 "), std::string::npos) << what;
+    EXPECT_NE(what.find("dimension 1"), std::string::npos) << what;
+  }
 }
 
 TEST(MutableDurability, OverlappingCommittedTreesAreRefused) {
