@@ -8,8 +8,9 @@
 //   4. traversal bound      — printed Algorithm 1 formula vs the exact
 //                              per-dimension incremental bound (speed and
 //                              recall; see DESIGN.md section 5)
-//   5. query transport      — software pipelining (p2p, one-batch-deep
-//                              overlap) vs lock-step collectives
+//   5. query transport      — stages 3-5 as software pipelining
+//                              (counted p2p coalescing rounds, drained
+//                              between rounds) vs lock-step collectives
 //   6. global kd-tree       — PANDA's redistributed tree vs strategy (1)
 //                              local-trees-everywhere (query cost and
 //                              bytes moved)
@@ -219,8 +220,8 @@ void ablate_approximate() {
 }
 
 void ablate_transport() {
-  std::printf("\n[5] query transport: pipelined p2p vs lock-step "
-              "collectives (paper's software pipelining)\n");
+  std::printf("\n[5] query transport of stages 3-5: pipelined p2p vs "
+              "lock-step collectives (paper's software pipelining)\n");
   const bench::DatasetSpec spec = bench::large_spec("cosmo");
   const auto generator = data::make_generator(spec.name, bench::kDataSeed);
   std::printf("%-12s %10s %20s\n", "transport", "query(s)",

@@ -1,16 +1,22 @@
-// Bulk all-points KNN vs the per-query five-stage engine.
+// Bulk all-points KNN vs the routed five-stage engine over the same
+// points.
 //
-// The paper's science workloads query the dataset against itself;
-// dist::AllKnnEngine exploits that: the owner stage disappears and
-// stage-3/4 traffic is coalesced per rank pair (DESIGN.md §7). This
-// harness runs both engines on the same cosmo_thin-style workload and
-// reports wall time plus stage-3/4 message counts — the coalesced
-// engine must send >= 2x fewer messages than the per-query loop.
+// The paper's science workloads query the dataset against itself.
+// Both engines answer stages 2-5 with the same code (DESIGN.md §7);
+// dist::AllKnnEngine drops what DistQueryEngine adds around them for a
+// self-query — stage 1 and the return trip, since each rank's queries
+// are its own local points — and runs the packed-leaf self-join as its
+// local pass. This harness runs DistQueryEngine over every rank's local
+// points and the bulk engine under both transports on the same
+// cosmo_thin-style workload, and reports wall time plus the messages,
+// bytes and alpha–beta model time each run_into adds to comm.stats(),
+// summed over ranks.
 //
 // Run:  ./bench_allknn [points] [ranks]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 
 #include "bench_util.hpp"
@@ -24,8 +30,8 @@ namespace {
 
 struct RunTotals {
   double seconds = 0.0;
-  std::uint64_t stage34_messages = 0;
-  std::uint64_t modeled_bytes = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
   double model_seconds = 0.0;
 };
 
@@ -34,8 +40,7 @@ struct RunTotals {
 int main(int argc, char** argv) {
   using namespace panda;
   const bench::DatasetSpec spec = bench::thin_spec("cosmo");
-  // The thin dataset scaled 1:10 keeps the naive per-query loop (which
-  // answers every point) tractable in-process.
+  // The thin dataset scaled 1:10 keeps three in-process runs quick.
   const std::uint64_t n = argc > 1
                               ? std::strtoull(argv[1], nullptr, 10)
                               : spec.points / 10;
@@ -47,8 +52,8 @@ int main(int argc, char** argv) {
   const std::size_t k = spec.k + 1;  // self included in a self-KNN
 
   bench::print_header(
-      "bench_allknn — bulk self-KNN vs per-query engine",
-      "engine ablation: KNN-join-style batching + request coalescing");
+      "bench_allknn — bulk self-KNN vs the routed engine",
+      "engine ablation: no stage 1 or return, self-join local pass");
   std::printf("workload: %s x %s points (all queried), k=%zu, %d ranks\n",
               spec.paper_name.c_str(), bench::human_count(n).c_str(), k,
               ranks);
@@ -58,59 +63,49 @@ int main(int argc, char** argv) {
   config.ranks = ranks;
   config.threads_per_rank = 2;
 
-  std::mutex mutex;
-
-  // --- naive loop: the per-query five-stage engine over every point --
-  RunTotals naive;
-  {
-    net::Cluster cluster(config);
-    cluster.run([&](net::Comm& comm) {
-      const data::PointSet slice =
-          generator->generate_slice(n, comm.rank(), comm.size());
-      const dist::DistKdTree tree =
-          dist::DistKdTree::build(comm, slice, dist::DistBuildConfig{});
-      dist::DistQueryEngine engine(comm, tree);
-      dist::DistQueryConfig qconfig;
-      qconfig.k = k;
-      WallTimer watch;
-      dist::DistQueryBreakdown bd;
-      core::NeighborTable results;
-      engine.run_into(tree.local_points(), qconfig, results, &bd);
-      const double seconds = watch.seconds();
-      std::lock_guard<std::mutex> lock(mutex);
-      naive.seconds = std::max(naive.seconds, seconds);
-      // One remote request + one response per contacted (query, rank)
-      // pair: the O(queries x fanout) stage-3/4 unit count.
-      naive.stage34_messages += 2 * bd.remote_requests;
-    });
-  }
-
-  // --- bulk engine, both transports ----------------------------------
-  auto run_bulk = [&](dist::AllKnnConfig::Mode mode) {
+  // Builds the tree on a fresh cluster, then times `query` on every
+  // rank and reads what it adds to the rank's comm counters.
+  using Query = std::function<void(net::Comm&, const dist::DistKdTree&)>;
+  auto measure = [&](const Query& query) {
     RunTotals totals;
+    std::mutex mutex;
     net::Cluster cluster(config);
     cluster.run([&](net::Comm& comm) {
       const data::PointSet slice =
           generator->generate_slice(n, comm.rank(), comm.size());
       const dist::DistKdTree tree =
           dist::DistKdTree::build(comm, slice, dist::DistBuildConfig{});
+      const net::CommStats before = comm.stats();
+      WallTimer watch;
+      query(comm, tree);
+      const double seconds = watch.seconds();
+      const net::CommStats& after = comm.stats();
+      std::lock_guard<std::mutex> lock(mutex);
+      totals.seconds = std::max(totals.seconds, seconds);
+      totals.messages += after.messages_sent - before.messages_sent;
+      totals.bytes += after.bytes_sent - before.bytes_sent;
+      totals.model_seconds += after.model_seconds - before.model_seconds;
+    });
+    return totals;
+  };
+
+  const RunTotals routed =
+      measure([&](net::Comm& comm, const dist::DistKdTree& tree) {
+        dist::DistQueryEngine engine(comm, tree);
+        dist::DistQueryConfig qconfig;
+        qconfig.k = k;
+        core::NeighborTable results;
+        engine.run_into(tree.local_points(), qconfig, results);
+      });
+  auto run_bulk = [&](dist::AllKnnConfig::Mode mode) {
+    return measure([&](net::Comm& comm, const dist::DistKdTree& tree) {
       dist::AllKnnEngine engine(comm, tree);
       dist::AllKnnConfig aconfig;
       aconfig.k = k;
       aconfig.mode = mode;
-      WallTimer watch;
-      dist::AllKnnStats stats;
       core::NeighborTable results;
-      engine.run_into(aconfig, results, &stats);
-      const double seconds = watch.seconds();
-      std::lock_guard<std::mutex> lock(mutex);
-      totals.seconds = std::max(totals.seconds, seconds);
-      totals.stage34_messages +=
-          stats.request_messages + stats.response_messages;
-      totals.modeled_bytes += stats.request_bytes + stats.response_bytes;
-      totals.model_seconds += stats.model_comm_seconds;
+      engine.run_into(aconfig, results);
     });
-    return totals;
   };
   const RunTotals bulk_collective =
       run_bulk(dist::AllKnnConfig::Mode::Collective);
@@ -118,36 +113,31 @@ int main(int argc, char** argv) {
       run_bulk(dist::AllKnnConfig::Mode::Pipelined);
 
   bench::print_rule();
-  std::printf("%-28s %10s %16s %14s %12s\n", "engine", "query(s)",
-              "stage3/4 msgs", "coalesced KiB", "model(s)");
-  std::printf("%-28s %10.3f %16llu %14s %12s\n",
-              "per-query DistQueryEngine", naive.seconds,
-              static_cast<unsigned long long>(naive.stage34_messages), "-",
-              "-");
-  std::printf("%-28s %10.3f %16llu %14.1f %12.3g\n",
-              "AllKnnEngine (collective)", bulk_collective.seconds,
-              static_cast<unsigned long long>(
-                  bulk_collective.stage34_messages),
-              static_cast<double>(bulk_collective.modeled_bytes) / 1024.0,
-              bulk_collective.model_seconds);
-  std::printf("%-28s %10.3f %16llu %14.1f %12.3g\n",
-              "AllKnnEngine (pipelined)", bulk_pipelined.seconds,
-              static_cast<unsigned long long>(
-                  bulk_pipelined.stage34_messages),
-              static_cast<double>(bulk_pipelined.modeled_bytes) / 1024.0,
-              bulk_pipelined.model_seconds);
+  std::printf("%-38s %10s %10s %12s %12s\n", "engine", "query(s)",
+              "messages", "KiB sent", "model(s)");
+  auto row = [](const char* name, const RunTotals& t) {
+    std::printf("%-38s %10.3f %10llu %12.1f %12.3g\n", name, t.seconds,
+                static_cast<unsigned long long>(t.messages),
+                static_cast<double>(t.bytes) / 1024.0, t.model_seconds);
+  };
+  row("DistQueryEngine over the local points", routed);
+  row("AllKnnEngine (collective)", bulk_collective);
+  row("AllKnnEngine (pipelined)", bulk_pipelined);
   bench::print_rule();
-
-  const std::uint64_t worst_bulk = std::max(
-      bulk_collective.stage34_messages, bulk_pipelined.stage34_messages);
-  if (worst_bulk == 0) {
-    std::printf("no remote traffic at this scale (every ball local)\n");
+  const double time_ratio =
+      bulk_pipelined.seconds / std::max(routed.seconds, 1e-12);
+  if (routed.messages == 0) {
+    std::printf("bulk (pipelined) vs routed: %.2fx the query time; no "
+                "cross-rank traffic at this scale\n",
+                time_ratio);
   } else {
-    const double reduction = static_cast<double>(naive.stage34_messages) /
-                             static_cast<double>(worst_bulk);
-    std::printf("stage-3/4 message reduction: %.1fx fewer (target >= 2x: "
-                "%s)\n",
-                reduction, reduction >= 2.0 ? "met" : "NOT met");
+    std::printf("bulk (pipelined) vs routed, default configs: %.2fx the "
+                "query time, %.2fx the messages, %.2fx the bytes\n",
+                time_ratio,
+                static_cast<double>(bulk_pipelined.messages) /
+                    static_cast<double>(routed.messages),
+                static_cast<double>(bulk_pipelined.bytes) /
+                    static_cast<double>(routed.bytes));
   }
   return 0;
 }

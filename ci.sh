@@ -28,8 +28,9 @@
 #                      default flow.
 #   ci.sh sanitize   — the same test suite built with
 #                      -fsanitize=address,undefined, with per-test
-#                      timeouts; leak- and UB-checks the poll-loop and
-#                      coalescing paths of the distributed engines,
+#                      timeouts; leak- and UB-checks the exchange
+#                      rounds, drain loops and coalescing paths of the
+#                      distributed engines,
 #                      the mmap open/storage-view suites (test_storage,
 #                      test_kdtree_io — out-of-bounds reads through
 #                      mapped spans), and the external-build spill
@@ -56,12 +57,13 @@
 #                      flow.
 #   ci.sh tsan       — the concurrency suites (MPMC ring, serving
 #                      frontend, thread pool, mutable index, kd-tree
-#                      build across pool sizes, distributed all-KNN)
-#                      built with -fsanitize=thread: data-race checks
-#                      the lock-free admission ring, its
+#                      build across pool sizes, distributed all-KNN and
+#                      routed KNN) built with -fsanitize=thread:
+#                      data-race checks the lock-free admission ring, its
 #                      batching workers, snapshot swap, shared pool, the
-#                      distributed index session, the all-KNN engine's
-#                      per-rank self-join, and the mutable
+#                      distributed index session, both KNN engines'
+#                      per-rank stages 2 and 4 on the rank pools, and
+#                      the mutable
 #                      tier's merge thread + COW snapshot publishing
 #                      (readers and self-joins racing
 #                      insert/erase/seal/merge).
@@ -214,7 +216,7 @@ if [[ "$MODE" == "sanitize" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
   cmake --build build-sanitize -j
   # Sanitized binaries run several times slower; a generous per-test
-  # timeout still catches genuine hangs in the poll loops.
+  # timeout still catches genuine hangs in the pipelined drain loops.
   (cd build-sanitize && ctest --output-on-failure -j --timeout 900)
   echo "ci.sh: sanitize OK"
   exit 0
@@ -267,7 +269,7 @@ if [[ "$MODE" == "tsan" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
   cmake --build build-tsan -j --target test_mpmc_queue test_serve \
     test_parallel test_neighbor_table test_index test_mutable_index \
-    test_wal test_kdtree test_all_knn
+    test_wal test_kdtree test_all_knn test_dist_query
   # TSan serializes heavily on this container's core count; the mpmc /
   # serve / parallel suites are the ones whose bugs would be data
   # races (test_mpmc_queue hammers the Vyukov ring's release/acquire
@@ -288,13 +290,17 @@ if [[ "$MODE" == "tsan" ]]; then
   # test_all_knn drives the Dist all-KNN engine across ranks, whose
   # local pass is the packed-leaf self-join (query_self_batch: scattered
   # row writes with a one-ahead prefetch) on every rank's pool at once;
+  # test_dist_query drives the routed engine, which answers each
+  # round's owned block with the same stages 2-5, so its batched local
+  # pass and stage-4 answers fan out on every rank's pool too
+  # (MultiThreadedRanksProduceSameAnswers runs 3-thread ranks);
   # test_mutable_index runs the forest's self-join against a writer.
   # tsan.supp silences one libstdc++-internal report (the GCC 12
   # atomic<shared_ptr> lock-bit protocol — see the file); our own code
   # is still fully race-checked.
   (cd build-tsan && TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp" \
     ctest --output-on-failure \
-    -R '^(test_mpmc_queue|test_serve|test_parallel|test_neighbor_table|test_index|test_mutable_index|test_wal|test_kdtree|test_all_knn)$' \
+    -R '^(test_mpmc_queue|test_serve|test_parallel|test_neighbor_table|test_index|test_mutable_index|test_wal|test_kdtree|test_all_knn|test_dist_query)$' \
     --timeout 900)
   echo "ci.sh: tsan OK"
   exit 0

@@ -183,16 +183,16 @@ inline std::size_t strip_radius_sentinels(const Neighbor* row,
 }
 
 /// Merges any number of ascending-sorted neighbor lists, keeping the k
-/// overall nearest under the (dist², id) order (used by the
-/// distributed top-k merge, stage 5). Order-independent: the result is
-/// the same for any permutation of the input lists.
+/// overall nearest under the (dist², id) order: the reference the
+/// streaming stage-5 merge below is tested against. Order-independent:
+/// the result is the same for any permutation of the input lists.
 std::vector<Neighbor> merge_topk(
     const std::vector<std::vector<Neighbor>>& lists, std::size_t k);
 
 /// Streaming merge into a flat-table row: folds the ascending-sorted
 /// `incoming` into row[0..count) (also ascending-sorted), keeping the
-/// k overall nearest, and writes the merged run back into `row`. The
-/// bulk all-KNN engine merges each remote response as it arrives
+/// k overall nearest, and writes the merged run back into `row`. Both
+/// distributed KNN engines merge each remote response as it arrives
 /// instead of buffering all per-rank lists. `scratch` is caller-owned
 /// reusable memory (no steady-state allocations once warm). Returns
 /// the new row count (<= k <= row.size()).

@@ -347,6 +347,7 @@ std::size_t MutableIndex::erase(std::span<const std::uint64_t> ids) {
   // we go, which also deduplicates repeats within the batch) so the
   // WAL frame holds exactly the erases this call performs.
   std::vector<std::uint64_t> hit;
+  hit.reserve(ids.size());
   for (const std::uint64_t id : ids) {
     if (live_.erase(id)) hit.push_back(id);
   }
@@ -359,7 +360,7 @@ std::size_t MutableIndex::erase(std::span<const std::uint64_t> ids) {
       throw;
     }
   }
-  for (const std::uint64_t id : hit) tombstone_locked(id);
+  tombstone_locked(hit);
   erases_ += hit.size();
   // order: relaxed — size() gauge; see the hpp.
   live_count_.fetch_sub(hit.size(), std::memory_order_relaxed);
@@ -370,49 +371,71 @@ std::size_t MutableIndex::erase(std::span<const std::uint64_t> ids) {
 
 /// Replay-side erase: applies whichever of `ids` are live and skips
 /// the rest silently.
-std::vector<std::uint64_t> MutableIndex::apply_erase_locked(
-    std::span<const std::uint64_t> ids) {
+void MutableIndex::apply_erase_locked(std::span<const std::uint64_t> ids) {
   std::vector<std::uint64_t> hit;
+  hit.reserve(ids.size());
   for (const std::uint64_t id : ids) {
     if (live_.erase(id)) hit.push_back(id);
   }
-  for (const std::uint64_t id : hit) tombstone_locked(id);
-  if (!hit.empty()) {
-    erases_ += hit.size();
-    // order: relaxed — size() gauge; see the hpp.
-    live_count_.fetch_sub(hit.size(), std::memory_order_relaxed);
-  }
-  return hit;
+  if (hit.empty()) return;
+  tombstone_locked(hit);
+  erases_ += hit.size();
+  // order: relaxed — size() gauge; see the hpp.
+  live_count_.fetch_sub(hit.size(), std::memory_order_relaxed);
 }
 
-void MutableIndex::tombstone_locked(std::uint64_t id) {
-  const auto add_dead = [id](std::shared_ptr<const IdList>& dead) {
-    // Copy-on-write: pinned snapshots keep reading the old list.
-    auto next = dead ? std::make_shared<IdList>(*dead)
-                     : std::make_shared<IdList>();
-    next->insert(std::upper_bound(next->begin(), next->end(), id), id);
-    dead = std::move(next);
+void MutableIndex::tombstone_locked(std::span<std::uint64_t> ids) {
+  // Route every id to the one container holding it live (runs first,
+  // then trees, as a lookup would find it), then publish one merged
+  // copy-on-write dead list per touched container: pinned snapshots
+  // keep reading the old lists.
+  std::sort(ids.begin(), ids.end());
+  std::vector<bool> placed(ids.size(), false);
+  std::size_t unplaced = ids.size();
+  IdList found;
+  found.reserve(ids.size());
+  const auto place = [&](std::size_t j) {
+    if (placed[j]) return;
+    placed[j] = true;
+    --unplaced;
+    found.push_back(ids[j]);
   };
-  const auto run_holds_live = [id](const Run& run) {
-    if (run.dead != nullptr && contains(*run.dead, id)) return false;
-    const auto ids = run.points->ids();
-    return std::find(ids.begin(), ids.end(), id) != ids.end();
+  const auto publish_dead = [&found](std::shared_ptr<const IdList>& dead) {
+    if (found.empty()) return;
+    std::sort(found.begin(), found.end());
+    const std::span<const std::uint64_t> old =
+        dead ? std::span<const std::uint64_t>(*dead)
+             : std::span<const std::uint64_t>();
+    IdList merged(old.size() + found.size());
+    std::merge(old.begin(), old.end(), found.begin(), found.end(),
+               merged.begin());
+    dead = std::make_shared<const IdList>(std::move(merged));
+    found.clear();
   };
   for (Run& run : runs_) {
-    if (run_holds_live(run)) {
-      add_dead(run.dead);
-      return;
+    if (unplaced == 0) break;
+    for (const std::uint64_t id : run.points->ids()) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      if (it == ids.end() || *it != id) continue;
+      if (run.dead != nullptr && contains(*run.dead, id)) continue;
+      place(static_cast<std::size_t>(it - ids.begin()));
     }
+    publish_dead(run.dead);
   }
   for (TreeShard& shard : trees_) {
-    if (contains(*shard.ids, id) &&
-        !(shard.dead != nullptr && contains(*shard.dead, id))) {
-      add_dead(shard.dead);
-      return;
+    if (unplaced == 0) break;
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      if (!placed[j] && contains(*shard.ids, ids[j]) &&
+          !(shard.dead != nullptr && contains(*shard.dead, ids[j]))) {
+        place(j);
+      }
     }
+    publish_dead(shard.dead);
   }
-  PANDA_CHECK_MSG(false, "internal: live id " << id
-                                              << " found in no container");
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    PANDA_CHECK_MSG(placed[j], "internal: live id "
+                                   << ids[j] << " found in no container");
+  }
 }
 
 void MutableIndex::publish_locked() {

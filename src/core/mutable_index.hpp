@@ -307,7 +307,10 @@ class MutableIndex {
   void publish_locked() PANDA_REQUIRES(mutex_);
   bool has_work_locked() const PANDA_REQUIRES(mutex_);
   int overfull_level_locked() const PANDA_REQUIRES(mutex_);
-  void tombstone_locked(std::uint64_t id) PANDA_REQUIRES(mutex_);
+  /// Marks `ids` (live, distinct; sorted in place) dead in the
+  /// container holding each live, one new dead list per container.
+  void tombstone_locked(std::span<std::uint64_t> ids)
+      PANDA_REQUIRES(mutex_);
   std::uint32_t level_for_size(std::uint64_t points) const;
 
   /// How every tree enters the forest (seed, recovery, seal, merge,
@@ -372,8 +375,8 @@ class MutableIndex {
   /// replays by applying without logging.
   void apply_insert_locked(const data::PointSet& points)
       PANDA_REQUIRES(mutex_);
-  std::vector<std::uint64_t> apply_erase_locked(
-      std::span<const std::uint64_t> ids) PANDA_REQUIRES(mutex_);
+  void apply_erase_locked(std::span<const std::uint64_t> ids)
+      PANDA_REQUIRES(mutex_);
   /// Group commit: fsync when wal_flush_every frames accumulated or
   /// wal_flush_interval_us elapsed since the last sync.
   void maybe_sync_wal_locked() PANDA_REQUIRES(mutex_);

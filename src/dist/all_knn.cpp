@@ -1,5 +1,6 @@
-// Bulk all-points KNN engine: batched local pass, coalesced remote
-// rounds (DESIGN.md §7).
+// Stages 2-5 on a query block: batched local pass, coalesced remote
+// rounds (DESIGN.md §7). The bulk all-KNN engine runs them on the local
+// points; DistQueryEngine on each round's owned block.
 #include "dist/all_knn.hpp"
 
 #include <algorithm>
@@ -20,8 +21,8 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// Tags distinct from the per-query engine's 0x5A10 block, so both
-// engines can run over the same mailboxes.
+// Tags of the Pipelined transport's coalesced request and response
+// messages.
 constexpr int kTagBulkRequest = 0x5A20;
 constexpr int kTagBulkResponse = 0x5A21;
 
@@ -29,23 +30,23 @@ using core::Neighbor;
 
 }  // namespace
 
-void AllKnnEngine::local_pass(const AllKnnConfig& config,
+void AllKnnEngine::local_pass(const data::PointSet& queries, bool self,
+                              const AllKnnConfig& config,
                               core::NeighborTable& results, LocalPass& pass,
                               AllKnnStats& st) {
-  const data::PointSet& points = tree_.local_points();
-  const std::size_t n = points.size();
+  const std::size_t n = queries.size();
   WallTimer watch;
 
-  // Stage 2 without stage 1: every local point is a query this rank
-  // already owns. The exact policy takes the self-join kernel (the
-  // packed leaves are the schedule); PaperFormula falls back to the
-  // generic batched path, which it needs for its recall ablation.
+  // Stage 2. The self-join kernel needs the block to be the local
+  // points (the packed leaves are the schedule) and the Exact policy;
+  // every other block, and PaperFormula's recall ablation, takes the
+  // generic batched path.
   watch.reset();
-  if (config.policy == core::TraversalPolicy::Exact) {
+  if (self && config.policy == core::TraversalPolicy::Exact) {
     tree_.local_tree().query_self_batch(config.k, comm_.pool(), results,
                                         local_ws_);
   } else {
-    tree_.local_tree().query_sq_batch(points, config.k, comm_.pool(),
+    tree_.local_tree().query_sq_batch(queries, config.k, comm_.pool(),
                                       results, local_ws_, {}, {},
                                       config.policy);
   }
@@ -81,7 +82,7 @@ void AllKnnEngine::local_pass(const AllKnnConfig& config,
             pass.bound_id[i] = candidates.back().id;
           }
           if (comm_.size() == 1) continue;
-          points.copy_point(i, q.data());
+          queries.copy_point(i, q.data());
           auto remotes =
               tree_.global_tree().ranks_in_closed_ball(q, pass.radius2[i]);
           std::erase(remotes, comm_.rank());
@@ -108,17 +109,18 @@ void AllKnnEngine::local_pass(const AllKnnConfig& config,
     st.queries_local_only += s.local_only;
     st.queries_remote += s.remote;
   }
-  if (comm_.size() == 1) st.queries_local_only = n;
+  if (comm_.size() == 1) st.queries_local_only += n;
   st.identify_remote += watch.seconds();
-  st.queries_total = n;
+  st.queries_total += n;
 }
 
 std::vector<std::byte> AllKnnEngine::pack_requests(
-    const LocalPass& pass, std::span<const std::uint64_t> indices) const {
+    const data::PointSet& queries, const LocalPass& pass,
+    std::span<const std::uint64_t> indices) const {
   detail::WireWriter writer;
   std::vector<float> q(tree_.dims());
   for (const std::uint64_t i : indices) {
-    tree_.local_points().copy_point(i, q.data());
+    queries.copy_point(i, q.data());
     detail::append_knn_request(writer,
                                {i, pass.radius2[i], pass.bound_id[i]},
                                std::span<const float>(q));
@@ -176,7 +178,8 @@ std::vector<std::byte> AllKnnEngine::answer_requests(
   return response.take();
 }
 
-void AllKnnEngine::run_collective(const AllKnnConfig& config,
+void AllKnnEngine::run_collective(const data::PointSet& queries,
+                                  const AllKnnConfig& config,
                                   core::NeighborTable& results,
                                   LocalPass& pass, AllKnnStats& st) {
   const int ranks = comm_.size();
@@ -198,7 +201,8 @@ void AllKnnEngine::run_collective(const AllKnnConfig& config,
   for (int r = 0; r < ranks; ++r) {
     const auto& indices = pass.remote_queries[static_cast<std::size_t>(r)];
     if (indices.empty()) continue;
-    request_rows[static_cast<std::size_t>(r)] = pack_requests(pass, indices);
+    request_rows[static_cast<std::size_t>(r)] =
+        pack_requests(queries, pass, indices);
     st.request_messages += 1;
     bytes_out += request_rows[static_cast<std::size_t>(r)].size();
     ++fanout;
@@ -234,12 +238,13 @@ void AllKnnEngine::run_collective(const AllKnnConfig& config,
   }
 }
 
-void AllKnnEngine::run_pipelined(const AllKnnConfig& config,
+void AllKnnEngine::run_pipelined(const data::PointSet& queries,
+                                 const AllKnnConfig& config,
                                  core::NeighborTable& results,
                                  LocalPass& pass, AllKnnStats& st) {
   const int ranks = comm_.size();
   const int me = comm_.rank();
-  const std::size_t n = tree_.local_points().size();
+  const std::size_t n = queries.size();
   const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
   const std::uint64_t rounds = (n + batch - 1) / batch;
   WallTimer watch;
@@ -329,8 +334,9 @@ void AllKnnEngine::run_pipelined(const AllKnnConfig& config,
       while (at < indices.size() && indices[at] < qend) ++at;
       if (at == begin) continue;
       const auto payload = pack_requests(
-          pass, std::span<const std::uint64_t>(indices).subspan(
-                    begin, at - begin));
+          queries, pass,
+          std::span<const std::uint64_t>(indices).subspan(begin,
+                                                          at - begin));
       st.request_messages += 1;
       st.request_bytes += payload.size();
       st.model_comm_seconds +=
@@ -353,19 +359,25 @@ void AllKnnEngine::run_pipelined(const AllKnnConfig& config,
   }
 }
 
+void AllKnnEngine::answer_block(const data::PointSet& queries, bool self,
+                                const AllKnnConfig& config,
+                                core::NeighborTable& results,
+                                AllKnnStats& st) {
+  local_pass(queries, self, config, results, pass_, st);
+  if (comm_.size() == 1) return;
+  if (config.mode == AllKnnConfig::Mode::Collective) {
+    run_collective(queries, config, results, pass_, st);
+  } else {
+    run_pipelined(queries, config, results, pass_, st);
+  }
+}
+
 void AllKnnEngine::run_into(const AllKnnConfig& config,
                             core::NeighborTable& results,
                             AllKnnStats* stats) {
   PANDA_CHECK_MSG(config.k >= 1, "k must be >= 1");
   AllKnnStats st;
-  local_pass(config, results, pass_, st);
-  if (comm_.size() > 1) {
-    if (config.mode == AllKnnConfig::Mode::Collective) {
-      run_collective(config, results, pass_, st);
-    } else {
-      run_pipelined(config, results, pass_, st);
-    }
-  }
+  answer_block(tree_.local_points(), /*self=*/true, config, results, st);
   if (stats != nullptr) *stats = st;
 }
 

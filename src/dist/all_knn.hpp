@@ -1,30 +1,31 @@
 // Bulk all-points KNN: the k nearest indexed neighbors of *every*
-// point in the distributed dataset (DESIGN.md §7).
+// point in the distributed dataset (DESIGN.md §7), and the stages 2-5
+// core that the routed per-query engine (dist/dist_query.hpp) answers
+// each round's owned block with.
 //
-// The paper's science workloads (Daya Bay outliers, cosmology halo
-// density, plasma energetic regions) query the dataset against itself,
-// and for that workload the five-stage protocol over-pays twice:
+// Stages 2-5 run on a block of queries this rank answers as owner:
 //
-//   * stage 1 (find owner) vanishes — after redistribution every rank
-//     already holds exactly the points of its own region, so each
-//     rank's queries are its local points and never move;
-//   * stages 3/4 coalesce — instead of one remote request per
-//     (query, rank) pair, every ball from one source rank that
-//     overlaps one destination ships inside a single packed message
-//     (dist/wire.hpp KnnRequest records), answered by one batched
-//     radius-limited pass, so the per-round stage-3/4 message count is
-//     O(ranks²) rather than O(queries × fanout).
+//   * stage 2 — batched local KNN into a flat core::NeighborTable (one
+//     arena, per-query spans — DESIGN.md §9). When the block is the
+//     local points themselves under the Exact policy, the self-join
+//     kernel (core::KdTree::query_self_batch) runs: the packed leaves
+//     are the bucket-contiguous schedule, so co-located queries share
+//     descent state and SIMD leaf scans. Every other block runs one
+//     query_sq_batch fan-out;
+//   * stage 3 — the per-query (r'², k-th id) bound and coalesced
+//     per-rank overlap lists;
+//   * stages 4/5 — every ball from one source rank that overlaps one
+//     destination ships inside a single packed message (dist/wire.hpp
+//     KnnRequest records), answered by one batched radius-limited
+//     pass; each response folds into its row with a streaming
+//     core::merge_topk_into_row as it arrives. The per-round stage-3/4
+//     message count is O(ranks²), not O(queries × fanout).
 //
-// Local KNN runs through the self-join batch kernel
-// (core::KdTree::query_self_batch): the packed leaves are the
-// bucket-contiguous schedule, so co-located queries share descent
-// state and SIMD leaf scans with no descent or ordering phase at all.
-// Results live in a flat core::NeighborTable (one arena, per-query
-// spans — DESIGN.md §9); remote responses fold into the owner's table
-// row with a streaming core::merge_topk_into_row as they arrive. All
-// scratch (workspaces, tables, request staging) is engine-owned and
-// reused, so repeated runs make no steady-state allocations in the
-// local stages.
+// For the bulk self-KNN workload stage 1 vanishes: after redistribution
+// every rank already holds exactly the points of its own region, so
+// each rank's queries are its local points and never move. All scratch
+// (workspaces, tables, request staging) is engine-owned and reused, so
+// repeated runs make no steady-state allocations in the local stages.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +37,7 @@
 #include "core/knn_heap.hpp"
 #include "core/neighbor_table.hpp"
 #include "core/query_workspace.hpp"
+#include "data/point_set.hpp"
 #include "dist/dist_kdtree.hpp"
 #include "net/comm.hpp"
 
@@ -49,13 +51,16 @@ struct AllKnnConfig {
   /// Queries per coalescing round (Pipelined transport): each round
   /// sends at most one packed request message per destination rank.
   std::size_t batch_size = 1024;
+  /// Transport of stages 3-5: lock-step alltoallv rounds, or counted
+  /// point-to-point messages drained while the next round is packed.
   enum class Mode { Collective, Pipelined };
   Mode mode = Mode::Pipelined;
   core::TraversalPolicy policy = core::TraversalPolicy::Exact;
 };
 
-/// Phase timings and protocol counters for one run. find_owner has no
-/// entry — the stage does not exist in the bulk engine.
+/// Phase timings and protocol counters for one run of stages 2-5.
+/// find_owner has no entry — the stage does not exist in the bulk
+/// engine.
 struct AllKnnStats {
   double local_knn = 0.0;
   double identify_remote = 0.0;
@@ -63,14 +68,15 @@ struct AllKnnStats {
   double merge = 0.0;
   double non_overlapped_comm = 0.0;
 
-  /// Queries this rank answered (= its local point count).
+  /// Queries this rank answered (the bulk engine: its local point
+  /// count).
   std::uint64_t queries_total = 0;
   /// Queries whose r' ball stayed inside this rank's region.
   std::uint64_t queries_local_only = 0;
   /// Queries that needed at least one remote rank.
   std::uint64_t queries_remote = 0;
-  /// (query, remote rank) ball overlaps — the per-query engine would
-  /// have sent one request message per overlap.
+  /// (query, remote rank) ball overlaps: the KnnRequest records sent,
+  /// one per overlap, coalesced into the messages below.
   std::uint64_t ball_overlaps = 0;
   /// Coalesced stage-3/4 request messages actually sent.
   std::uint64_t request_messages = 0;
@@ -98,23 +104,39 @@ class AllKnnEngine {
                 AllKnnStats* stats = nullptr);
 
  private:
-  /// Stages 2-3 for every local point: self-join batched local KNN
-  /// (results land in the run_into table), then per-query (r'², k-th
-  /// id) bounds and coalesced per-rank remote overlap lists.
+  // The routed per-query engine answers each round's owned block
+  // through answer_block.
+  friend class DistQueryEngine;
+
+  /// Collective: stages 2-5 for `queries`, a block this rank answers
+  /// as owner (may be empty; all ranks must call). Row i of `results`
+  /// ends as the k nearest indexed neighbors of queries[i] across the
+  /// whole distributed dataset. `self` marks the block as
+  /// tree.local_points(), whose Exact stage 2 is the self-join kernel.
+  /// Timings and counters accumulate into `st`.
+  void answer_block(const data::PointSet& queries, bool self,
+                    const AllKnnConfig& config, core::NeighborTable& results,
+                    AllKnnStats& st);
+
+  /// Stages 2-3 for every query of the block: batched local KNN
+  /// (results land in the answer_block table), then per-query (r'²,
+  /// k-th id) bounds and coalesced per-rank remote overlap lists.
   struct LocalPass {
     std::vector<float> radius2;
     std::vector<std::uint64_t> bound_id;
-    /// remote_queries[r] — indices of local queries whose ball
+    /// remote_queries[r] — indices of block queries whose ball
     /// overlaps rank r's region (empty for r == rank()).
     std::vector<std::vector<std::uint64_t>> remote_queries;
   };
-  void local_pass(const AllKnnConfig& config, core::NeighborTable& results,
+  void local_pass(const data::PointSet& queries, bool self,
+                  const AllKnnConfig& config, core::NeighborTable& results,
                   LocalPass& pass, AllKnnStats& st);
 
-  /// Packs the KnnRequest records of the given local query indices
+  /// Packs the KnnRequest records of the given block query indices
   /// into one coalesced message payload.
   std::vector<std::byte> pack_requests(
-      const LocalPass& pass, std::span<const std::uint64_t> indices) const;
+      const data::PointSet& queries, const LocalPass& pass,
+      std::span<const std::uint64_t> indices) const;
 
   /// Answers one packed request payload with one batched
   /// radius-limited pass; returns the packed response.
@@ -122,16 +144,18 @@ class AllKnnEngine {
                                          const AllKnnConfig& config,
                                          AllKnnStats& st);
 
-  /// Folds one packed response payload into the local result rows with
-  /// the streaming stage-5 merge.
+  /// Folds one packed response payload into the block's result rows
+  /// with the streaming stage-5 merge.
   void merge_responses(std::span<const std::byte> payload,
                        core::NeighborTable& results, std::size_t k,
                        AllKnnStats& st);
 
-  void run_collective(const AllKnnConfig& config,
+  void run_collective(const data::PointSet& queries,
+                      const AllKnnConfig& config,
                       core::NeighborTable& results, LocalPass& pass,
                       AllKnnStats& st);
-  void run_pipelined(const AllKnnConfig& config, core::NeighborTable& results,
+  void run_pipelined(const data::PointSet& queries,
+                     const AllKnnConfig& config, core::NeighborTable& results,
                      LocalPass& pass, AllKnnStats& st);
 
   net::Comm& comm_;

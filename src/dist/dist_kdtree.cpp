@@ -22,6 +22,10 @@ struct Group {
 
 constexpr std::uint32_t kFinalized = 0xffffffffu;
 
+/// Points each rank contributes to a rank group's split sample: the
+/// paper's m = 256 per rank for the global tree.
+constexpr std::size_t kSamplesPerRank = 256;
+
 /// Per-group combined sample coordinates, point-major, reconstructed
 /// identically on every rank from the allgathered flat payload.
 std::vector<std::vector<float>> combine_samples(
@@ -80,8 +84,6 @@ DistKdTree DistKdTree::build(net::Comm& comm, const data::PointSet& slice,
 
     WallTimer watch;
     const std::size_t n = slice.size();
-    const std::size_t samples_per_rank =
-        std::max<std::size_t>(1, config.global_samples_per_rank);
 
     // Per-point state: index into the current active-group list, or
     // kFinalized once the destination rank is decided.
@@ -105,7 +107,7 @@ DistKdTree DistKdTree::build(net::Comm& comm, const data::PointSet& slice,
       std::vector<float> my_samples;
       for (std::size_t g = 0; g < groups; ++g) {
         const auto picks =
-            strided_indices(members[g].size(), samples_per_rank);
+            strided_indices(members[g].size(), kSamplesPerRank);
         my_counts[g] = picks.size();
         for (const std::uint64_t pick : picks) {
           slice.copy_point(members[g][pick], point.data());

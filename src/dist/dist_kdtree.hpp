@@ -4,17 +4,16 @@
 //
 // Construction:
 //   1. global splits — level-synchronous over rank groups: each rank
-//      samples its points per active group, samples are allgathered,
-//      every rank independently (and identically) picks the maximum-
-//      variance dimension and a sampled median split, and points are
-//      reassigned to child groups locally — no data moves yet;
+//      samples up to 256 of its points per active group (the paper's
+//      m = 256 per rank), samples are allgathered, every rank
+//      independently (and identically) picks the maximum-variance
+//      dimension and a sampled median split, and points are reassigned
+//      to child groups locally — no data moves yet;
 //   2. redistribution — one all-to-all exchange sends every point to
 //      the rank owning its region (exchange_points);
 //   3. local build — the existing three-phase core::KdTree build runs
 //      per rank on its redistributed slice.
 #pragma once
-
-#include <cstdint>
 
 #include "core/kdtree.hpp"
 #include "data/point_set.hpp"
@@ -26,9 +25,6 @@ namespace panda::dist {
 struct DistBuildConfig {
   /// Configuration of the per-rank local tree build.
   core::BuildConfig local;
-  /// Points each rank contributes to a rank group's split sample (the
-  /// paper uses m = 256 per rank for the global tree).
-  std::uint32_t global_samples_per_rank = 256;
 };
 
 /// Build-phase wall-clock seconds, the construction side of Figure

@@ -1,70 +1,15 @@
-// Five-stage distributed KNN: collective and pipelined transports.
+// Five-stage distributed KNN: stage 1 and the return trip in bounded
+// exchange rounds around the all-KNN engine's stages 2-5.
 #include "dist/dist_query.hpp"
 
-#include <chrono>
-#include <deque>
-#include <limits>
-#include <thread>
-#include <unordered_map>
-#include <utility>
+#include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "dist/wire.hpp"
 
 namespace panda::dist {
-
-namespace {
-
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-// Pipelined-transport message tags (offset to stay clear of any tags
-// other collectives might route through the mailboxes).
-constexpr int kTagQuery = 0x5A10;
-constexpr int kTagRequest = 0x5A11;
-constexpr int kTagResponse = 0x5A12;
-constexpr int kTagResult = 0x5A13;
-constexpr int kTagNoMoreRequests = 0x5A14;
-
-using core::Neighbor;
-
-/// Outcome of stages 2-3 for one owned query.
-struct LocalAnswer {
-  std::vector<Neighbor> candidates;
-  float radius2 = kInf;        // k-th squared distance (r'^2), inf if < k
-  std::uint64_t bound_id = 0;  // k-th id: the tie bound remotes must beat
-  std::vector<int> remotes;    // ranks to contact, owner excluded
-};
-
-LocalAnswer answer_locally(const DistKdTree& tree, std::span<const float> q,
-                           const DistQueryConfig& config, int my_rank,
-                           DistQueryBreakdown& bd, WallTimer& watch) {
-  LocalAnswer answer;
-  watch.reset();
-  answer.candidates =
-      tree.local_tree().query_sq(q, config.k, kInf, config.policy);
-  bd.local_knn += watch.seconds();
-
-  watch.reset();
-  const bool full = answer.candidates.size() == config.k;
-  answer.radius2 = full ? answer.candidates.back().dist2 : kInf;
-  answer.bound_id = full ? answer.candidates.back().id : ~std::uint64_t{0};
-  // Closed ball: a rank whose region only *touches* the r' sphere can
-  // still hold an equal-distance candidate that wins its tie by id.
-  answer.remotes = tree.global_tree().ranks_in_closed_ball(q, answer.radius2);
-  std::erase(answer.remotes, my_rank);
-  bd.identify_remote += watch.seconds();
-
-  bd.queries_owned += 1;
-  if (!answer.remotes.empty()) bd.queries_sent_remote += 1;
-  bd.remote_requests += answer.remotes.size();
-  return answer;
-}
-
-using detail::append_neighbors;
-using detail::read_neighbors;
-
-}  // namespace
 
 void DistQueryEngine::run_into(const data::PointSet& queries,
                                const DistQueryConfig& config,
@@ -75,447 +20,101 @@ void DistQueryEngine::run_into(const data::PointSet& queries,
     PANDA_CHECK_MSG(queries.dims() == tree_.dims(),
                     "query dimensionality mismatch");
   }
-  DistQueryBreakdown bd;
-  if (comm_.size() == 1) {
-    run_single_rank(queries, config, results, bd);
-  } else if (config.mode == DistQueryConfig::Mode::Collective) {
-    run_collective(queries, config, results, bd);
-  } else {
-    run_pipelined(queries, config, results, bd);
-  }
-  if (breakdown != nullptr) *breakdown = bd;
-}
-
-void DistQueryEngine::run_single_rank(const data::PointSet& queries,
-                                      const DistQueryConfig& config,
-                                      core::NeighborTable& results,
-                                      DistQueryBreakdown& bd) {
-  WallTimer watch;
-  tree_.local_tree().query_batch(queries, config.k, comm_.pool(), results,
-                                 batch_ws_, kInf, config.policy);
-  bd.local_knn = watch.seconds();
-  bd.queries_owned = queries.size();
-}
-
-void DistQueryEngine::run_collective(const data::PointSet& queries,
-                                     const DistQueryConfig& config,
-                                     core::NeighborTable& results,
-                                     DistQueryBreakdown& bd) {
-  const int ranks = comm_.size();
+  const auto ranks = static_cast<std::size_t>(comm_.size());
   const std::size_t dims = tree_.dims();
+  const std::size_t n = queries.size();
+  const AllKnnConfig stages{
+      .k = config.k,
+      .batch_size = config.batch_size,
+      .mode = config.mode == DistQueryConfig::Mode::Collective
+                  ? AllKnnConfig::Mode::Collective
+                  : AllKnnConfig::Mode::Pipelined,
+      .policy = config.policy};
+  AllKnnStats st;
+  double find_owner = 0.0;
   WallTimer watch;
-  WallTimer stage_watch;
 
-  // Stage 1: find each query's owner; forward {seq, coords} to it.
-  watch.reset();
-  std::vector<detail::WireWriter> forward(static_cast<std::size_t>(ranks));
-  std::vector<float> q(dims);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries.copy_point(i, q.data());
-    const auto owner =
-        static_cast<std::size_t>(tree_.global_tree().owner_of(q));
-    forward[owner].put<std::uint64_t>(i);
-    forward[owner].put_span(std::span<const float>(q));
-  }
-  bd.find_owner += watch.seconds();
-
-  auto exchange = [&](std::vector<detail::WireWriter>& writers) {
-    std::vector<std::vector<std::byte>> rows(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      rows[static_cast<std::size_t>(r)] =
-          writers[static_cast<std::size_t>(r)].take();
-    }
+  std::vector<detail::WireWriter> writers(ranks);
+  auto exchange = [&] {
+    std::vector<std::vector<std::byte>> rows(ranks);
+    for (std::size_t r = 0; r < ranks; ++r) rows[r] = writers[r].take();
     watch.reset();
     auto received = comm_.alltoallv(rows);
-    bd.non_overlapped_comm += watch.seconds();
+    st.non_overlapped_comm += watch.seconds();
     return received;
   };
-  const auto queries_in = exchange(forward);
 
-  // Stages 2-3: local KNN per owned query, then the remote rank set.
-  struct Owned {
-    int origin = 0;
-    std::uint64_t seq = 0;
-    std::vector<Neighbor> candidates;
-    std::vector<std::vector<Neighbor>> remote_lists;
-  };
-  std::vector<Owned> owned;
-  std::vector<detail::WireWriter> requests(static_cast<std::size_t>(ranks));
-  for (int s = 0; s < ranks; ++s) {
-    detail::WireReader reader(queries_in[static_cast<std::size_t>(s)]);
-    while (!reader.done()) {
-      Owned entry;
-      entry.origin = s;
-      entry.seq = reader.get<std::uint64_t>();
-      reader.get_into(std::span<float>(q));
-      LocalAnswer answer =
-          answer_locally(tree_, q, config, comm_.rank(), bd, stage_watch);
-      for (const int remote : answer.remotes) {
-        detail::append_knn_request(
-            requests[static_cast<std::size_t>(remote)],
-            {owned.size(), answer.radius2, answer.bound_id},
-            std::span<const float>(q));
-      }
-      entry.candidates = std::move(answer.candidates);
-      entry.remote_lists.reserve(answer.remotes.size());
-      owned.push_back(std::move(entry));
-    }
-  }
-  const auto requests_in = exchange(requests);
-
-  // Stage 4: radius-limited remote KNN for every incoming request.
-  std::vector<detail::WireWriter> responses(static_cast<std::size_t>(ranks));
-  for (int s = 0; s < ranks; ++s) {
-    detail::WireReader reader(requests_in[static_cast<std::size_t>(s)]);
-    auto& writer = responses[static_cast<std::size_t>(s)];
-    while (!reader.done()) {
-      const auto request = detail::read_knn_request(reader, std::span<float>(q));
-      watch.reset();
-      const auto found =
-          tree_.local_tree().query_sq(q, config.k, request.radius2,
-                                      config.policy, nullptr,
-                                      request.bound_id);
-      bd.remote_knn += watch.seconds();
-      writer.put<std::uint64_t>(request.seq);
-      append_neighbors(writer, found);
-    }
-  }
-  const auto responses_in = exchange(responses);
-
-  // Stage 5: merge and route the final lists back to their origins.
-  for (int s = 0; s < ranks; ++s) {
-    detail::WireReader reader(responses_in[static_cast<std::size_t>(s)]);
-    while (!reader.done()) {
-      const auto owner_seq = reader.get<std::uint64_t>();
-      owned[owner_seq].remote_lists.push_back(read_neighbors(reader));
-    }
-  }
-  std::vector<detail::WireWriter> returns(static_cast<std::size_t>(ranks));
-  for (Owned& entry : owned) {
-    watch.reset();
-    entry.remote_lists.push_back(std::move(entry.candidates));
-    const auto merged = core::merge_topk(entry.remote_lists, config.k);
-    bd.merge += watch.seconds();
-    auto& writer = returns[static_cast<std::size_t>(entry.origin)];
-    writer.put<std::uint64_t>(entry.seq);
-    append_neighbors(writer, merged);
-  }
-  const auto returns_in = exchange(returns);
-
-  results.reset_topk(queries.size(), config.k);
-  for (int s = 0; s < ranks; ++s) {
-    detail::WireReader reader(returns_in[static_cast<std::size_t>(s)]);
-    while (!reader.done()) {
-      const auto seq = reader.get<std::uint64_t>();
-      const auto row = read_neighbors(reader);
-      results.assign_row(seq, row);
-    }
-  }
-}
-
-void DistQueryEngine::run_pipelined(const data::PointSet& queries,
-                                    const DistQueryConfig& config,
-                                    core::NeighborTable& results,
-                                    DistQueryBreakdown& bd) {
-  const int ranks = comm_.size();
-  const int me = comm_.rank();
-  const std::size_t dims = tree_.dims();
-  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
-  WallTimer watch;
-  WallTimer stage_watch;
-
-  // Stage 1 up front: owners of this rank's queries.
+  // The round count must agree across ranks (every exchange is a
+  // collective), so ranks with fewer queries ride along empty.
   watch.reset();
-  std::vector<int> owners(queries.size());
+  const std::uint64_t rounds = comm_.allreduce<std::uint64_t>(
+      (n + kRoundQueries - 1) / kRoundQueries, net::ReduceOp::Max);
+  st.non_overlapped_comm += watch.seconds();
+
+  results.reset_topk(n, config.k);
+  if (block_.dims() != dims) block_ = data::PointSet(dims);
   std::vector<float> q(dims);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries.copy_point(i, q.data());
-    owners[i] = tree_.global_tree().owner_of(q);
-  }
-  bd.find_owner += watch.seconds();
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    const std::size_t begin = std::min<std::size_t>(n, round * kRoundQueries);
+    const std::size_t end = std::min<std::size_t>(n, begin + kRoundQueries);
 
-  // Tiny counts prologue so each rank knows how many forwarded queries
-  // to expect from every peer (and how many results to await).
-  std::vector<std::vector<std::uint64_t>> count_rows(
-      static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    count_rows[static_cast<std::size_t>(r)].assign(1, 0);
-  }
-  for (const int owner : owners) {
-    count_rows[static_cast<std::size_t>(owner)][0] += 1;
-  }
-  watch.reset();
-  const auto counts_in = comm_.alltoallv(count_rows);
-  bd.non_overlapped_comm += watch.seconds();
-
-  // Ship query batches to remote owners; keep self-owned ones local.
-  std::deque<std::uint64_t> own_queue;
-  {
-    std::vector<detail::WireWriter> writers(static_cast<std::size_t>(ranks));
-    std::vector<std::size_t> in_flight(static_cast<std::size_t>(ranks), 0);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (owners[i] == me) {
-        own_queue.push_back(i);
-        continue;
-      }
-      const auto owner = static_cast<std::size_t>(owners[i]);
+    // Stage 1: forward {seq, coords} to each query's owner; self-owned
+    // queries ride the same exchange.
+    watch.reset();
+    for (std::size_t i = begin; i < end; ++i) {
       queries.copy_point(i, q.data());
-      writers[owner].put<std::uint64_t>(i);
-      writers[owner].put_span(std::span<const float>(q));
-      if (++in_flight[owner] == batch) {
-        comm_.send<std::byte>(owners[i], kTagQuery, writers[owner].bytes());
-        writers[owner] = detail::WireWriter();
-        in_flight[owner] = 0;
+      auto& writer = writers[static_cast<std::size_t>(
+          tree_.global_tree().owner_of(q))];
+      writer.put<std::uint64_t>(i);
+      writer.put_span(std::span<const float>(q));
+    }
+    find_owner += watch.seconds();
+    const auto forwarded = exchange();
+
+    // The owned block: every query forwarded here this round, its id
+    // the sequence number at its origin.
+    block_.clear();
+    origins_.clear();
+    for (std::size_t s = 0; s < ranks; ++s) {
+      detail::WireReader reader(forwarded[s]);
+      while (!reader.done()) {
+        const auto seq = reader.get<std::uint64_t>();
+        reader.get_into(std::span<float>(q));
+        block_.push_point(q, seq);
+        origins_.push_back(static_cast<int>(s));
       }
     }
-    for (int r = 0; r < ranks; ++r) {
-      if (!writers[static_cast<std::size_t>(r)].empty()) {
-        comm_.send<std::byte>(r, kTagQuery,
-                              writers[static_cast<std::size_t>(r)].bytes());
+
+    stages_.answer_block(block_, /*self=*/false, stages, block_rows_, st);
+
+    // Return each finished row to its origin.
+    for (std::size_t j = 0; j < block_.size(); ++j) {
+      auto& writer = writers[static_cast<std::size_t>(origins_[j])];
+      writer.put<std::uint64_t>(block_.id(j));
+      detail::append_neighbors(writer, block_rows_[j]);
+    }
+    const auto returned = exchange();
+    for (std::size_t s = 0; s < ranks; ++s) {
+      detail::WireReader reader(returned[s]);
+      while (!reader.done()) {
+        const auto seq = reader.get<std::uint64_t>();
+        results.set_count(seq,
+                          detail::read_neighbors_into(reader,
+                                                      results.slot(seq)));
       }
     }
   }
 
-  // Pipeline state.
-  struct Owned {
-    int origin = 0;
-    std::uint64_t seq = 0;
-    std::size_t pending = 0;
-    std::vector<std::vector<Neighbor>> lists;  // local candidates + remote
-  };
-  std::unordered_map<std::uint64_t, Owned> in_progress;
-  std::uint64_t next_owned_id = 0;
-  std::vector<std::uint64_t> expected_from(static_cast<std::size_t>(ranks),
-                                           0);
-  for (int s = 0; s < ranks; ++s) {
-    if (s != me) {
-      expected_from[static_cast<std::size_t>(s)] =
-          counts_in[static_cast<std::size_t>(s)].empty()
-              ? 0
-              : counts_in[static_cast<std::size_t>(s)][0];
-    }
-  }
-  std::vector<detail::WireWriter> result_outbox(
-      static_cast<std::size_t>(ranks));
-  std::vector<std::size_t> result_outbox_count(
-      static_cast<std::size_t>(ranks), 0);
-  results.reset_topk(queries.size(), config.k);
-  std::uint64_t awaiting_results = queries.size();
-  std::vector<bool> peer_done(static_cast<std::size_t>(ranks), false);
-  int peers_done = 0;
-
-  auto deliver = [&](int origin, std::uint64_t seq,
-                     std::vector<Neighbor> merged) {
-    if (origin == me) {
-      results.assign_row(seq, merged);
-      awaiting_results -= 1;
-      return;
-    }
-    auto& writer = result_outbox[static_cast<std::size_t>(origin)];
-    writer.put<std::uint64_t>(seq);
-    append_neighbors(writer, merged);
-    if (++result_outbox_count[static_cast<std::size_t>(origin)] >= batch) {
-      comm_.send<std::byte>(origin, kTagResult, writer.bytes());
-      writer = detail::WireWriter();
-      result_outbox_count[static_cast<std::size_t>(origin)] = 0;
-    }
-  };
-
-  // Stages 2-4 for one owned query; requests accumulate in
-  // `request_writers` (flushed by the caller after its batch).
-  auto process_owned = [&](int origin, std::uint64_t seq,
-                           std::span<const float> query,
-                           std::vector<detail::WireWriter>& request_writers) {
-    LocalAnswer answer =
-        answer_locally(tree_, query, config, me, bd, stage_watch);
-    if (answer.remotes.empty()) {
-      deliver(origin, seq, std::move(answer.candidates));
-      return;
-    }
-    Owned entry;
-    entry.origin = origin;
-    entry.seq = seq;
-    entry.pending = answer.remotes.size();
-    entry.lists.reserve(answer.remotes.size() + 1);
-    entry.lists.push_back(std::move(answer.candidates));
-    const std::uint64_t id = next_owned_id++;
-    for (const int remote : answer.remotes) {
-      detail::append_knn_request(
-          request_writers[static_cast<std::size_t>(remote)],
-          {id, answer.radius2, answer.bound_id}, query);
-    }
-    in_progress.emplace(id, std::move(entry));
-  };
-
-  auto flush_requests = [&](std::vector<detail::WireWriter>& writers) {
-    for (int r = 0; r < ranks; ++r) {
-      auto& writer = writers[static_cast<std::size_t>(r)];
-      if (!writer.empty()) {
-        comm_.send<std::byte>(r, kTagRequest, writer.bytes());
-        writer = detail::WireWriter();
-      }
-    }
-  };
-
-  std::vector<detail::WireWriter> request_writers(
-      static_cast<std::size_t>(ranks));
-  bool incoming_queries_open = true;
-  for (;;) {
-    bool progress = false;
-
-    // A. one batch of self-owned queries.
-    if (!own_queue.empty()) {
-      for (std::size_t b = 0; b < batch && !own_queue.empty(); ++b) {
-        const std::uint64_t i = own_queue.front();
-        own_queue.pop_front();
-        queries.copy_point(i, q.data());
-        process_owned(me, i, q, request_writers);
-      }
-      flush_requests(request_writers);
-      progress = true;
-    }
-
-    // B. forwarded query batches from peers.
-    for (int s = 0; s < ranks; ++s) {
-      if (s == me) continue;
-      auto& expected = expected_from[static_cast<std::size_t>(s)];
-      while (expected > 0 && comm_.poll(s, kTagQuery)) {
-        const auto payload = comm_.recv<std::byte>(s, kTagQuery);
-        detail::WireReader reader(payload);
-        while (!reader.done()) {
-          const auto seq = reader.get<std::uint64_t>();
-          reader.get_into(std::span<float>(q));
-          process_owned(s, seq, q, request_writers);
-          expected -= 1;
-        }
-        flush_requests(request_writers);
-        progress = true;
-      }
-    }
-
-    // Once every owned query has passed stage 3, no further requests
-    // will originate here: tell the peers so they can terminate.
-    if (incoming_queries_open && own_queue.empty()) {
-      bool all_received = true;
-      for (int s = 0; s < ranks; ++s) {
-        if (s != me && expected_from[static_cast<std::size_t>(s)] > 0) {
-          all_received = false;
-          break;
-        }
-      }
-      if (all_received) {
-        incoming_queries_open = false;
-        for (int r = 0; r < ranks; ++r) {
-          if (r != me) {
-            comm_.send<std::byte>(r, kTagNoMoreRequests,
-                                  std::span<const std::byte>());
-          }
-        }
-        progress = true;
-      }
-    }
-
-    // C. remote-KNN requests: answer each message with one response.
-    for (int s = 0; s < ranks; ++s) {
-      if (s == me || peer_done[static_cast<std::size_t>(s)]) continue;
-      while (comm_.poll(s, kTagRequest)) {
-        const auto payload = comm_.recv<std::byte>(s, kTagRequest);
-        detail::WireReader reader(payload);
-        detail::WireWriter response;
-        while (!reader.done()) {
-          const auto request =
-              detail::read_knn_request(reader, std::span<float>(q));
-          watch.reset();
-          const auto found = tree_.local_tree().query_sq(q, config.k,
-                                                         request.radius2,
-                                                         config.policy,
-                                                         nullptr,
-                                                         request.bound_id);
-          bd.remote_knn += watch.seconds();
-          response.put<std::uint64_t>(request.seq);
-          append_neighbors(response, found);
-        }
-        comm_.send<std::byte>(s, kTagResponse, response.bytes());
-        progress = true;
-      }
-      // Drain the done marker only after the request channel is empty:
-      // messages on different tags are not ordered relative to each
-      // other, but a sender enqueues all its requests before the
-      // marker, so an empty request channel plus a visible marker
-      // means no request can still arrive.
-      if (comm_.poll(s, kTagNoMoreRequests) &&
-          !comm_.poll(s, kTagRequest)) {
-        comm_.recv<std::byte>(s, kTagNoMoreRequests);
-        peer_done[static_cast<std::size_t>(s)] = true;
-        peers_done += 1;
-        progress = true;
-      }
-    }
-
-    // D. responses: stage 5 merge once a query's last list arrives.
-    for (int s = 0; s < ranks; ++s) {
-      if (s == me) continue;
-      while (comm_.poll(s, kTagResponse)) {
-        const auto payload = comm_.recv<std::byte>(s, kTagResponse);
-        detail::WireReader reader(payload);
-        while (!reader.done()) {
-          const auto owner_id = reader.get<std::uint64_t>();
-          auto found = read_neighbors(reader);
-          auto it = in_progress.find(owner_id);
-          PANDA_CHECK_MSG(it != in_progress.end(),
-                          "response for unknown query");
-          it->second.lists.push_back(std::move(found));
-          if (--it->second.pending == 0) {
-            watch.reset();
-            auto merged = core::merge_topk(it->second.lists, config.k);
-            bd.merge += watch.seconds();
-            deliver(it->second.origin, it->second.seq, std::move(merged));
-            in_progress.erase(it);
-          }
-        }
-        progress = true;
-      }
-    }
-
-    // E. finished results returning home.
-    for (int s = 0; s < ranks; ++s) {
-      if (s == me) continue;
-      while (comm_.poll(s, kTagResult)) {
-        const auto payload = comm_.recv<std::byte>(s, kTagResult);
-        detail::WireReader reader(payload);
-        while (!reader.done()) {
-          const auto seq = reader.get<std::uint64_t>();
-          const auto row = read_neighbors(reader);
-          results.assign_row(seq, row);
-          awaiting_results -= 1;
-        }
-        progress = true;
-      }
-    }
-
-    // Flush result remainders once all owned queries are merged.
-    if (own_queue.empty() && !incoming_queries_open && in_progress.empty()) {
-      for (int r = 0; r < ranks; ++r) {
-        auto& writer = result_outbox[static_cast<std::size_t>(r)];
-        if (!writer.empty()) {
-          comm_.send<std::byte>(r, kTagResult, writer.bytes());
-          writer = detail::WireWriter();
-          result_outbox_count[static_cast<std::size_t>(r)] = 0;
-          progress = true;
-        }
-      }
-      if (peers_done == ranks - 1 && awaiting_results == 0) {
-        break;
-      }
-    }
-
-    if (!progress) {
-      PANDA_CHECK_MSG(!comm_.aborted(),
-                      "cluster aborted during distributed query");
-      watch.reset();
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      bd.non_overlapped_comm += watch.seconds();
-    }
+  if (breakdown != nullptr) {
+    *breakdown = {.find_owner = find_owner,
+                  .local_knn = st.local_knn,
+                  .identify_remote = st.identify_remote,
+                  .remote_knn = st.remote_knn,
+                  .merge = st.merge,
+                  .non_overlapped_comm = st.non_overlapped_comm,
+                  .queries_owned = st.queries_total,
+                  .queries_sent_remote = st.queries_remote,
+                  .remote_requests = st.ball_overlaps};
   }
 }
 

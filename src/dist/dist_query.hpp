@@ -5,25 +5,31 @@
 //                          k-th squared distance becomes the radius r';
 //   3. identify remote   — ranks whose region intersects ball(q, r')
 //                          (all ranks while fewer than k candidates);
-//   4. remote KNN        — radius-limited query_sq on each such rank;
+//   4. remote KNN        — radius-limited KNN on each such rank;
 //   5. merge             — the owner merges candidate lists to the
 //                          final top-k and returns them to the origin.
 //
-// Two transports implement the same exact protocol: Collective runs
-// the stages in lock-step alltoallv rounds; Pipelined is the paper's
-// software pipelining — batched point-to-point messages through
-// net::Mailbox, each rank multiplexing the five stages through one
-// poll loop so communication overlaps computation.
+// The engine runs in bounded exchange rounds: each rank forwards at
+// most kRoundQueries of its queries per round ({seq, coords} to their
+// owners in one alltoallv), the owners answer the round's owned block
+// with stages 2-5 of the bulk all-KNN engine (dist/all_knn.hpp: one
+// batched local pass, coalesced per-rank-pair remote traffic, a
+// streaming merge), and each finished row goes back to its origin in
+// one more alltoallv. The transport choice applies to stages 3-5:
+// Collective runs them in lock-step alltoallv rounds; Pipelined is the
+// paper's software pipelining — counted point-to-point messages
+// through net::Mailbox, drained while the next coalescing round is
+// packed, so communication overlaps computation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/kdtree.hpp"
-#include "core/knn_heap.hpp"
 #include "core/neighbor_table.hpp"
-#include "core/query_workspace.hpp"
 #include "data/point_set.hpp"
+#include "dist/all_knn.hpp"
 #include "dist/dist_kdtree.hpp"
 #include "net/comm.hpp"
 
@@ -31,8 +37,9 @@ namespace panda::dist {
 
 struct DistQueryConfig {
   std::size_t k = 5;
-  /// Queries processed per pipeline step (Pipelined transport).
+  /// Queries per coalescing round of stages 3-5 (Pipelined transport).
   std::size_t batch_size = 256;
+  /// Transport of stages 3-5 (see the file comment).
   enum class Mode { Collective, Pipelined };
   Mode mode = Mode::Pipelined;
   core::TraversalPolicy policy = core::TraversalPolicy::Exact;
@@ -57,8 +64,13 @@ struct DistQueryBreakdown {
 
 class DistQueryEngine {
  public:
+  /// Queries each rank forwards per exchange round: bounds the round's
+  /// staging (forward rows, owned block, returned rows) whatever the
+  /// query count.
+  static constexpr std::size_t kRoundQueries = 16384;
+
   DistQueryEngine(net::Comm& comm, const DistKdTree& tree)
-      : comm_(comm), tree_(tree) {}
+      : comm_(comm), tree_(tree), stages_(comm, tree) {}
 
   /// Collective. Answers this rank's `queries` (may be empty; all
   /// ranks must still call) into the flat `results` table (top-k mode,
@@ -71,23 +83,16 @@ class DistQueryEngine {
                 DistQueryBreakdown* breakdown = nullptr);
 
  private:
-  void run_single_rank(const data::PointSet& queries,
-                       const DistQueryConfig& config,
-                       core::NeighborTable& results,
-                       DistQueryBreakdown& breakdown);
-  void run_collective(const data::PointSet& queries,
-                      const DistQueryConfig& config,
-                      core::NeighborTable& results,
-                      DistQueryBreakdown& breakdown);
-  void run_pipelined(const data::PointSet& queries,
-                     const DistQueryConfig& config,
-                     core::NeighborTable& results,
-                     DistQueryBreakdown& breakdown);
-
   net::Comm& comm_;
   const DistKdTree& tree_;
-  /// Reusable batch scratch for the single-rank fast path.
-  core::BatchWorkspace batch_ws_;
+  /// Stages 2-5 of every owned block, with their reusable scratch.
+  AllKnnEngine stages_;
+  /// Reusable round staging: the owned block (each point's id is its
+  /// sequence number at its origin), its rows, and each row's origin
+  /// rank.
+  data::PointSet block_;
+  core::NeighborTable block_rows_;
+  std::vector<int> origins_;
 };
 
 }  // namespace panda::dist

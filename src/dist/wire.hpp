@@ -108,8 +108,18 @@ inline std::vector<core::Neighbor> read_neighbors(WireReader& reader) {
   return neighbors;
 }
 
-// Remote-KNN request record, shared by the per-query engine and the
-// coalesced all-KNN engine: every ball from one source rank that
+/// Reads one framed list into the front of `out` (a top-k table slot)
+/// and returns its count.
+inline std::size_t read_neighbors_into(WireReader& reader,
+                                       std::span<core::Neighbor> out) {
+  const auto count = reader.get<std::uint64_t>();
+  PANDA_CHECK_MSG(count <= out.size(), "wire neighbor list exceeds its row");
+  reader.get_into(out.first(count));
+  return count;
+}
+
+// Remote-KNN request record of stages 3-4 (dist/all_knn.hpp, which
+// both KNN engines run): every ball from one source rank that
 // overlaps one destination ships as a run of these records inside a
 // single packed message (one alltoallv row or one mailbox send), so
 // the stage-3/4 message count is bounded by rank pairs, not by

@@ -292,6 +292,34 @@ TEST(AllocSetup, LivePointsCopiesEachPointOnce) {
   EXPECT_LT(gather_calls(100000), 16u);
 }
 
+TEST(AllocSetup, EraseCopiesEachDeadListOnce) {
+  // An erase routes its ids to the containers holding them and
+  // publishes one merged dead list per touched container: a few
+  // buffers whatever the id and tombstone counts. A copy of the list
+  // per id would make at least three allocator calls per id.
+  const auto gen = data::make_generator("gmm", 20260802);
+  const auto pool = std::make_shared<parallel::ThreadPool>(1);
+  core::MutableIndex index(
+      core::KdTree::build(gen->generate_all(20000), core::BuildConfig{},
+                          *pool),
+      core::MutableConfig{}, core::BuildConfig{}, pool);
+  auto erase_calls = [&](std::uint64_t first, std::uint64_t count) {
+    std::vector<std::uint64_t> ids(count);
+    for (std::uint64_t i = 0; i < count; ++i) ids[i] = first + 2 * i;
+    const std::uint64_t before = panda::testing::alloc_count();
+    EXPECT_EQ(index.erase(ids), count);
+    return panda::testing::alloc_count() - before;
+  };
+  const std::uint64_t calls_first = erase_calls(0, 16);
+  erase_calls(1, 4000);  // thousands of tombstones in the one tree
+  const std::uint64_t calls_late = erase_calls(10001, 256);
+  EXPECT_LT(calls_late, 16u);
+  EXPECT_EQ(calls_late, calls_first)
+      << "16 ids on a clean tree: " << calls_first
+      << " calls, 256 ids on 4,016 tombstones: " << calls_late;
+  EXPECT_EQ(index.size(), 20000u - 16 - 4000 - 256);
+}
+
 // Sanity: the probe actually counts.
 TEST(AllocProbe, CountsAllocations) {
   const std::uint64_t before = panda::testing::alloc_count();

@@ -1,7 +1,8 @@
 // End-to-end integration tests: distributed KNN must equal the
 // single-node brute-force oracle for every query, across datasets,
 // rank counts, transports, k, and batch sizes. Also covers the
-// breakdown counters and remote-pruning behaviour.
+// breakdown counters, remote-pruning behaviour, PaperFormula rows
+// across transports, and query sets spanning several exchange rounds.
 #include <gtest/gtest.h>
 
 #include <mutex>
@@ -236,6 +237,86 @@ TEST(DistQuery, PaperPolicyRunsToCompletion) {
                                [](const Neighbor& a, const Neighbor& b) {
                                  return a.dist2 < b.dist2;
                                }));
+  }
+}
+
+TEST(DistQuery, PaperPolicyRowsIdenticalAcrossTransports) {
+  // The printed Algorithm 1 bound is approximate, so nothing pins its
+  // rows to an oracle; they must still not depend on the transport,
+  // the coalescing batch or the pool: one answer per rank count.
+  const std::uint64_t n_queries = 150;
+  for (const int ranks : {1, 2, 4}) {
+    std::vector<std::vector<Neighbor>> reference;
+    for (const auto mode : {DistQueryConfig::Mode::Collective,
+                            DistQueryConfig::Mode::Pipelined}) {
+      for (const std::size_t batch : {1, 7, 256}) {
+        for (const int threads : {1, 2}) {
+          const DistRun run = run_distributed(
+              "gmm", 3000, n_queries, ranks, 5, mode, batch, threads,
+              core::TraversalPolicy::PaperFormula);
+          if (reference.empty()) {
+            reference = run.results;
+            continue;
+          }
+          for (std::uint64_t i = 0; i < n_queries; ++i) {
+            ASSERT_EQ(run.results[i], reference[i])
+                << ranks << " ranks, "
+                << (mode == DistQueryConfig::Mode::Collective ? "collective"
+                                                              : "pipelined")
+                << ", batch " << batch << ", " << threads
+                << " threads, query " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DistQuery, QueriesBeyondOneRoundOnOneRankMatchOracle) {
+  // Rank 1 holds more than two rounds' worth of queries and the other
+  // ranks none: three exchange rounds, two of the ranks riding along
+  // empty in every one.
+  const std::uint64_t n_points = 1500;
+  const std::uint64_t n_queries = 2 * DistQueryEngine::kRoundQueries + 123;
+  const std::size_t k = 4;
+  const auto expected = oracle("uniform", n_points, n_queries, k);
+  for (const auto mode : {DistQueryConfig::Mode::Collective,
+                          DistQueryConfig::Mode::Pipelined}) {
+    net::ClusterConfig config;
+    config.ranks = 3;
+    net::Cluster cluster(config);
+    std::vector<std::vector<Neighbor>> rows;
+    std::vector<DistQueryBreakdown> breakdowns(3);
+    cluster.run([&](net::Comm& comm) {
+      const auto gen = data::make_generator("uniform", 999);
+      const DistKdTree tree = DistKdTree::build(
+          comm, gen->generate_slice(n_points, comm.rank(), comm.size()),
+          DistBuildConfig{});
+      data::PointSet queries(tree.dims());
+      if (comm.rank() == 1) {
+        data::make_generator("uniform", 31337)->generate(0, n_queries,
+                                                         queries);
+      }
+      DistQueryEngine engine(comm, tree);
+      DistQueryConfig qconfig;
+      qconfig.k = k;
+      qconfig.mode = mode;
+      core::NeighborTable results;
+      engine.run_into(queries, qconfig, results,
+                      &breakdowns[static_cast<std::size_t>(comm.rank())]);
+      if (comm.rank() == 1) {
+        rows = results.to_vectors();
+      } else {
+        EXPECT_TRUE(results.empty());
+      }
+    });
+    ASSERT_EQ(rows.size(), n_queries);
+    for (std::uint64_t i = 0; i < n_queries; ++i) {
+      ASSERT_EQ(rows[i], expected[i]) << "query " << i;
+    }
+    std::uint64_t owned = 0;
+    for (const auto& bd : breakdowns) owned += bd.queries_owned;
+    EXPECT_EQ(owned, n_queries);
   }
 }
 
