@@ -8,15 +8,18 @@
 //   4. traversal bound      — printed Algorithm 1 formula vs the exact
 //                              per-dimension incremental bound (speed and
 //                              recall; see DESIGN.md section 5)
-//   5. query transport      — stages 3-5 as software pipelining
-//                              (counted p2p coalescing rounds, drained
-//                              between rounds) vs lock-step collectives
+//   5. pipelining depth     — stages 3-5 as software pipelining:
+//                              coalescing rounds of batch_size queries
+//                              (counted p2p messages drained between
+//                              rounds), from many rounds down to one
 //   6. global kd-tree       — PANDA's redistributed tree vs strategy (1)
 //                              local-trees-everywhere (query cost and
 //                              bytes moved)
+#include <cstdint>
 #include <cstdio>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -219,15 +222,14 @@ void ablate_approximate() {
   }
 }
 
-void ablate_transport() {
-  std::printf("\n[5] query transport of stages 3-5: pipelined p2p vs "
-              "lock-step collectives (paper's software pipelining)\n");
+void ablate_pipelining_depth() {
+  std::printf("\n[5] pipelining depth of stages 3-5: queries per "
+              "coalescing round (paper's software pipelining)\n");
   const bench::DatasetSpec spec = bench::large_spec("cosmo");
   const auto generator = data::make_generator(spec.name, bench::kDataSeed);
-  std::printf("%-12s %10s %20s\n", "transport", "query(s)",
-              "max wait/rank (s)");
-  for (const auto mode : {dist::DistQueryConfig::Mode::Collective,
-                          dist::DistQueryConfig::Mode::Pipelined}) {
+  std::printf("%-12s %10s %20s\n", "batch", "query(s)", "max wait/rank (s)");
+  for (const std::size_t batch :
+       {std::size_t{256}, std::size_t{2048}, SIZE_MAX}) {
     net::ClusterConfig config;
     config.ranks = 8;
     config.threads_per_rank = 1;
@@ -245,8 +247,7 @@ void ablate_transport() {
       dist::DistQueryEngine engine(comm, tree);
       dist::DistQueryConfig qconfig;
       qconfig.k = spec.k;
-      qconfig.mode = mode;
-      qconfig.batch_size = 2048;
+      qconfig.batch_size = batch;
       dist::DistQueryBreakdown bd;
       core::NeighborTable results;
       comm.barrier();
@@ -257,10 +258,9 @@ void ablate_transport() {
       if (comm.rank() == 0) elapsed = watch.seconds();
       max_wait = std::max(max_wait, bd.non_overlapped_comm);
     });
-    std::printf("%-12s %10.3f %20.3f\n",
-                mode == dist::DistQueryConfig::Mode::Pipelined ? "pipelined"
-                                                               : "collective",
-                elapsed, max_wait);
+    const std::string label =
+        batch == SIZE_MAX ? "one round" : std::to_string(batch);
+    std::printf("%-12s %10.3f %20.3f\n", label.c_str(), elapsed, max_wait);
   }
 }
 
@@ -334,7 +334,7 @@ int main() {
   ablate_dim_policy();
   ablate_subinterval();
   ablate_traversal_policy();
-  ablate_transport();
+  ablate_pipelining_depth();
   ablate_global_tree();
   ablate_approximate();
   return 0;

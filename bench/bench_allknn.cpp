@@ -7,8 +7,8 @@
 // self-query — stage 1 and the return trip, since each rank's queries
 // are its own local points — and runs the packed-leaf self-join as its
 // local pass. This harness runs DistQueryEngine over every rank's local
-// points and the bulk engine under both transports on the same
-// cosmo_thin-style workload, and reports wall time plus the messages,
+// points and the bulk engine on the same cosmo_thin-style workload,
+// and reports wall time plus the messages,
 // bytes and alpha–beta model time each run_into adds to comm.stats(),
 // summed over ranks.
 //
@@ -40,7 +40,7 @@ struct RunTotals {
 int main(int argc, char** argv) {
   using namespace panda;
   const bench::DatasetSpec spec = bench::thin_spec("cosmo");
-  // The thin dataset scaled 1:10 keeps three in-process runs quick.
+  // The thin dataset scaled 1:10 keeps both in-process runs quick.
   const std::uint64_t n = argc > 1
                               ? std::strtoull(argv[1], nullptr, 10)
                               : spec.points / 10;
@@ -97,20 +97,12 @@ int main(int argc, char** argv) {
         core::NeighborTable results;
         engine.run_into(tree.local_points(), qconfig, results);
       });
-  auto run_bulk = [&](dist::AllKnnConfig::Mode mode) {
-    return measure([&](net::Comm& comm, const dist::DistKdTree& tree) {
-      dist::AllKnnEngine engine(comm, tree);
-      dist::AllKnnConfig aconfig;
-      aconfig.k = k;
-      aconfig.mode = mode;
-      core::NeighborTable results;
-      engine.run_into(aconfig, results);
-    });
-  };
-  const RunTotals bulk_collective =
-      run_bulk(dist::AllKnnConfig::Mode::Collective);
-  const RunTotals bulk_pipelined =
-      run_bulk(dist::AllKnnConfig::Mode::Pipelined);
+  const RunTotals bulk =
+      measure([&](net::Comm& comm, const dist::DistKdTree& tree) {
+        dist::AllKnnEngine engine(comm, tree);
+        core::NeighborTable results;
+        engine.run_into({.k = k}, results);
+      });
 
   bench::print_rule();
   std::printf("%-38s %10s %10s %12s %12s\n", "engine", "query(s)",
@@ -121,22 +113,20 @@ int main(int argc, char** argv) {
                 static_cast<double>(t.bytes) / 1024.0, t.model_seconds);
   };
   row("DistQueryEngine over the local points", routed);
-  row("AllKnnEngine (collective)", bulk_collective);
-  row("AllKnnEngine (pipelined)", bulk_pipelined);
+  row("AllKnnEngine", bulk);
   bench::print_rule();
-  const double time_ratio =
-      bulk_pipelined.seconds / std::max(routed.seconds, 1e-12);
+  const double time_ratio = bulk.seconds / std::max(routed.seconds, 1e-12);
   if (routed.messages == 0) {
-    std::printf("bulk (pipelined) vs routed: %.2fx the query time; no "
-                "cross-rank traffic at this scale\n",
+    std::printf("bulk vs routed: %.2fx the query time; no cross-rank "
+                "traffic at this scale\n",
                 time_ratio);
   } else {
-    std::printf("bulk (pipelined) vs routed, default configs: %.2fx the "
-                "query time, %.2fx the messages, %.2fx the bytes\n",
+    std::printf("bulk vs routed, default configs: %.2fx the query time, "
+                "%.2fx the messages, %.2fx the bytes\n",
                 time_ratio,
-                static_cast<double>(bulk_pipelined.messages) /
+                static_cast<double>(bulk.messages) /
                     static_cast<double>(routed.messages),
-                static_cast<double>(bulk_pipelined.bytes) /
+                static_cast<double>(bulk.bytes) /
                     static_cast<double>(routed.bytes));
   }
   return 0;

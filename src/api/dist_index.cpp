@@ -50,6 +50,10 @@ namespace panda::api {
 
 namespace {
 
+/// Queries per coalescing round of stages 3-5 in the KNN engines, and
+/// per exchange round of the radius engine.
+constexpr std::size_t kBatchSize = 256;
+
 /// The per-call command rank 0 broadcasts so every rank invokes the
 /// same collective engine with the same normalized parameters. Query
 /// payloads are NOT broadcast: only rank 0 holds queries, the engines
@@ -59,7 +63,6 @@ struct WireCmd {
   std::uint32_t op = kQuit;
   std::uint64_t k = 0;
   float radius = 0.0f;
-  std::uint32_t policy = 0;
 };
 static_assert(std::is_trivially_copyable_v<WireCmd>);
 
@@ -107,7 +110,6 @@ class DistIndex final : public Index {
   DistIndex(const data::PointSet& points, const IndexOptions& options)
       : dims_(points.dims()),
         total_(points.size()),
-        batch_size_(options.dist_batch_size),
         session_(std::make_unique<Session>(options.cluster)) {
     // Self-KNN rows are keyed by build position; redistribution
     // scatters points across ranks, so answers route back through the
@@ -184,7 +186,6 @@ class DistIndex final : public Index {
     WireCmd cmd;
     cmd.op = WireCmd::kKnn;
     cmd.k = params.k;
-    cmd.policy = static_cast<std::uint32_t>(params.policy);
     round(cmd, &queries, &results);
     if (params.radius != std::numeric_limits<float>::infinity()) {
       // KNN under a metric bound is the strict prefix of the
@@ -234,7 +235,6 @@ class DistIndex final : public Index {
     WireCmd cmd;
     cmd.op = WireCmd::kSelfKnn;
     cmd.k = params.k;
-    cmd.policy = static_cast<std::uint32_t>(params.policy);
     round(cmd, nullptr, &results, {}, stats);
   }
 
@@ -274,7 +274,6 @@ class DistIndex final : public Index {
 
   std::size_t dims_ = 0;
   std::uint64_t total_ = 0;
-  std::size_t batch_size_ = 256;
   /// True when build id i == position i: self-KNN routing needs no
   /// map state at all.
   bool identity_ids_ = false;
@@ -345,8 +344,7 @@ void DistIndex::serve_loop(net::Comm& comm,
       case WireCmd::kKnn: {
         dist::DistQueryConfig config;
         config.k = cmd.k;
-        config.batch_size = batch_size_;
-        config.policy = static_cast<core::TraversalPolicy>(cmd.policy);
+        config.batch_size = kBatchSize;
         knn_engine.run_into(root ? *session.queries : no_queries, config,
                             root ? *session.out : local_table);
         break;
@@ -354,7 +352,7 @@ void DistIndex::serve_loop(net::Comm& comm,
       case WireCmd::kRadius: {
         dist::RadiusQueryConfig config;
         config.radius = cmd.radius;
-        config.batch_size = batch_size_;
+        config.batch_size = kBatchSize;
         radius_engine.run_into(root ? *session.queries : no_queries, config,
                                root ? session.radius_scratch : local_table);
         break;
@@ -362,8 +360,7 @@ void DistIndex::serve_loop(net::Comm& comm,
       case WireCmd::kSelfKnn: {
         dist::AllKnnConfig config;
         config.k = cmd.k;
-        config.batch_size = batch_size_;
-        config.policy = static_cast<core::TraversalPolicy>(cmd.policy);
+        config.batch_size = kBatchSize;
         dist::AllKnnStats stats;
         self_engine.run_into(config, self_table, &stats);
         const data::PointSet& mine = tree.local_points();

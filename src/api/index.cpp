@@ -22,8 +22,6 @@ void validate_options(const IndexOptions& options) {
                     "IndexOptions.cluster.ranks must be >= 1");
     PANDA_CHECK_MSG(options.cluster.threads_per_rank >= 1,
                     "IndexOptions.cluster.threads_per_rank must be >= 1");
-    PANDA_CHECK_MSG(options.dist_batch_size >= 1,
-                    "IndexOptions.dist_batch_size must be >= 1");
   }
   if (options.engine == IndexOptions::Engine::Mutable) {
     PANDA_CHECK_MSG(options.mutable_config.buffer_capacity >= 1,

@@ -28,7 +28,8 @@
 // Result contract (identical across every adapter, pinned by
 // tests/test_index.cpp): rows are ascending (dist², id) with the
 // deterministic tie order of DESIGN.md §5, id-exact against the
-// brute-force oracle.
+// brute-force oracle. Every adapter runs the exact traversal bound;
+// the printed Algorithm 1 is measured on one core::KdTree only (§5).
 //
 // Thread safety: concurrent search calls from multiple threads are
 // safe on every adapter provided each caller passes its own
@@ -111,8 +112,6 @@ struct IndexOptions {
   net::ClusterConfig cluster;
   /// Engine::Dist: distributed build parameters.
   dist::DistBuildConfig dist_build;
-  /// Engine::Dist: queries per pipeline step of the KNN engines.
-  std::size_t dist_batch_size = 256;
 
   /// Engine::SimpleTree: split policy and bucket size.
   baselines::SimpleBuildConfig simple;
@@ -153,11 +152,6 @@ struct SearchParams {
   /// strict convention of DESIGN.md §5); also the uniform radius of
   /// the radius_into convenience overload. Default unbounded.
   float radius = std::numeric_limits<float>::infinity();
-  /// Traversal pruning policy, honored by the kd-tree engines (Local,
-  /// Dist and Mutable forward it; the baseline adapters are always
-  /// exact). The default is the only policy with an exactness
-  /// guarantee.
-  core::TraversalPolicy policy = core::TraversalPolicy::Exact;
 };
 
 /// Facade-level counters of one bulk self-KNN run, aggregated across

@@ -30,7 +30,7 @@ class LocalIndex final : public Index {
     data::require_finite(data::PointSetView(queries), "Index::knn_into");
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
     tree_.query_batch(queries, params.k, *pool_, results, ws.batch,
-                      params.radius, params.policy);
+                      params.radius);
   }
 
   void radius_into(const data::PointSet& queries,

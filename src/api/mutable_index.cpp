@@ -36,8 +36,7 @@ class MutableIndexAdapter final : public Index {
                 core::NeighborTable& results, SearchWorkspace& ws) override {
     data::require_finite(data::PointSetView(queries), "Index::knn_into");
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
-    core_->knn_batch(queries, params.k, results, ws.forest, params.policy,
-                     params.radius);
+    core_->knn_batch(queries, params.k, results, ws.forest, params.radius);
   }
 
   void radius_into(const data::PointSet& queries,

@@ -13,8 +13,8 @@ LocalTreesStrategy LocalTreesStrategy::build(net::Comm& comm,
 }
 
 std::vector<std::vector<core::Neighbor>> LocalTreesStrategy::query(
-    net::Comm& comm, const data::PointSet& local_queries, std::size_t k,
-    core::TraversalPolicy policy) const {
+    net::Comm& comm, const data::PointSet& local_queries,
+    std::size_t k) const {
   return scatter_query_merge(
       comm, local_queries, k, comm.pool(),
       [&](std::span<const float> q) {
@@ -24,7 +24,7 @@ std::vector<std::vector<core::Neighbor>> LocalTreesStrategy::query(
         thread_local core::QueryWorkspace ws;
         std::vector<core::Neighbor> out(k);
         out.resize(tree_.query_sq_into(
-            q, k, std::numeric_limits<float>::infinity(), ws, out, policy));
+            q, k, std::numeric_limits<float>::infinity(), ws, out));
         return out;
       });
 }

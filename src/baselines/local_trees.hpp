@@ -26,8 +26,8 @@ class LocalTreesStrategy {
   /// Collective. Answers this rank's queries by broadcasting them to
   /// all ranks and merging the per-rank candidates.
   std::vector<std::vector<core::Neighbor>> query(
-      net::Comm& comm, const data::PointSet& local_queries, std::size_t k,
-      core::TraversalPolicy policy = core::TraversalPolicy::Exact) const;
+      net::Comm& comm, const data::PointSet& local_queries,
+      std::size_t k) const;
 
   const core::KdTree& tree() const { return tree_; }
 

@@ -1086,8 +1086,7 @@ constexpr std::size_t kNoTree = ~std::size_t{0};
 /// snap.trees index): the buffer scan and the forest fan-out that
 /// every forest KNN query runs on its one heap.
 void offer_forest(const auto& snap, std::span<const std::size_t> order,
-                  std::size_t skip, std::size_t dims, QueryWorkspace& w,
-                  TraversalPolicy policy) {
+                  std::size_t skip, std::size_t dims, QueryWorkspace& w) {
   scan_runs(
       snap.runs, w.query.data(), dims, w.dist.data(),
       [&](float d2) { return d2 <= w.heap.bound(); },
@@ -1096,7 +1095,7 @@ void offer_forest(const auto& snap, std::span<const std::size_t> order,
   for (const std::size_t t : order) {
     if (t == skip) continue;
     const auto& shard = snap.trees[t];
-    shard.tree->offer_knn(query, w.heap, w, dead_ids(shard), policy);
+    shard.tree->offer_knn(query, w.heap, w, dead_ids(shard));
   }
 }
 
@@ -1117,21 +1116,13 @@ void order_trees(const auto& trees, ForestWorkspace& ws) {
 
 void MutableIndex::knn_batch(const data::PointSet& queries, std::size_t k,
                              NeighborTable& results, ForestWorkspace& ws,
-                             TraversalPolicy policy, float radius) const {
+                             float radius) const {
   PANDA_CHECK_MSG(queries.dims() == dims_, "query dimensionality mismatch");
   PANDA_CHECK_MSG(k >= 1, "k must be >= 1");
   PANDA_CHECK_MSG(radius >= 0.0f, "radius must be non-negative");
   const auto snap = snapshot();
   results.reset_topk(queries.size(), k);
   if (queries.empty()) return;
-  const float radius2 = radius < kInf ? radius * radius : kInf;
-  knn_rows(queries, k, radius2, *snap, policy, results, ws);
-}
-
-void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
-                            float radius2, const Snapshot& snap,
-                            TraversalPolicy policy, NeighborTable& results,
-                            ForestWorkspace& ws) const {
   // One chunk-stolen parallel region answers every query end to end on
   // one heap: the buffer scan and then every tree feed it, and each
   // tree skips its dead ids at admission. One fork-join per batch, NOT
@@ -1144,12 +1135,13 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
   // Trees go in descending size (order_trees). Exact: the heap only
   // ever holds live candidates, so its bound only excludes points that
   // could not enter the final top-k under the (dist², id) order. A
-  // finite radius2 seeds the heap with k sentinels at (radius2, 0)
+  // finite radius seeds the heap with k sentinels at (radius², 0)
   // before the buffer scan, so the bound prunes from the first
   // candidate on (query_sq_into's contract); they are stripped after
   // extraction.
-  order_trees(snap.trees, ws);
-  prepare_threads(ws, pool_->size(), dims_, k, snap.trees);
+  order_trees(snap->trees, ws);
+  prepare_threads(ws, pool_->size(), dims_, k, snap->trees);
+  const float radius2 = radius < kInf ? radius * radius : kInf;
   const bool bounded = radius2 < kInf;
   const std::uint64_t n = queries.size();
   parallel::for_chunks(
@@ -1160,7 +1152,7 @@ void MutableIndex::knn_rows(const data::PointSet& queries, std::size_t k,
           queries.copy_point(i, w.query.data());
           w.heap.reset(k);
           if (bounded) seed_radius_sentinels(w.heap, radius2, 0);
-          offer_forest(snap, ws.tree_order, kNoTree, dims_, w, policy);
+          offer_forest(*snap, ws.tree_order, kNoTree, dims_, w);
           Neighbor* row = results.slot(i).data();
           std::size_t count = w.heap.extract_sorted_into(row);
           if (bounded) count = strip_radius_sentinels(row, count, radius2, 0);
@@ -1187,7 +1179,7 @@ void MutableIndex::radius_batch(const data::PointSet& queries,
   BatchWorkspace& batch = ws.batch;
   for (auto& w : batch.per_thread) w.staging.clear();
   if (batch.row_refs.size() < n) batch.row_refs.resize(n);
-  // One fork-join per batch, as in knn_rows: each thread answers a
+  // One fork-join per batch, as in knn_batch: each thread answers a
   // query end to end — the buffer scan and every tree append their
   // live rows to its staging buffer, the row is sorted once — and one
   // stitch copies the rows out in query order.
@@ -1271,8 +1263,7 @@ void MutableIndex::self_knn_batch(std::size_t k, NeighborTable& results,
               ps.copy_point(std::size_t{unit.part} * kScanBlock + j,
                             w.query.data());
             }
-            offer_forest(s, ws.tree_order, home, dims_, w,
-                         TraversalPolicy::Exact);
+            offer_forest(s, ws.tree_order, home, dims_, w);
             results.set_count(
                 row, w.heap.extract_sorted_into(results.slot(row).data()));
           }

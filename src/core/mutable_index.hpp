@@ -40,7 +40,9 @@
 //     KNN query runs one heap through the buffer scan and every tree
 //     in descending size, so the k-th best so far prunes each later
 //     tree; a radius query appends every container's live rows and
-//     sorts the row once. Both follow the deterministic (dist², id)
+//     sorts the row once. Every descent uses the exact traversal bound
+//     (the printed Algorithm 1 is measured on one KdTree only, DESIGN.md
+//     §5). Both follow the deterministic (dist², id)
 //     total order of DESIGN.md §5 (one fork-join per batch, KNN and
 //     radius alike, not one per tree, so a deep mid-merge forest costs
 //     no extra barriers). Buffer scans
@@ -220,7 +222,6 @@ class MutableIndex {
   /// candidate on (KdTree::query_sq_into's contract); it must be >= 0.
   void knn_batch(const data::PointSet& queries, std::size_t k,
                  NeighborTable& results, ForestWorkspace& ws,
-                 TraversalPolicy policy = TraversalPolicy::Exact,
                  float radius = std::numeric_limits<float>::infinity()) const;
 
   /// All live neighbors with dist² < radii[i]² (rows mode, ascending),
@@ -380,14 +381,6 @@ class MutableIndex {
   /// Group commit: fsync when wal_flush_every frames accumulated or
   /// wal_flush_interval_us elapsed since the last sync.
   void maybe_sync_wal_locked() PANDA_REQUIRES(mutex_);
-
-  /// The KNN engine behind knn_batch: one for_chunks region answers
-  /// every query end to end on one heap (buffer scan + every tree),
-  /// bounded by `radius2` when finite. `results` must already be reset
-  /// to top-k mode.
-  void knn_rows(const data::PointSet& queries, std::size_t k, float radius2,
-                const Snapshot& snap, TraversalPolicy policy,
-                NeighborTable& results, ForestWorkspace& ws) const;
 
   std::size_t dims_;
   MutableConfig config_;

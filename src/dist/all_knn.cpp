@@ -21,8 +21,7 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// Tags of the Pipelined transport's coalesced request and response
-// messages.
+// Tags of the coalesced request and response messages.
 constexpr int kTagBulkRequest = 0x5A20;
 constexpr int kTagBulkResponse = 0x5A21;
 
@@ -38,17 +37,15 @@ void AllKnnEngine::local_pass(const data::PointSet& queries, bool self,
   WallTimer watch;
 
   // Stage 2. The self-join kernel needs the block to be the local
-  // points (the packed leaves are the schedule) and the Exact policy;
-  // every other block, and PaperFormula's recall ablation, takes the
-  // generic batched path.
+  // points (the packed leaves are the schedule); every other block
+  // takes the generic batched path.
   watch.reset();
-  if (self && config.policy == core::TraversalPolicy::Exact) {
+  if (self) {
     tree_.local_tree().query_self_batch(config.k, comm_.pool(), results,
                                         local_ws_);
   } else {
     tree_.local_tree().query_sq_batch(queries, config.k, comm_.pool(),
-                                      results, local_ws_, {}, {},
-                                      config.policy);
+                                      results, local_ws_);
   }
   st.local_knn += watch.seconds();
 
@@ -56,7 +53,8 @@ void AllKnnEngine::local_pass(const data::PointSet& queries, bool self,
   // lists. Per-thread scratch with *static* (contiguous, ascending)
   // ranges: concatenating the scratch lists in thread order keeps
   // every remote_queries[r] ascending by query index, which the
-  // pipelined round slicing relies on.
+  // pipelined round slicing relies on. Each range reuses one rank list
+  // and one offsets buffer for all its queries.
   watch.reset();
   const auto ranks = static_cast<std::size_t>(comm_.size());
   pass.radius2.assign(n, kInf);
@@ -64,6 +62,8 @@ void AllKnnEngine::local_pass(const data::PointSet& queries, bool self,
   pass.remote_queries.assign(ranks, {});
   struct Scratch {
     std::vector<std::vector<std::uint64_t>> per_rank;
+    std::vector<int> remotes;
+    std::vector<float> offsets;
     std::uint64_t overlaps = 0;
     std::uint64_t local_only = 0;
     std::uint64_t remote = 0;
@@ -83,8 +83,9 @@ void AllKnnEngine::local_pass(const data::PointSet& queries, bool self,
           }
           if (comm_.size() == 1) continue;
           queries.copy_point(i, q.data());
-          auto remotes =
-              tree_.global_tree().ranks_in_closed_ball(q, pass.radius2[i]);
+          auto& remotes = mine.remotes;
+          tree_.global_tree().ranks_in_closed_ball(q, pass.radius2[i],
+                                                   remotes, mine.offsets);
           std::erase(remotes, comm_.rank());
           mine.overlaps += remotes.size();
           if (remotes.empty()) {
@@ -167,7 +168,7 @@ std::vector<std::byte> AllKnnEngine::answer_requests(
   WallTimer watch;
   tree_.local_tree().query_sq_batch(queries, config.k, comm_.pool(),
                                     remote_found_, remote_ws_, radius2s,
-                                    bound_ids, config.policy);
+                                    bound_ids);
   st.remote_knn += watch.seconds();
 
   detail::WireWriter response;
@@ -178,66 +179,6 @@ std::vector<std::byte> AllKnnEngine::answer_requests(
   return response.take();
 }
 
-void AllKnnEngine::run_collective(const data::PointSet& queries,
-                                  const AllKnnConfig& config,
-                                  core::NeighborTable& results,
-                                  LocalPass& pass, AllKnnStats& st) {
-  const int ranks = comm_.size();
-  WallTimer watch;
-
-  auto exchange = [&](std::vector<std::vector<std::byte>>& rows) {
-    watch.reset();
-    auto received = comm_.alltoallv(rows);
-    st.non_overlapped_comm += watch.seconds();
-    return received;
-  };
-
-  // One coalesced request row per destination: every overlapping ball
-  // from this rank travels in a single alltoallv row.
-  std::vector<std::vector<std::byte>> request_rows(
-      static_cast<std::size_t>(ranks));
-  std::uint64_t bytes_out = 0;
-  int fanout = 0;
-  for (int r = 0; r < ranks; ++r) {
-    const auto& indices = pass.remote_queries[static_cast<std::size_t>(r)];
-    if (indices.empty()) continue;
-    request_rows[static_cast<std::size_t>(r)] =
-        pack_requests(queries, pass, indices);
-    st.request_messages += 1;
-    bytes_out += request_rows[static_cast<std::size_t>(r)].size();
-    ++fanout;
-  }
-  st.request_bytes += bytes_out;
-  st.model_comm_seconds +=
-      net::alltoall_cost(comm_.cost_params(), fanout, bytes_out);
-  const auto requests_in = exchange(request_rows);
-
-  // One batched pass (and one response row) per requesting rank.
-  std::vector<std::vector<std::byte>> response_rows(
-      static_cast<std::size_t>(ranks));
-  bytes_out = 0;
-  fanout = 0;
-  for (int s = 0; s < ranks; ++s) {
-    const auto& payload = requests_in[static_cast<std::size_t>(s)];
-    if (payload.empty()) continue;
-    response_rows[static_cast<std::size_t>(s)] =
-        answer_requests(payload, config, st);
-    st.response_messages += 1;
-    bytes_out += response_rows[static_cast<std::size_t>(s)].size();
-    ++fanout;
-  }
-  st.response_bytes += bytes_out;
-  st.model_comm_seconds +=
-      net::alltoall_cost(comm_.cost_params(), fanout, bytes_out);
-  const auto responses_in = exchange(response_rows);
-
-  // Stage 5: stream every returned list into its query's row.
-  for (int s = 0; s < ranks; ++s) {
-    merge_responses(responses_in[static_cast<std::size_t>(s)], results,
-                    config.k, st);
-  }
-}
-
 void AllKnnEngine::run_pipelined(const data::PointSet& queries,
                                  const AllKnnConfig& config,
                                  core::NeighborTable& results,
@@ -246,7 +187,8 @@ void AllKnnEngine::run_pipelined(const data::PointSet& queries,
   const int me = comm_.rank();
   const std::size_t n = queries.size();
   const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
-  const std::uint64_t rounds = (n + batch - 1) / batch;
+  // A batch near SIZE_MAX (one round) must not wrap the count to zero.
+  const std::uint64_t rounds = n / batch + (n % batch != 0 ? 1 : 0);
   WallTimer watch;
 
   // Tiny counts prologue: how many coalesced request messages each
@@ -365,11 +307,7 @@ void AllKnnEngine::answer_block(const data::PointSet& queries, bool self,
                                 AllKnnStats& st) {
   local_pass(queries, self, config, results, pass_, st);
   if (comm_.size() == 1) return;
-  if (config.mode == AllKnnConfig::Mode::Collective) {
-    run_collective(queries, config, results, pass_, st);
-  } else {
-    run_pipelined(queries, config, results, pass_, st);
-  }
+  run_pipelined(queries, config, results, pass_, st);
 }
 
 void AllKnnEngine::run_into(const AllKnnConfig& config,

@@ -7,25 +7,28 @@
 //
 //   * stage 2 — batched local KNN into a flat core::NeighborTable (one
 //     arena, per-query spans — DESIGN.md §9). When the block is the
-//     local points themselves under the Exact policy, the self-join
-//     kernel (core::KdTree::query_self_batch) runs: the packed leaves
-//     are the bucket-contiguous schedule, so co-located queries share
-//     descent state and SIMD leaf scans. Every other block runs one
+//     local points themselves, the self-join kernel
+//     (core::KdTree::query_self_batch) runs: the packed leaves are the
+//     bucket-contiguous schedule, so co-located queries share descent
+//     state and SIMD leaf scans. Every other block runs one
 //     query_sq_batch fan-out;
 //   * stage 3 — the per-query (r'², k-th id) bound and coalesced
 //     per-rank overlap lists;
-//   * stages 4/5 — every ball from one source rank that overlaps one
-//     destination ships inside a single packed message (dist/wire.hpp
-//     KnnRequest records), answered by one batched radius-limited
-//     pass; each response folds into its row with a streaming
-//     core::merge_topk_into_row as it arrives. The per-round stage-3/4
-//     message count is O(ranks²), not O(queries × fanout).
+//   * stages 4/5 — the paper's software pipelining: the block's
+//     requests go out in coalescing rounds of batch_size queries, one
+//     counted point-to-point message per destination per round, each
+//     packing every overlapping ball of the round (dist/wire.hpp
+//     KnnRequest records); between rounds the rank answers whatever
+//     requests have arrived with one batched radius-limited pass per
+//     message and folds each response into its row with a streaming
+//     core::merge_topk_into_row. The per-round stage-3/4 message count
+//     is O(ranks²), not O(queries × fanout).
 //
 // For the bulk self-KNN workload stage 1 vanishes: after redistribution
 // every rank already holds exactly the points of its own region, so
 // each rank's queries are its local points and never move. All scratch
 // (workspaces, tables, request staging) is engine-owned and reused, so
-// repeated runs make no steady-state allocations in the local stages.
+// repeated runs make no per-query allocations in the local stages.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +36,6 @@
 #include <span>
 #include <vector>
 
-#include "core/kdtree.hpp"
 #include "core/knn_heap.hpp"
 #include "core/neighbor_table.hpp"
 #include "core/query_workspace.hpp"
@@ -48,14 +50,11 @@ struct AllKnnConfig {
   /// returned as its own 0-distance neighbor — pass k + 1 and drop the
   /// first entry when self-matches are unwanted.
   std::size_t k = 5;
-  /// Queries per coalescing round (Pipelined transport): each round
-  /// sends at most one packed request message per destination rank.
+  /// Queries per coalescing round of stages 3-5: each round sends at
+  /// most one packed request message per destination rank. A value at
+  /// least the block size (SIZE_MAX, say) sends the whole block in one
+  /// round.
   std::size_t batch_size = 1024;
-  /// Transport of stages 3-5: lock-step alltoallv rounds, or counted
-  /// point-to-point messages drained while the next round is packed.
-  enum class Mode { Collective, Pipelined };
-  Mode mode = Mode::Pipelined;
-  core::TraversalPolicy policy = core::TraversalPolicy::Exact;
 };
 
 /// Phase timings and protocol counters for one run of stages 2-5.
@@ -112,7 +111,7 @@ class AllKnnEngine {
   /// as owner (may be empty; all ranks must call). Row i of `results`
   /// ends as the k nearest indexed neighbors of queries[i] across the
   /// whole distributed dataset. `self` marks the block as
-  /// tree.local_points(), whose Exact stage 2 is the self-join kernel.
+  /// tree.local_points(), whose stage 2 is the self-join kernel.
   /// Timings and counters accumulate into `st`.
   void answer_block(const data::PointSet& queries, bool self,
                     const AllKnnConfig& config, core::NeighborTable& results,
@@ -150,10 +149,8 @@ class AllKnnEngine {
                        core::NeighborTable& results, std::size_t k,
                        AllKnnStats& st);
 
-  void run_collective(const data::PointSet& queries,
-                      const AllKnnConfig& config,
-                      core::NeighborTable& results, LocalPass& pass,
-                      AllKnnStats& st);
+  /// Stages 3-5 after the local pass: the pipelined coalescing
+  /// rounds of counted point-to-point requests and responses.
   void run_pipelined(const data::PointSet& queries,
                      const AllKnnConfig& config, core::NeighborTable& results,
                      LocalPass& pass, AllKnnStats& st);

@@ -23,13 +23,7 @@ void DistQueryEngine::run_into(const data::PointSet& queries,
   const auto ranks = static_cast<std::size_t>(comm_.size());
   const std::size_t dims = tree_.dims();
   const std::size_t n = queries.size();
-  const AllKnnConfig stages{
-      .k = config.k,
-      .batch_size = config.batch_size,
-      .mode = config.mode == DistQueryConfig::Mode::Collective
-                  ? AllKnnConfig::Mode::Collective
-                  : AllKnnConfig::Mode::Pipelined,
-      .policy = config.policy};
+  const AllKnnConfig stages{.k = config.k, .batch_size = config.batch_size};
   AllKnnStats st;
   double find_owner = 0.0;
   WallTimer watch;

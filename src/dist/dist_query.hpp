@@ -15,18 +15,17 @@
 // with stages 2-5 of the bulk all-KNN engine (dist/all_knn.hpp: one
 // batched local pass, coalesced per-rank-pair remote traffic, a
 // streaming merge), and each finished row goes back to its origin in
-// one more alltoallv. The transport choice applies to stages 3-5:
-// Collective runs them in lock-step alltoallv rounds; Pipelined is the
-// paper's software pipelining — counted point-to-point messages
-// through net::Mailbox, drained while the next coalescing round is
-// packed, so communication overlaps computation.
+// one more alltoallv. Stages 3-5 are the paper's software pipelining:
+// counted point-to-point messages through net::Mailbox, one per
+// destination per coalescing round of batch_size queries, drained
+// while the next round is packed, so communication overlaps
+// computation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/kdtree.hpp"
 #include "core/neighbor_table.hpp"
 #include "data/point_set.hpp"
 #include "dist/all_knn.hpp"
@@ -37,12 +36,9 @@ namespace panda::dist {
 
 struct DistQueryConfig {
   std::size_t k = 5;
-  /// Queries per coalescing round of stages 3-5 (Pipelined transport).
+  /// Queries per coalescing round of stages 3-5; a value at least the
+  /// owned block (SIZE_MAX, say) sends each block in one round.
   std::size_t batch_size = 256;
-  /// Transport of stages 3-5 (see the file comment).
-  enum class Mode { Collective, Pipelined };
-  Mode mode = Mode::Pipelined;
-  core::TraversalPolicy policy = core::TraversalPolicy::Exact;
 };
 
 /// Query-phase wall-clock seconds and protocol counters, the querying

@@ -120,28 +120,28 @@ void GlobalTree::collect_ball(std::int32_t node_index, const float* center,
   }
 }
 
-std::vector<int> GlobalTree::ranks_in_ball(std::span<const float> center,
-                                           float radius2) const {
+void GlobalTree::ranks_in_ball(std::span<const float> center, float radius2,
+                               std::vector<int>& out,
+                               std::vector<float>& offsets) const {
   PANDA_CHECK_MSG(center.size() == dims_,
                   "ranks_in_ball: center dimensionality mismatch");
-  std::vector<int> out;
-  if (!(0.0f < radius2)) return out;  // empty ball (also rejects NaN)
-  std::vector<float> offsets(dims_, 0.0f);
+  out.clear();
+  if (!(0.0f < radius2)) return;  // empty ball (also rejects NaN)
+  offsets.assign(dims_, 0.0f);
   collect_ball(0, center.data(), 0.0f, radius2, /*closed=*/false,
                offsets.data(), out);
-  return out;
 }
 
-std::vector<int> GlobalTree::ranks_in_closed_ball(
-    std::span<const float> center, float radius2) const {
+void GlobalTree::ranks_in_closed_ball(std::span<const float> center,
+                                      float radius2, std::vector<int>& out,
+                                      std::vector<float>& offsets) const {
   PANDA_CHECK_MSG(center.size() == dims_,
                   "ranks_in_closed_ball: center dimensionality mismatch");
-  std::vector<int> out;
-  if (!(0.0f <= radius2)) return out;  // rejects negatives and NaN
-  std::vector<float> offsets(dims_, 0.0f);
+  out.clear();
+  if (!(0.0f <= radius2)) return;  // rejects negatives and NaN
+  offsets.assign(dims_, 0.0f);
   collect_ball(0, center.data(), 0.0f, radius2, /*closed=*/true,
                offsets.data(), out);
-  return out;
 }
 
 }  // namespace panda::dist

@@ -56,12 +56,15 @@ class GlobalTree {
   int leaf_depth(int rank) const;
 
   /// Ranks whose region intersects the open ball of squared radius
-  /// `radius2` around `center`, ascending. A region intersects when
-  /// its minimum squared distance to `center` is strictly below
-  /// `radius2` (the same strict-< convention as query_radius), so with
-  /// radius2 = +inf every rank is returned and with radius2 = 0 none.
-  std::vector<int> ranks_in_ball(std::span<const float> center,
-                                 float radius2) const;
+  /// `radius2` around `center`, ascending, into `out` (cleared first).
+  /// A region intersects when its minimum squared distance to `center`
+  /// is strictly below `radius2` (the same strict-< convention as
+  /// query_radius), so with radius2 = +inf every rank is returned and
+  /// with radius2 = 0 none. `offsets` is the caller's per-dimension
+  /// scratch: with warm buffers the call makes no allocation.
+  void ranks_in_ball(std::span<const float> center, float radius2,
+                     std::vector<int>& out,
+                     std::vector<float>& offsets) const;
 
   /// Closed-ball variant: regions whose minimum squared distance is
   /// <= `radius2`. The KNN engines use this for stage-3 pruning — a
@@ -69,8 +72,9 @@ class GlobalTree {
   /// win its tie by id (DESIGN.md §5), so boundary-touching ranks must
   /// be contacted. With radius2 = 0 the ranks whose region touches
   /// `center` are returned (never empty).
-  std::vector<int> ranks_in_closed_ball(std::span<const float> center,
-                                        float radius2) const;
+  void ranks_in_closed_ball(std::span<const float> center, float radius2,
+                            std::vector<int>& out,
+                            std::vector<float>& offsets) const;
 
  private:
   struct Node {

@@ -52,9 +52,10 @@ void DistRadiusEngine::run_into(const data::PointSet& queries,
   };
 
   // Round count must agree across ranks (the exchanges are
-  // collectives), so ranks with fewer queries ride along empty.
+  // collectives), so ranks with fewer queries ride along empty; a batch
+  // near SIZE_MAX (one round) must not wrap it to zero.
   const std::uint64_t my_rounds =
-      (queries.size() + batch - 1) / batch;
+      queries.size() / batch + (queries.size() % batch != 0 ? 1 : 0);
   watch.reset();
   const std::uint64_t rounds =
       comm_.allreduce<std::uint64_t>(my_rounds, net::ReduceOp::Max);
@@ -63,6 +64,9 @@ void DistRadiusEngine::run_into(const data::PointSet& queries,
   std::vector<std::size_t> fanout(queries.size(), 0);
   std::vector<std::uint64_t> scan_seqs;
   std::vector<float> q(dims);
+  // Ball-pruning scratch, reused by every query of the call.
+  std::vector<int> targets;
+  std::vector<float> offsets;
   for (std::uint64_t round = 0; round < rounds; ++round) {
     const std::size_t begin =
         std::min<std::size_t>(queries.size(), round * batch);
@@ -76,7 +80,7 @@ void DistRadiusEngine::run_into(const data::PointSet& queries,
         static_cast<std::size_t>(ranks));
     for (std::size_t i = begin; i < end; ++i) {
       queries.copy_point(i, q.data());
-      const auto targets = tree_.global_tree().ranks_in_ball(q, radius2);
+      tree_.global_tree().ranks_in_ball(q, radius2, targets, offsets);
       fanout[i] = targets.size();
       bd.requests_sent += targets.size();
       for (const int target : targets) {
@@ -126,8 +130,8 @@ void DistRadiusEngine::run_into(const data::PointSet& queries,
     const auto responses_in = exchange(responses);
 
     // Merge: per query, responses from all contacted ranks arrive as
-    // sorted runs within this round; concatenate, then sort/truncate
-    // and append the finished rows to the flat table in query order.
+    // sorted runs within this round; concatenate, sort, and append the
+    // finished rows to the flat table in query order.
     watch.reset();
     if (round_rows_.size() < end - begin) round_rows_.resize(end - begin);
     for (std::size_t j = 0; j < end - begin; ++j) round_rows_[j].clear();
@@ -142,15 +146,11 @@ void DistRadiusEngine::run_into(const data::PointSet& queries,
     }
     for (std::size_t i = begin; i < end; ++i) {
       auto& out = round_rows_[i - begin];
-      // Establish the full (dist², id) order before truncating:
-      // concatenation order is per-round arrival order, which varies
-      // with rank count and batch size, and would otherwise decide
-      // which equal-distance neighbors survive max_results.
+      // Establish the full (dist², id) order: concatenation order is
+      // per-round arrival order, which varies with rank count and
+      // batch size.
       if (fanout[i] > 1) {
         std::sort(out.begin(), out.end());
-      }
-      if (config.max_results > 0 && out.size() > config.max_results) {
-        out.resize(config.max_results);
       }
       results.append_row(i, out);
     }

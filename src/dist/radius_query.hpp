@@ -23,10 +23,9 @@ struct RadiusQueryConfig {
   /// Metric radius; neighbors satisfy dist² < radius² (strict, the
   /// query_radius convention). Must be >= 0.
   float radius = 0.0f;
-  /// Queries shipped per exchange round.
+  /// Queries shipped per exchange round; a value at least the query
+  /// count (SIZE_MAX, say) ships them all in one round.
   std::size_t batch_size = 256;
-  /// Keep only the closest max_results neighbors (0 = unlimited).
-  std::size_t max_results = 0;
 };
 
 struct RadiusQueryBreakdown {
@@ -48,11 +47,10 @@ class DistRadiusEngine {
 
   /// Collective. Answers this rank's `queries` into the flat `results`
   /// table (rows mode): row i holds every indexed point within the
-  /// radius of query i, ascending by (dist², id), truncated to
-  /// max_results when set — so the surviving set is invariant across
-  /// rank counts and batch sizes. All ranks must call (with possibly
-  /// empty query sets). The caller-owned table is reusable across
-  /// runs.
+  /// radius of query i, ascending by (dist², id), so rows are
+  /// invariant across rank counts and batch sizes. All ranks must call
+  /// (with possibly empty query sets). The caller-owned table is
+  /// reusable across runs.
   void run_into(const data::PointSet& queries,
                 const RadiusQueryConfig& config,
                 core::NeighborTable& results,

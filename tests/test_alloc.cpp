@@ -320,6 +320,62 @@ TEST(AllocSetup, EraseCopiesEachDeadListOnce) {
   EXPECT_EQ(index.size(), 20000u - 16 - 4000 - 256);
 }
 
+TEST(AllocDist, StageThreeAllocatesNothingPerQuery) {
+  // Stage 3 prunes every query's ball with the global tree into rank
+  // and offsets buffers that a thread range reuses; a fresh pair per
+  // query made about 2.1 allocator calls per point in the bulk engine
+  // and 2.3 per routed query. What is left per run is per round and
+  // per message (request staging, packed payloads) and one returned
+  // list per remote (query, rank) pair. The count covers both ranks'
+  // threads: everything between the barriers around one warm run.
+  const std::uint64_t n_points = 20000;
+  const std::uint64_t n_queries = 10000;
+  net::ClusterConfig config;
+  config.ranks = 2;
+  net::Cluster cluster(config);
+  std::uint64_t bulk_calls = 0;
+  std::uint64_t routed_calls = 0;
+  cluster.run([&](net::Comm& comm) {
+    const auto gen = data::make_generator("plasma", 20260803);
+    const dist::DistKdTree tree = dist::DistKdTree::build(
+        comm, gen->generate_slice(n_points, comm.rank(), comm.size()),
+        dist::DistBuildConfig{});
+    data::PointSet queries(tree.dims());
+    if (comm.rank() == 0) {
+      gen->generate(n_points, n_points + n_queries, queries);
+    }
+    const bool root = comm.rank() == 0;
+    auto warm_calls = [&](const auto& run) {
+      run();
+      run();
+      comm.barrier();
+      const std::uint64_t before = panda::testing::alloc_count();
+      comm.barrier();
+      run();
+      comm.barrier();
+      const std::uint64_t calls = panda::testing::alloc_count() - before;
+      comm.barrier();
+      return calls;
+    };
+    core::NeighborTable rows;
+    dist::AllKnnEngine bulk(comm, tree);
+    const std::uint64_t bulk_run =
+        warm_calls([&] { bulk.run_into({.k = 6}, rows); });
+    dist::DistQueryEngine routed(comm, tree);
+    const std::uint64_t routed_run =
+        warm_calls([&] { routed.run_into(queries, {.k = 5}, rows); });
+    if (root) {
+      bulk_calls = bulk_run;
+      routed_calls = routed_run;
+      EXPECT_EQ(rows.size(), n_queries);
+    }
+  });
+  EXPECT_LT(bulk_calls, n_points / 4) << "bulk engine, " << n_points
+                                      << " points on 2 ranks";
+  EXPECT_LT(routed_calls, n_queries / 2)
+      << "routed engine, " << n_queries << " queries on rank 0";
+}
+
 // Sanity: the probe actually counts.
 TEST(AllocProbe, CountsAllocations) {
   const std::uint64_t before = panda::testing::alloc_count();

@@ -1,15 +1,20 @@
 // End-to-end integration tests: distributed KNN must equal the
 // single-node brute-force oracle for every query, across datasets,
-// rank counts, transports, k, and batch sizes. Also covers the
-// breakdown counters, remote-pruning behaviour, PaperFormula rows
-// across transports, and query sets spanning several exchange rounds.
+// rank counts, k, and batch sizes (one coalescing round included).
+// Also covers the breakdown counters, remote-pruning behaviour, query
+// sets spanning several exchange rounds, and the exact traffic of a
+// fixed run of both KNN engines.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <mutex>
+#include <ostream>
 #include <tuple>
+#include <utility>
 
 #include "baselines/brute_force.hpp"
 #include "data/generators.hpp"
+#include "dist/all_knn.hpp"
 #include "dist/dist_kdtree.hpp"
 #include "dist/dist_query.hpp"
 #include "net/cluster.hpp"
@@ -38,10 +43,7 @@ struct DistRun {
 
 DistRun run_distributed(const std::string& dataset, std::uint64_t n_points,
                         std::uint64_t n_queries, int ranks, std::size_t k,
-                        DistQueryConfig::Mode mode, std::size_t batch_size,
-                        int threads_per_rank = 1,
-                        core::TraversalPolicy policy =
-                            core::TraversalPolicy::Exact) {
+                        std::size_t batch_size, int threads_per_rank = 1) {
   net::ClusterConfig config;
   config.ranks = ranks;
   config.threads_per_rank = threads_per_rank;
@@ -73,9 +75,7 @@ DistRun run_distributed(const std::string& dataset, std::uint64_t n_points,
     DistQueryEngine engine(comm, tree);
     DistQueryConfig qconfig;
     qconfig.k = k;
-    qconfig.mode = mode;
     qconfig.batch_size = batch_size;
-    qconfig.policy = policy;
     DistQueryBreakdown breakdown;
     core::NeighborTable local_results;
     engine.run_into(my_queries, qconfig, local_results, &breakdown);
@@ -105,17 +105,16 @@ std::vector<std::vector<Neighbor>> oracle(const std::string& dataset,
 }
 
 class DistQuerySweep
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, int, DistQueryConfig::Mode>> {};
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
 
 TEST_P(DistQuerySweep, MatchesBruteForceOracle) {
-  const auto [dataset, ranks, mode] = GetParam();
+  const auto [dataset, ranks] = GetParam();
   const std::uint64_t n_points = 4000;
   const std::uint64_t n_queries = 300;
   const std::size_t k = 5;
 
   const DistRun run = run_distributed(dataset, n_points, n_queries, ranks, k,
-                                      mode, 64);
+                                      64);
   const auto expected = oracle(dataset, n_points, n_queries, k);
   for (std::uint64_t i = 0; i < n_queries; ++i) {
     expect_same_distances(run.results[i], expected[i],
@@ -125,12 +124,9 @@ TEST_P(DistQuerySweep, MatchesBruteForceOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DatasetsRanksModes, DistQuerySweep,
-    ::testing::Combine(
-        ::testing::Values("uniform", "cosmo", "dayabay"),
-        ::testing::Values(1, 2, 3, 4, 8),
-        ::testing::Values(DistQueryConfig::Mode::Collective,
-                          DistQueryConfig::Mode::Pipelined)));
+    DatasetsRanks, DistQuerySweep,
+    ::testing::Combine(::testing::Values("uniform", "cosmo", "dayabay"),
+                       ::testing::Values(1, 2, 3, 4, 8)));
 
 class DistQueryKBatchSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
@@ -140,7 +136,6 @@ TEST_P(DistQueryKBatchSweep, ExactForKAndBatchSize) {
   const std::uint64_t n_points = 3000;
   const std::uint64_t n_queries = 200;
   const DistRun run = run_distributed("gmm", n_points, n_queries, 4, k,
-                                      DistQueryConfig::Mode::Pipelined,
                                       batch_size);
   const auto expected = oracle("gmm", n_points, n_queries, k);
   for (std::uint64_t i = 0; i < n_queries; ++i) {
@@ -150,16 +145,19 @@ TEST_P(DistQueryKBatchSweep, ExactForKAndBatchSize) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(KsAndBatches, DistQueryKBatchSweep,
-                         ::testing::Combine(::testing::Values(1, 5, 17),
-                                            ::testing::Values(1, 7, 64,
-                                                              10000)));
+// SIZE_MAX is the one-round schedule: each owned block's requests go
+// out in a single coalescing round.
+INSTANTIATE_TEST_SUITE_P(
+    KsAndBatches, DistQueryKBatchSweep,
+    ::testing::Combine(::testing::Values(1, 5, 17),
+                       ::testing::Values(std::size_t{1}, std::size_t{7},
+                                         std::size_t{64}, std::size_t{10000},
+                                         SIZE_MAX)));
 
 TEST(DistQuery, MultiThreadedRanksProduceSameAnswers) {
   const std::uint64_t n_points = 5000;
   const std::uint64_t n_queries = 200;
-  const DistRun run = run_distributed("plasma", n_points, n_queries, 3, 5,
-                                      DistQueryConfig::Mode::Pipelined, 64,
+  const DistRun run = run_distributed("plasma", n_points, n_queries, 3, 5, 64,
                                       /*threads_per_rank=*/3);
   const auto expected = oracle("plasma", n_points, n_queries, 5);
   for (std::uint64_t i = 0; i < n_queries; ++i) {
@@ -168,23 +166,11 @@ TEST(DistQuery, MultiThreadedRanksProduceSameAnswers) {
   }
 }
 
-TEST(DistQuery, ModesAgreeWithEachOther) {
-  const DistRun a = run_distributed("cosmo", 4000, 250, 4, 5,
-                                    DistQueryConfig::Mode::Collective, 50);
-  const DistRun b = run_distributed("cosmo", 4000, 250, 4, 5,
-                                    DistQueryConfig::Mode::Pipelined, 50);
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    expect_same_distances(a.results[i], b.results[i],
-                          "mode comparison " + std::to_string(i));
-  }
-}
-
 TEST(DistQuery, KLargerThanTotalPointsReturnsEverything) {
   const std::uint64_t n_points = 40;
   const std::uint64_t n_queries = 10;
   const std::size_t k = 100;
-  const DistRun run = run_distributed("uniform", n_points, n_queries, 4, k,
-                                      DistQueryConfig::Mode::Pipelined, 4);
+  const DistRun run = run_distributed("uniform", n_points, n_queries, 4, k, 4);
   for (const auto& result : run.results) {
     EXPECT_EQ(result.size(), n_points);
   }
@@ -192,8 +178,7 @@ TEST(DistQuery, KLargerThanTotalPointsReturnsEverything) {
 
 TEST(DistQuery, BreakdownCountersAreConsistent) {
   const std::uint64_t n_queries = 400;
-  const DistRun run = run_distributed("cosmo", 6000, n_queries, 4, 5,
-                                      DistQueryConfig::Mode::Pipelined, 64);
+  const DistRun run = run_distributed("cosmo", 6000, n_queries, 4, 5, 64);
   std::uint64_t owned_total = 0;
   std::uint64_t sent_remote = 0;
   std::uint64_t remote_requests = 0;
@@ -216,60 +201,12 @@ TEST(DistQuery, RemotePruningKeepsFanoutLow) {
   // Allow a loose bound (small datasets have proportionally more
   // boundary).
   const std::uint64_t n_queries = 500;
-  const DistRun run = run_distributed("uniform", 20000, n_queries, 4, 5,
-                                      DistQueryConfig::Mode::Pipelined, 128);
+  const DistRun run = run_distributed("uniform", 20000, n_queries, 4, 5, 128);
   std::uint64_t sent_remote = 0;
   for (const auto& bd : run.breakdowns) sent_remote += bd.queries_sent_remote;
   EXPECT_LT(static_cast<double>(sent_remote) /
                 static_cast<double>(n_queries),
             0.6);
-}
-
-TEST(DistQuery, PaperPolicyRunsToCompletion) {
-  // The printed Algorithm 1 bound is approximate; the protocol must
-  // still terminate and return k sorted candidates per query.
-  const DistRun run = run_distributed("gmm", 3000, 150, 4, 5,
-                                      DistQueryConfig::Mode::Pipelined, 64, 1,
-                                      core::TraversalPolicy::PaperFormula);
-  for (const auto& result : run.results) {
-    ASSERT_EQ(result.size(), 5u);
-    EXPECT_TRUE(std::is_sorted(result.begin(), result.end(),
-                               [](const Neighbor& a, const Neighbor& b) {
-                                 return a.dist2 < b.dist2;
-                               }));
-  }
-}
-
-TEST(DistQuery, PaperPolicyRowsIdenticalAcrossTransports) {
-  // The printed Algorithm 1 bound is approximate, so nothing pins its
-  // rows to an oracle; they must still not depend on the transport,
-  // the coalescing batch or the pool: one answer per rank count.
-  const std::uint64_t n_queries = 150;
-  for (const int ranks : {1, 2, 4}) {
-    std::vector<std::vector<Neighbor>> reference;
-    for (const auto mode : {DistQueryConfig::Mode::Collective,
-                            DistQueryConfig::Mode::Pipelined}) {
-      for (const std::size_t batch : {1, 7, 256}) {
-        for (const int threads : {1, 2}) {
-          const DistRun run = run_distributed(
-              "gmm", 3000, n_queries, ranks, 5, mode, batch, threads,
-              core::TraversalPolicy::PaperFormula);
-          if (reference.empty()) {
-            reference = run.results;
-            continue;
-          }
-          for (std::uint64_t i = 0; i < n_queries; ++i) {
-            ASSERT_EQ(run.results[i], reference[i])
-                << ranks << " ranks, "
-                << (mode == DistQueryConfig::Mode::Collective ? "collective"
-                                                              : "pipelined")
-                << ", batch " << batch << ", " << threads
-                << " threads, query " << i;
-          }
-        }
-      }
-    }
-  }
 }
 
 TEST(DistQuery, QueriesBeyondOneRoundOnOneRankMatchOracle) {
@@ -280,44 +217,39 @@ TEST(DistQuery, QueriesBeyondOneRoundOnOneRankMatchOracle) {
   const std::uint64_t n_queries = 2 * DistQueryEngine::kRoundQueries + 123;
   const std::size_t k = 4;
   const auto expected = oracle("uniform", n_points, n_queries, k);
-  for (const auto mode : {DistQueryConfig::Mode::Collective,
-                          DistQueryConfig::Mode::Pipelined}) {
-    net::ClusterConfig config;
-    config.ranks = 3;
-    net::Cluster cluster(config);
-    std::vector<std::vector<Neighbor>> rows;
-    std::vector<DistQueryBreakdown> breakdowns(3);
-    cluster.run([&](net::Comm& comm) {
-      const auto gen = data::make_generator("uniform", 999);
-      const DistKdTree tree = DistKdTree::build(
-          comm, gen->generate_slice(n_points, comm.rank(), comm.size()),
-          DistBuildConfig{});
-      data::PointSet queries(tree.dims());
-      if (comm.rank() == 1) {
-        data::make_generator("uniform", 31337)->generate(0, n_queries,
-                                                         queries);
-      }
-      DistQueryEngine engine(comm, tree);
-      DistQueryConfig qconfig;
-      qconfig.k = k;
-      qconfig.mode = mode;
-      core::NeighborTable results;
-      engine.run_into(queries, qconfig, results,
-                      &breakdowns[static_cast<std::size_t>(comm.rank())]);
-      if (comm.rank() == 1) {
-        rows = results.to_vectors();
-      } else {
-        EXPECT_TRUE(results.empty());
-      }
-    });
-    ASSERT_EQ(rows.size(), n_queries);
-    for (std::uint64_t i = 0; i < n_queries; ++i) {
-      ASSERT_EQ(rows[i], expected[i]) << "query " << i;
+  net::ClusterConfig config;
+  config.ranks = 3;
+  net::Cluster cluster(config);
+  std::vector<std::vector<Neighbor>> rows;
+  std::vector<DistQueryBreakdown> breakdowns(3);
+  cluster.run([&](net::Comm& comm) {
+    const auto gen = data::make_generator("uniform", 999);
+    const DistKdTree tree = DistKdTree::build(
+        comm, gen->generate_slice(n_points, comm.rank(), comm.size()),
+        DistBuildConfig{});
+    data::PointSet queries(tree.dims());
+    if (comm.rank() == 1) {
+      data::make_generator("uniform", 31337)->generate(0, n_queries, queries);
     }
-    std::uint64_t owned = 0;
-    for (const auto& bd : breakdowns) owned += bd.queries_owned;
-    EXPECT_EQ(owned, n_queries);
+    DistQueryEngine engine(comm, tree);
+    DistQueryConfig qconfig;
+    qconfig.k = k;
+    core::NeighborTable results;
+    engine.run_into(queries, qconfig, results,
+                    &breakdowns[static_cast<std::size_t>(comm.rank())]);
+    if (comm.rank() == 1) {
+      rows = results.to_vectors();
+    } else {
+      EXPECT_TRUE(results.empty());
+    }
+  });
+  ASSERT_EQ(rows.size(), n_queries);
+  for (std::uint64_t i = 0; i < n_queries; ++i) {
+    ASSERT_EQ(rows[i], expected[i]) << "query " << i;
   }
+  std::uint64_t owned = 0;
+  for (const auto& bd : breakdowns) owned += bd.queries_owned;
+  EXPECT_EQ(owned, n_queries);
 }
 
 TEST(DistQuery, EmptyQuerySetOnSomeRanks) {
@@ -400,6 +332,74 @@ TEST(DistQuery, CommunicatesLessThanScatterBaseline) {
   const std::uint64_t panda_bytes = run_bytes(true);
   const std::uint64_t scatter_bytes = run_bytes(false);
   EXPECT_LT(panda_bytes, scatter_bytes);
+}
+
+/// What one engine run adds to comm.stats(), summed over the ranks.
+struct Traffic {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t collective_ops = 0;
+  bool operator==(const Traffic&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Traffic& t) {
+  return os << t.messages << " messages / " << t.bytes << " bytes / "
+            << t.collective_ops << " collectives";
+}
+
+/// Both KNN engines on one fixed 4-rank workload (plasma, seed 7, 20k
+/// points): the routed engine answers 5k queries held by rank 0 (k = 5,
+/// default batch), then the bulk engine runs (k = 6, batch 256).
+/// Returns {routed, bulk}.
+std::pair<Traffic, Traffic> fixed_run_traffic(int threads_per_rank) {
+  const std::uint64_t n_points = 20000;
+  net::ClusterConfig config;
+  config.ranks = 4;
+  config.threads_per_rank = threads_per_rank;
+  net::Cluster cluster(config);
+  Traffic routed;
+  Traffic bulk;
+  std::mutex mutex;
+  cluster.run([&](net::Comm& comm) {
+    const auto gen = data::make_generator("plasma", 7);
+    const DistKdTree tree = DistKdTree::build(
+        comm, gen->generate_slice(n_points, comm.rank(), comm.size()),
+        DistBuildConfig{});
+    data::PointSet queries(tree.dims());
+    if (comm.rank() == 0) gen->generate(n_points, n_points + 5000, queries);
+    auto add_delta = [&](const net::CommStats& before, Traffic& into) {
+      const net::CommStats& after = comm.stats();
+      std::lock_guard<std::mutex> lock(mutex);
+      into.messages += after.messages_sent - before.messages_sent;
+      into.bytes += after.bytes_sent - before.bytes_sent;
+      into.collective_ops += after.collective_ops - before.collective_ops;
+    };
+    core::NeighborTable rows;
+    DistQueryEngine routed_engine(comm, tree);
+    net::CommStats before = comm.stats();
+    routed_engine.run_into(queries, {.k = 5}, rows);
+    add_delta(before, routed);
+    AllKnnEngine bulk_engine(comm, tree);
+    before = comm.stats();
+    bulk_engine.run_into({.k = 6, .batch_size = 256}, rows);
+    add_delta(before, bulk);
+  });
+  return {routed, bulk};
+}
+
+TEST(DistQuery, FixedRunTrafficIsPinnedAndThreadIndependent) {
+  // Messages, bytes and collectives depend only on the data and the
+  // configuration: the per-round message schedule is fixed by the
+  // overlap lists, not by which thread answers a request or when a
+  // response arrives. Pinned values change only with the protocol.
+  const auto [routed, bulk] = fixed_run_traffic(1);
+  EXPECT_EQ(routed, (Traffic{138, 463808, 16}));
+  EXPECT_EQ(bulk, (Traffic{486, 110576, 4}));
+  for (const int threads : {2, 3}) {
+    const auto [r, b] = fixed_run_traffic(threads);
+    EXPECT_EQ(r, routed) << threads << " threads per rank";
+    EXPECT_EQ(b, bulk) << threads << " threads per rank";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Lifecycle tests: engines and trees are long-lived objects in the
 // paper's workflow (build once, query many times, possibly with
-// different configurations) — verify reuse, mode switching, and
+// different configurations) — verify reuse, batch-size switching, and
 // interleaving engines over one tree.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,7 @@ namespace {
 
 using core::Neighbor;
 
-TEST(EngineReuse, RepeatedRunsAndModeSwitchesStayExact) {
+TEST(EngineReuse, RepeatedRunsAndBatchSwitchesStayExact) {
   const std::uint64_t n_points = 3000;
   const std::uint64_t n_queries = 120;
   std::vector<std::vector<std::vector<Neighbor>>> all_runs(4);
@@ -43,22 +43,14 @@ TEST(EngineReuse, RepeatedRunsAndModeSwitchesStayExact) {
     data::PointSet my_queries(3);
     qgen->generate(q_begin, q_end, my_queries);
 
-    // One engine, four runs: pipelined, collective, pipelined with a
-    // different batch size, pipelined again.
+    // One engine, four runs: a batch size, the whole block in one
+    // coalescing round, a smaller batch, and the first batch again.
     DistQueryEngine engine(comm, tree);
     const DistQueryConfig configs[4] = {
-        {.k = 5,
-         .batch_size = 32,
-         .mode = DistQueryConfig::Mode::Pipelined},
-        {.k = 5,
-         .batch_size = 32,
-         .mode = DistQueryConfig::Mode::Collective},
-        {.k = 5,
-         .batch_size = 7,
-         .mode = DistQueryConfig::Mode::Pipelined},
-        {.k = 5,
-         .batch_size = 4096,
-         .mode = DistQueryConfig::Mode::Pipelined},
+        {.k = 5, .batch_size = 32},
+        {.k = 5, .batch_size = 4096},
+        {.k = 5, .batch_size = 7},
+        {.k = 5, .batch_size = 32},
     };
     core::NeighborTable results;
     for (int run = 0; run < 4; ++run) {

@@ -1,5 +1,5 @@
 // Exact-agreement sweep: the full distributed pipeline (DistKdTree
-// build + five-stage query, both transports) must return *identical*
+// build + five-stage query) must return *identical*
 // results — ids and distances, element for element — to the
 // single-node brute-force oracle, for every tested rank count, on
 // uniform, clustered, and duplicate-heavy data. This is the strongest
@@ -29,11 +29,10 @@ namespace {
 using core::Neighbor;
 
 class ExactAgreementSweep
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, int, DistQueryConfig::Mode>> {};
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
 
 TEST_P(ExactAgreementSweep, IndicesAndDistancesMatchBruteForce) {
-  const auto [dataset, ranks, mode] = GetParam();
+  const auto [dataset, ranks] = GetParam();
   const std::uint64_t n_points = 3000;
   const std::uint64_t n_queries = 200;
   const std::size_t k = 6;
@@ -62,7 +61,6 @@ TEST_P(ExactAgreementSweep, IndicesAndDistancesMatchBruteForce) {
     DistQueryEngine engine(comm, tree);
     DistQueryConfig qconfig;
     qconfig.k = k;
-    qconfig.mode = mode;
     qconfig.batch_size = 32;
     core::NeighborTable results;
     engine.run_into(my_queries, qconfig, results);
@@ -90,11 +88,9 @@ TEST_P(ExactAgreementSweep, IndicesAndDistancesMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DatasetsRanksModes, ExactAgreementSweep,
+    DatasetsRanks, ExactAgreementSweep,
     ::testing::Combine(::testing::Values("uniform", "gmm", "dupes"),
-                       ::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(DistQueryConfig::Mode::Collective,
-                                         DistQueryConfig::Mode::Pipelined)));
+                       ::testing::Values(1, 2, 4, 8)));
 
 }  // namespace
 }  // namespace panda::dist

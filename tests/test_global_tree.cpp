@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -22,6 +25,16 @@ std::vector<SplitRecord> four_rank_records() {
       {0, 2, 1, 1, 0.5f},
       {2, 4, 3, 1, 0.3f},
   };
+}
+
+/// ranks_in_ball into fresh buffers.
+std::vector<int> ranks_in_ball(const GlobalTree& tree,
+                               std::span<const float> center,
+                               float radius2) {
+  std::vector<int> ranks;
+  std::vector<float> offsets;
+  tree.ranks_in_ball(center, radius2, ranks, offsets);
+  return ranks;
 }
 
 TEST(GlobalTree, SingleRankIsTrivial) {
@@ -67,15 +80,14 @@ TEST(GlobalTree, LeafDepths) {
 TEST(GlobalTree, RanksInBallSmallRadiusIsOwnerOnly) {
   const GlobalTree tree = GlobalTree::from_records(4, 2, four_rank_records());
   const std::vector<float> q{0.25f, 0.25f};
-  const auto ranks = tree.ranks_in_ball(q, 0.01f * 0.01f);
+  const auto ranks = ranks_in_ball(tree, q, 0.01f * 0.01f);
   EXPECT_EQ(ranks, (std::vector<int>{0}));
 }
 
 TEST(GlobalTree, RanksInBallInfiniteRadiusIsEveryone) {
   const GlobalTree tree = GlobalTree::from_records(4, 2, four_rank_records());
-  const auto ranks = tree.ranks_in_ball(
-      std::vector<float>{0.25f, 0.25f},
-      std::numeric_limits<float>::infinity());
+  const auto ranks = ranks_in_ball(tree, std::vector<float>{0.25f, 0.25f},
+                                  std::numeric_limits<float>::infinity());
   EXPECT_EQ(ranks, (std::vector<int>{0, 1, 2, 3}));
 }
 
@@ -84,7 +96,7 @@ TEST(GlobalTree, RanksInBallCrossesOnlyNearbyBoundaries) {
   // Query near the x=0.5 boundary but far from y boundaries.
   const std::vector<float> q{0.49f, 0.1f};
   const float r = 0.05f;
-  const auto ranks = tree.ranks_in_ball(q, r * r);
+  const auto ranks = ranks_in_ball(tree, q, r * r);
   // Owner r0 plus r2 across the x boundary; y=0.5 (left) and y=0.3
   // (right) are farther than 0.05 from y=0.1? |0.1-0.3| = 0.2 > r, and
   // |0.1-0.5| = 0.4 > r, so r1 and r3 are excluded.
@@ -97,11 +109,13 @@ TEST(GlobalTree, BallContainmentIsGeometricallySound) {
   // dense probing of the 2-D plane.
   const GlobalTree tree = GlobalTree::from_records(4, 2, four_rank_records());
   panda::Rng rng(7);
+  std::vector<int> ranks;  // reused by every trial
+  std::vector<float> offsets;
   for (int trial = 0; trial < 200; ++trial) {
     const std::vector<float> q{static_cast<float>(rng.uniform()),
                                static_cast<float>(rng.uniform())};
     const float radius = static_cast<float>(rng.uniform(0.01, 0.5));
-    const auto ranks = tree.ranks_in_ball(q, radius * radius);
+    tree.ranks_in_ball(q, radius * radius, ranks, offsets);
     const std::set<int> rank_set(ranks.begin(), ranks.end());
     // Probe points on a grid inside the ball; their owners must all be
     // listed.
@@ -122,13 +136,35 @@ TEST(GlobalTree, BallContainmentIsGeometricallySound) {
 TEST(GlobalTree, OwnerAlwaysInBall) {
   const GlobalTree tree = GlobalTree::from_records(4, 2, four_rank_records());
   panda::Rng rng(9);
+  std::vector<int> ranks;
+  std::vector<float> offsets;
   for (int trial = 0; trial < 500; ++trial) {
     const std::vector<float> q{static_cast<float>(rng.uniform(-0.5, 1.5)),
                                static_cast<float>(rng.uniform(-0.5, 1.5))};
-    const auto ranks = tree.ranks_in_ball(q, 1e-12f);
+    tree.ranks_in_ball(q, 1e-12f, ranks, offsets);
     const int owner = tree.owner_of(q);
     EXPECT_TRUE(std::find(ranks.begin(), ranks.end(), owner) != ranks.end());
   }
+}
+
+TEST(GlobalTree, ClosedBallKeepsBoundaryRanksAndBuffersAreRefilled) {
+  const GlobalTree tree = GlobalTree::from_records(4, 2, four_rank_records());
+  std::vector<int> ranks;
+  std::vector<float> offsets;
+  tree.ranks_in_closed_ball(std::vector<float>{0.25f, 0.25f},
+                            std::numeric_limits<float>::infinity(), ranks,
+                            offsets);
+  EXPECT_EQ(ranks, (std::vector<int>{0, 1, 2, 3}));
+  // On the x = 0.5 plane: a zero radius touches both sides in the
+  // closed ball and nothing in the open one. Each call replaces what
+  // the buffers held.
+  const std::vector<float> on_plane{0.5f, 0.1f};
+  tree.ranks_in_closed_ball(on_plane, 0.0f, ranks, offsets);
+  EXPECT_EQ(ranks, (std::vector<int>{0, 2}));
+  tree.ranks_in_ball(on_plane, 0.0f, ranks, offsets);
+  EXPECT_TRUE(ranks.empty());
+  tree.ranks_in_closed_ball(on_plane, -1.0f, ranks, offsets);
+  EXPECT_TRUE(ranks.empty());
 }
 
 TEST(GlobalTree, UnevenRankCountsSupported) {
@@ -148,7 +184,7 @@ TEST(GlobalTree, UnevenRankCountsSupported) {
 TEST(GlobalTree, DimensionMismatchThrows) {
   const GlobalTree tree = GlobalTree::from_records(4, 2, four_rank_records());
   EXPECT_THROW(tree.owner_of(std::vector<float>{0.5f}), panda::Error);
-  EXPECT_THROW(tree.ranks_in_ball(std::vector<float>{0.5f, 0.5f, 0.5f}, 1.0f),
+  EXPECT_THROW(ranks_in_ball(tree, std::vector<float>{0.5f, 0.5f, 0.5f}, 1.0f),
                panda::Error);
 }
 

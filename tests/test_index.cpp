@@ -388,12 +388,6 @@ TEST(FacadeBuild, RejectsBadOptions) {
     o.mutable_config.merge_fan_in = 1;
     EXPECT_THROW((void)Index::build(points, o), panda::Error);
   }
-  {
-    IndexOptions o;
-    o.engine = IndexOptions::Engine::Dist;
-    o.dist_batch_size = 0;
-    EXPECT_THROW((void)Index::build(points, o), panda::Error);
-  }
   EXPECT_THROW((void)Index::build(data::PointSet{}, IndexOptions{}),
                panda::Error);
 }
@@ -753,47 +747,6 @@ TEST(FacadeMutate, InsertEraseMatchOracleThroughTheFacade) {
   index->self_knn_into(params, results, ws, &stats);
   EXPECT_EQ(stats.inserts, 90u + 90u);
   EXPECT_EQ(stats.erases, doomed.size());
-}
-
-TEST(FacadeMutate, PaperFormulaOnATombstonedForest) {
-  // The Mutable adapter forwards SearchParams::policy: the printed
-  // Algorithm 1 runs on every tree of a forest with dead ids in the
-  // seed tree, a sealed tree and the buffer. It may over-prune, but
-  // each row still holds k ascending (dist², id) entries, none dead.
-  const auto gen = data::make_generator("gmm", 909);
-  IndexOptions options;
-  options.engine = IndexOptions::Engine::Mutable;
-  options.threads = 2;
-  options.mutable_config.buffer_capacity = 64;
-  options.mutable_config.merge_fan_in = 2;
-  auto index = Index::build(gen->generate_all(600), options);
-  data::PointSet fresh(gen->dims());
-  gen->generate(600, 700, fresh);
-  index->insert(fresh);
-  std::vector<std::uint64_t> doomed;
-  for (std::uint64_t id = 0; id < 700; id += 3) doomed.push_back(id);
-  EXPECT_EQ(index->erase(doomed), doomed.size());
-
-  data::PointSet queries(gen->dims());
-  gen->generate(5000, 5100, queries);
-  SearchParams params;
-  params.k = 8;
-  params.policy = core::TraversalPolicy::PaperFormula;
-  core::NeighborTable results;
-  SearchWorkspace ws;
-  index->knn_into(queries, params, results, ws);
-  ASSERT_EQ(results.size(), queries.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto row = results[i];
-    ASSERT_EQ(row.size(), params.k) << "query " << i;
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      EXPECT_FALSE(std::binary_search(doomed.begin(), doomed.end(), row[j].id))
-          << "query " << i << " returned dead id " << row[j].id;
-      if (j > 0) {
-        EXPECT_TRUE(row[j - 1] < row[j]) << "query " << i;
-      }
-    }
-  }
 }
 
 TEST(FacadeOpen, MutableSaveOpenRoundTrip) {

@@ -1356,8 +1356,7 @@ TEST(MutableBoundedKnn, MatchesLocalAndBruteForceAcrossTiesAtTheBound) {
          {std::size_t{1}, std::size_t{4}, std::size_t{9}, std::size_t{40}}) {
       const std::string at = "r=" + std::to_string(radius) +
                              " k=" + std::to_string(k);
-      index.knn_batch(queries, k, h.results, h.ws, TraversalPolicy::Exact,
-                      radius);
+      index.knn_batch(queries, k, h.results, h.ws, radius);
       local.query_batch(queries, k, *h.pool, local_rows, local_ws, radius);
       ASSERT_EQ(h.results.size(), queries.size()) << at;
       for (std::uint64_t i = 0; i < queries.size(); ++i) {
@@ -1375,8 +1374,7 @@ TEST(MutableBoundedKnn, MatchesLocalAndBruteForceAcrossTiesAtTheBound) {
       }
     }
   }
-  EXPECT_THROW(index.knn_batch(queries, 3, h.results, h.ws,
-                               TraversalPolicy::Exact, -1.0f),
+  EXPECT_THROW(index.knn_batch(queries, 3, h.results, h.ws, -1.0f),
                panda::Error);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <tuple>
 
@@ -120,6 +121,8 @@ struct DistRadiusCase {
   const char* dataset;
   int ranks;
   float radius;
+  /// Queries per exchange round; SIZE_MAX ships them all in one.
+  std::size_t batch = 64;
 };
 
 class DistRadiusSweep : public ::testing::TestWithParam<DistRadiusCase> {};
@@ -152,7 +155,7 @@ TEST_P(DistRadiusSweep, MatchesOracleAcrossRanks) {
     DistRadiusEngine engine(comm, tree);
     RadiusQueryConfig rconfig;
     rconfig.radius = param.radius;
-    rconfig.batch_size = 64;
+    rconfig.batch_size = param.batch;
     core::NeighborTable results;
     engine.run_into(my_queries, rconfig, results);
     std::lock_guard<std::mutex> lock(mutex);
@@ -181,47 +184,18 @@ INSTANTIATE_TEST_SUITE_P(
                       DistRadiusCase{"uniform", 4, 0.3f},
                       DistRadiusCase{"cosmo", 3, 0.02f},
                       DistRadiusCase{"cosmo", 8, 0.05f},
-                      DistRadiusCase{"gmm", 5, 0.1f}));
+                      DistRadiusCase{"gmm", 5, 0.1f},
+                      DistRadiusCase{"uniform", 4, 0.05f, SIZE_MAX},
+                      DistRadiusCase{"gmm", 3, 0.1f, SIZE_MAX}));
 
-TEST(DistRadius, MaxResultsTruncatesToClosest) {
-  net::ClusterConfig config;
-  config.ranks = 2;
-  net::Cluster cluster(config);
-  cluster.run([&](net::Comm& comm) {
-    const auto gen = data::make_generator("uniform", 5);
-    const data::PointSet slice = gen->generate_slice(2000, comm.rank(), 2);
-    const DistKdTree tree = DistKdTree::build(comm, slice, DistBuildConfig{});
-    data::PointSet queries(3);
-    if (comm.rank() == 0) {
-      queries.push_point(std::vector<float>{0.5f, 0.5f, 0.5f}, 0);
-    }
-    DistRadiusEngine engine(comm, tree);
-    RadiusQueryConfig rconfig;
-    rconfig.radius = 0.4f;
-    rconfig.max_results = 7;
-    core::NeighborTable results;
-    engine.run_into(queries, rconfig, results);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(results.size(), 1u);
-      const auto row = results[0];
-      EXPECT_EQ(row.size(), 7u);
-      EXPECT_TRUE(std::is_sorted(row.begin(), row.end(),
-                                 [](const Neighbor& a, const Neighbor& b) {
-                                   return a.dist2 < b.dist2;
-                                 }));
-    }
-  });
-}
-
-TEST(DistRadius, TruncationInvariantAcrossRanksAndBatchSizes) {
-  // With max_results set, the surviving set must be the closest
-  // max_results under the (dist², id) order — not whatever happened to
-  // arrive first. Sweep rank counts x batch sizes on duplicate-heavy
-  // data (maximal distance ties) and require bit-identical results.
+TEST(DistRadius, RowsInvariantAcrossRanksAndBatchSizes) {
+  // Each row is in the full (dist², id) order, not in the order its
+  // pieces happened to arrive. Sweep rank counts x batch sizes on
+  // duplicate-heavy data (maximal distance ties) and require
+  // bit-identical rows.
   const std::uint64_t n_points = 2000;
   const std::uint64_t n_queries = 60;
   const float radius = 0.25f;
-  const std::size_t max_results = 9;
 
   std::vector<std::vector<std::vector<Neighbor>>> runs;
   for (const int ranks : {1, 2, 5}) {
@@ -251,7 +225,6 @@ TEST(DistRadius, TruncationInvariantAcrossRanksAndBatchSizes) {
         RadiusQueryConfig rconfig;
         rconfig.radius = radius;
         rconfig.batch_size = batch;
-        rconfig.max_results = max_results;
         core::NeighborTable results;
         engine.run_into(my_queries, rconfig, results);
         std::lock_guard<std::mutex> lock(mutex);

@@ -38,9 +38,9 @@ TEST(Umbrella, EveryLayerIsReachable) {
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(dist::balanced_destination(0, 4, 2, 2), 2);
   const dist::DistQueryConfig qconfig;
-  EXPECT_EQ(qconfig.mode, dist::DistQueryConfig::Mode::Pipelined);
+  EXPECT_EQ(qconfig.batch_size, 256u);
   const dist::RadiusQueryConfig rconfig;
-  EXPECT_EQ(rconfig.max_results, 0u);
+  EXPECT_EQ(rconfig.radius, 0.0f);
   // ml
   ml::DisjointSets sets(2);
   EXPECT_TRUE(sets.unite(0, 1));

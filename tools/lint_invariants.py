@@ -71,8 +71,9 @@ WAIVER_RE = re.compile(r"panda-lint:\s*allow\(([a-z, ]+)\)")
 
 # Files pinned by tests/test_alloc.cpp: the per-query path must not
 # allocate once workspaces are warm, build split selection must not
-# allocate per node, and seeding the live index's id set must not
-# allocate per id. Paths relative to src/.
+# allocate per node, seeding the live index's id set must not allocate
+# per id, and the distributed KNN engines' stage-3 pruning must not
+# allocate per query. Paths relative to src/.
 HOT_PATH_FILES = (
     "common/sampling.hpp",
     "core/id_set.hpp",
@@ -83,6 +84,8 @@ HOT_PATH_FILES = (
     "core/mutable_index.cpp",
     "core/neighbor_table.hpp",
     "core/query_workspace.hpp",
+    "dist/all_knn.cpp",
+    "dist/global_tree.cpp",
     "parallel/parallel_for.hpp",
 )
 HOT_PATH_DIRS = ("simd/",)
