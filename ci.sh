@@ -27,14 +27,20 @@
 #                      clang/clang-tidy are not installed. Runs in the
 #                      default flow.
 #   ci.sh sanitize   — the same test suite built with
-#                      -fsanitize=address,undefined, with per-test
-#                      timeouts; leak- and UB-checks the exchange
-#                      rounds, drain loops and coalescing paths of the
-#                      distributed engines,
+#                      -fsanitize=address,undefined,float-cast-overflow,
+#                      with per-test timeouts; leak- and UB-checks the
+#                      exchange rounds, drain loops and coalescing
+#                      paths of the distributed engines,
 #                      the mmap open/storage-view suites (test_storage,
 #                      test_kdtree_io — out-of-bounds reads through
 #                      mapped spans), and the external-build spill
-#                      pipeline (test_external_build).
+#                      pipeline (test_external_build). GCC's
+#                      `undefined` group leaves float-cast-overflow
+#                      out, so it is named on its own: the batch
+#                      order's Morton key (core/batch_order.cpp)
+#                      quantises coordinates with exactly that
+#                      float-to-int conversion, and the BatchOrder
+#                      tests feed it NaN, ±Inf and ±FLT_MAX.
 #   ci.sh crash      — the crash-safety suites (DESIGN.md §13):
 #                      test_crash_recovery re-execs itself as child
 #                      processes killed at armed failpoints mid-commit
@@ -209,7 +215,7 @@ if [[ "$MODE" == "headers" ]]; then
 fi
 
 if [[ "$MODE" == "sanitize" ]]; then
-  SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+  SAN_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake -B build-sanitize -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \

@@ -143,28 +143,48 @@ class FlatIdSet {
 
 /// Sorts `items` ascending by the 64-bit key(item): a stable LSD radix
 /// sort over 8-bit digits that skips every digit all keys share (keys
-/// below 2^24 take at most three passes, not eight). Linear in
-/// items.size(), one scratch allocation; items with equal keys keep
-/// their input order.
+/// below 2^24 take at most three passes, not eight). One read counts
+/// every remaining digit's histogram, then each digit takes one scatter
+/// pass. Linear in items.size(); items with equal keys keep their input
+/// order. The passes ping-pong between `items` and the caller's
+/// `scratch` (the two buffers may trade places), so once both hold
+/// items.size() entries of capacity the sort allocates nothing.
 template <typename T, typename Key>
-void radix_sort_by_key(std::vector<T>& items, const Key& key) {
+void radix_sort_by_key(std::vector<T>& items, std::vector<T>& scratch,
+                       const Key& key) {
   if (items.empty()) return;
   const std::uint64_t first = key(items.front());
   std::uint64_t differ = 0;
   for (const T& item : items) differ |= key(item) ^ first;
-  std::vector<T> scratch;
+  std::array<int, 8> shifts{};
+  std::size_t digits = 0;
   for (int shift = 0; shift < 64; shift += 8) {
-    if (((differ >> shift) & 0xff) == 0) continue;
-    std::array<std::size_t, 256> offset{};
-    for (const T& item : items) ++offset[(key(item) >> shift) & 0xff];
+    if (((differ >> shift) & 0xff) != 0) shifts[digits++] = shift;
+  }
+  std::array<std::array<std::size_t, 256>, 8> offset{};
+  for (const T& item : items) {
+    const std::uint64_t k = key(item);
+    for (std::size_t p = 0; p < digits; ++p) {
+      ++offset[p][(k >> shifts[p]) & 0xff];
+    }
+  }
+  for (std::size_t p = 0; p < digits; ++p) {
     std::size_t sum = 0;
-    for (std::size_t& slot : offset) sum += std::exchange(slot, sum);
+    for (std::size_t& slot : offset[p]) sum += std::exchange(slot, sum);
     scratch.resize(items.size());
     for (const T& item : items) {
-      scratch[offset[(key(item) >> shift) & 0xff]++] = item;
+      scratch[offset[p][(key(item) >> shifts[p]) & 0xff]++] = item;
     }
     items.swap(scratch);
   }
+}
+
+/// radix_sort_by_key with a scratch of its own: one allocation per
+/// call.
+template <typename T, typename Key>
+void radix_sort_by_key(std::vector<T>& items, const Key& key) {
+  std::vector<T> scratch;
+  radix_sort_by_key(items, scratch, key);
 }
 
 /// An id with the position it came from (a point index, a self-join

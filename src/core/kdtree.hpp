@@ -146,9 +146,11 @@ enum class TraversalPolicy {
   /// true lower bound, guarantees exact results.
   Exact,
   /// The update printed in Algorithm 1 (d' = sqrt(d^2 + off^2) with no
-  /// same-dimension replacement). Can over-prune when a root-to-node
-  /// path splits twice on one dimension; recall measured in
-  /// bench_ablation. Faster per node.
+  /// same-dimension replacement). When a root-to-node path splits twice
+  /// on one dimension the bound counts that dimension twice, so it can
+  /// exceed the true distance and over-prune; bench_ablation [4]
+  /// measures its recall and nodes per query against Exact (DESIGN.md
+  /// §5).
   PaperFormula,
 };
 
@@ -164,6 +166,10 @@ enum class TraversalPolicy {
 /// is heavy enough to be worth the fan-out.
 inline constexpr std::uint64_t kInlineKnnBatch = 64;
 inline constexpr std::uint64_t kInlineRadiusBatch = 16;
+/// KNN batches of at least this many queries run in the Morton order
+/// of their own bounding box (core/batch_order.hpp); smaller ones keep
+/// the caller's order.
+inline constexpr std::uint64_t kOrderedKnnBatch = 1024;
 
 class KdTree {
  public:
@@ -248,8 +254,14 @@ class KdTree {
   /// Batched KNN over `queries` into a flat NeighborTable (top-k mode,
   /// stride k), the bulk entry point of the all-KNN engine and the
   /// serving backend: one parallel::for_chunks fan-out answers query i
-  /// with query_sq_into into row i (DESIGN.md §9.2). Results are
-  /// identical to per-query query_sq.
+  /// with query_sq_into into row i (DESIGN.md §9.2). A batch of at
+  /// least kOrderedKnnBatch queries runs in the Morton order of its
+  /// bounding box (core/batch_order.hpp), so consecutive descents share
+  /// hot nodes and buckets; every query still runs on its own reset
+  /// heap and writes row i, so rows and stats are identical to
+  /// per-query query_sq whatever the order of `queries`. Warm calls
+  /// allocate nothing: the order's keys and sort scratch live in `ws`
+  /// (16 bytes per query of the largest ordered batch).
   ///
   /// radius2s/radius_bound_ids give per-query pruning bounds with the
   /// query_sq_into semantics above (both empty = unbounded; when
@@ -311,7 +323,9 @@ class KdTree {
                   QueryStats* stats = nullptr) const;
 
   /// Batched metric-radius KNN into a flat NeighborTable: row i holds
-  /// the k nearest neighbors of queries[i] within `radius`.
+  /// the k nearest neighbors of queries[i] within `radius`. A
+  /// query_sq_batch with a uniform bound: large batches run in Morton
+  /// order with the same rows.
   void query_batch(const data::PointSet& queries, std::size_t k,
                    parallel::ThreadPool& pool, NeighborTable& results,
                    BatchWorkspace& ws,

@@ -28,6 +28,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "core/batch_order.hpp"
 #include "core/kdtree.hpp"
 #include "parallel/parallel_for.hpp"
 #include "simd/distance.hpp"
@@ -401,18 +402,22 @@ void KdTree::query_sq_batch(const data::PointSet& queries, std::size_t k,
   for (auto& t : ws.per_thread) t.stats = QueryStats{};
   const float* r2s = bounded ? radius2s.data() : nullptr;
   const std::uint64_t* bound_ids = bounded ? radius_bound_ids.data() : nullptr;
+  // Large batches run in Morton order, each query into its caller's row
+  // (core/batch_order.hpp).
+  const std::span<const std::uint64_t> order = order_knn_batch(queries, ws);
   parallel::for_chunks(
       pool, n, batch_grain(n, pool.size(), 64), kInlineKnnBatch,
       [&](int tid, std::uint64_t lo, std::uint64_t hi) {
         QueryWorkspace& w = ws.per_thread[static_cast<std::size_t>(tid)];
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          queries.copy_point(i, w.query.data());
-          const std::size_t count = query_sq_into(
-              std::span<const float>(w.query.data(), dims_), k,
-              r2s != nullptr ? r2s[i] : kInf, w, results.slot(i), policy,
-              &w.stats, bound_ids != nullptr ? bound_ids[i] : 0);
-          results.set_count(i, count);
-        }
+        answer_in_order(
+            order, queries, results, lo, hi, w.query.data(),
+            [&](std::uint64_t q) {
+              const std::size_t count = query_sq_into(
+                  std::span<const float>(w.query.data(), dims_), k,
+                  r2s != nullptr ? r2s[q] : kInf, w, results.slot(q), policy,
+                  &w.stats, bound_ids != nullptr ? bound_ids[q] : 0);
+              results.set_count(q, count);
+            });
       });
   if (stats != nullptr) {
     for (const auto& t : ws.per_thread) *stats += t.stats;

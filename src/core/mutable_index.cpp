@@ -29,6 +29,7 @@
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "core/batch_order.hpp"
 #include "data/storage.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -1144,20 +1145,27 @@ void MutableIndex::knn_batch(const data::PointSet& queries, std::size_t k,
   const float radius2 = radius < kInf ? radius * radius : kInf;
   const bool bounded = radius2 < kInf;
   const std::uint64_t n = queries.size();
+  // Large batches run in Morton order, each query into its caller's row
+  // (core/batch_order.hpp).
+  const std::span<const std::uint64_t> order =
+      order_knn_batch(queries, ws.batch);
   parallel::for_chunks(
       *pool_, n, forest_grain(n, pool_->size()), kInlineKnnBatch,
       [&](int tid, std::uint64_t lo, std::uint64_t hi) {
         QueryWorkspace& w = ws.batch.per_thread[static_cast<std::size_t>(tid)];
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          queries.copy_point(i, w.query.data());
-          w.heap.reset(k);
-          if (bounded) seed_radius_sentinels(w.heap, radius2, 0);
-          offer_forest(*snap, ws.tree_order, kNoTree, dims_, w);
-          Neighbor* row = results.slot(i).data();
-          std::size_t count = w.heap.extract_sorted_into(row);
-          if (bounded) count = strip_radius_sentinels(row, count, radius2, 0);
-          results.set_count(i, count);
-        }
+        answer_in_order(
+            order, queries, results, lo, hi, w.query.data(),
+            [&](std::uint64_t q) {
+              w.heap.reset(k);
+              if (bounded) seed_radius_sentinels(w.heap, radius2, 0);
+              offer_forest(*snap, ws.tree_order, kNoTree, dims_, w);
+              Neighbor* row = results.slot(q).data();
+              std::size_t count = w.heap.extract_sorted_into(row);
+              if (bounded) {
+                count = strip_radius_sentinels(row, count, radius2, 0);
+              }
+              results.set_count(q, count);
+            });
       });
 }
 

@@ -147,7 +147,10 @@ struct MutationStats {
 /// slots are warmed before each fan-out. Nothing here scales with the
 /// index: self_knn_batch's row keys and schedule are per call and
 /// freed on return, because a serving process keeps its workspace
-/// alive and grow-only scratch would sit in its resident set.
+/// alive and grow-only scratch would sit in its resident set. The one
+/// batch-sized array is knn_batch's Morton order (batch.order and its
+/// sort scratch): 16 bytes per query of the largest batch of at least
+/// kOrderedKnnBatch queries, about 1 MB at 65,536.
 struct ForestWorkspace {
   /// One QueryWorkspace per pool thread: a thread drives each query of
   /// its chunk through the buffer scan and every tree on the same heap,
@@ -220,6 +223,11 @@ class MutableIndex {
   /// live points. A finite metric `radius` keeps only neighbors with
   /// dist² < radius² and prunes with that bound from the first
   /// candidate on (KdTree::query_sq_into's contract); it must be >= 0.
+  /// A batch of at least kOrderedKnnBatch queries runs in the Morton
+  /// order of its bounding box (core/batch_order.hpp), each query on its
+  /// own reset heap into its caller's row, so rows do not depend on the
+  /// order of `queries`; the order's keys and sort scratch live in
+  /// ws.batch (16 bytes per query of the largest ordered batch).
   void knn_batch(const data::PointSet& queries, std::size_t k,
                  NeighborTable& results, ForestWorkspace& ws,
                  float radius = std::numeric_limits<float>::infinity()) const;

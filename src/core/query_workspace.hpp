@@ -16,7 +16,8 @@
 //     own their workspace and pass it explicitly;
 //   * the batch entry points take a BatchWorkspace, which owns one
 //     QueryWorkspace per pool thread plus the batch-wide scratch
-//     (radius-row stitch map, uniform-bound staging).
+//     (radius-row stitch map, uniform-bound staging, the KNN batch's
+//     Morton schedule).
 #pragma once
 
 #include <algorithm>
@@ -140,6 +141,11 @@ struct BatchWorkspace {
   std::vector<QueryWorkspace::RowRef> row_refs;  // radius batch stitch map
   std::vector<float> radius2;            // uniform-bound staging
   std::vector<std::uint64_t> bound_id;   // uniform-bound staging
+  /// The Morton schedule of a KNN batch (core/batch_order.hpp): one
+  /// (key << 32 | caller position) entry per query, and its radix-sort
+  /// scratch — 16 bytes per query of the largest ordered batch.
+  std::vector<std::uint64_t> order;
+  std::vector<std::uint64_t> order_scratch;
 };
 
 }  // namespace panda::core

@@ -45,6 +45,14 @@ class PointSet {
   /// Copies point i into out[0..dims). out must hold dims() floats.
   void copy_point(std::size_t point, float* out) const;
 
+  /// Hints point i's coordinates into cache ahead of a copy_point (one
+  /// line per dimension column).
+  void prefetch_point(std::size_t point) const {
+    for (const auto& column : coords_) {
+      __builtin_prefetch(column.data() + point);
+    }
+  }
+
   /// Appends one point; returns its index.
   std::size_t push_point(std::span<const float> values, std::uint64_t id);
 

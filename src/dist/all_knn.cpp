@@ -59,7 +59,8 @@ void AllKnnEngine::local_pass(const data::PointSet& queries, bool self,
   const auto ranks = static_cast<std::size_t>(comm_.size());
   pass.radius2.assign(n, kInf);
   pass.bound_id.assign(n, ~std::uint64_t{0});
-  pass.remote_queries.assign(ranks, {});
+  pass.remote_queries.resize(ranks);
+  for (auto& list : pass.remote_queries) list.clear();
   struct Scratch {
     std::vector<std::vector<std::uint64_t>> per_rank;
     std::vector<int> remotes;
@@ -115,18 +116,18 @@ void AllKnnEngine::local_pass(const data::PointSet& queries, bool self,
   st.queries_total += n;
 }
 
-std::vector<std::byte> AllKnnEngine::pack_requests(
+std::span<const std::byte> AllKnnEngine::pack_requests(
     const data::PointSet& queries, const LocalPass& pass,
-    std::span<const std::uint64_t> indices) const {
-  detail::WireWriter writer;
-  std::vector<float> q(tree_.dims());
+    std::span<const std::uint64_t> indices) {
+  coords_.resize(tree_.dims());
+  request_.clear();
   for (const std::uint64_t i : indices) {
-    queries.copy_point(i, q.data());
-    detail::append_knn_request(writer,
+    queries.copy_point(i, coords_.data());
+    detail::append_knn_request(request_,
                                {i, pass.radius2[i], pass.bound_id[i]},
-                               std::span<const float>(q));
+                               std::span<const float>(coords_));
   }
-  return writer.take();
+  return request_.bytes();
 }
 
 void AllKnnEngine::merge_responses(std::span<const std::byte> payload,
@@ -134,49 +135,54 @@ void AllKnnEngine::merge_responses(std::span<const std::byte> payload,
                                    std::size_t k, AllKnnStats& st) {
   WallTimer watch;
   detail::WireReader reader(payload);
+  // A returned list is a remote top-k: at most k entries.
+  if (returned_.size() < k) returned_.resize(k);
   while (!reader.done()) {
     const auto seq = reader.get<std::uint64_t>();
-    const auto found = detail::read_neighbors(reader);
+    const std::size_t count = detail::read_neighbors_into(reader, returned_);
     const std::size_t merged = core::merge_topk_into_row(
-        results.slot(seq), results.count(seq), found, k, merge_scratch_);
+        results.slot(seq), results.count(seq),
+        std::span<const Neighbor>(returned_.data(), count), k,
+        merge_scratch_);
     results.set_count(seq, merged);
   }
   st.merge += watch.seconds();
 }
 
-std::vector<std::byte> AllKnnEngine::answer_requests(
+std::span<const std::byte> AllKnnEngine::answer_requests(
     std::span<const std::byte> payload, const AllKnnConfig& config,
     AllKnnStats& st) {
   const std::size_t dims = tree_.dims();
   detail::WireReader reader(payload);
-  data::PointSet queries(dims);
-  std::vector<std::uint64_t> seqs;
-  std::vector<float> radius2s;
-  std::vector<std::uint64_t> bound_ids;
-  std::vector<float> q(dims);
+  // The message's queries, each under its origin's sequence number.
+  if (remote_queries_.dims() != dims) remote_queries_ = data::PointSet(dims);
+  remote_queries_.clear();
+  remote_radius2_.clear();
+  remote_bound_id_.clear();
+  coords_.resize(dims);
   while (!reader.done()) {
-    const auto request = detail::read_knn_request(reader, std::span<float>(q));
-    queries.push_point(q, request.seq);
-    seqs.push_back(request.seq);
-    radius2s.push_back(request.radius2);
-    bound_ids.push_back(request.bound_id);
+    const auto request =
+        detail::read_knn_request(reader, std::span<float>(coords_));
+    remote_queries_.push_point(coords_, request.seq);
+    remote_radius2_.push_back(request.radius2);
+    remote_bound_id_.push_back(request.bound_id);
   }
 
   // Stage 4 for the whole message at once: one batched radius-limited
   // pass over the coalesced query block, straight into the reusable
   // flat table.
   WallTimer watch;
-  tree_.local_tree().query_sq_batch(queries, config.k, comm_.pool(),
-                                    remote_found_, remote_ws_, radius2s,
-                                    bound_ids);
+  tree_.local_tree().query_sq_batch(remote_queries_, config.k, comm_.pool(),
+                                    remote_found_, remote_ws_, remote_radius2_,
+                                    remote_bound_id_);
   st.remote_knn += watch.seconds();
 
-  detail::WireWriter response;
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    response.put<std::uint64_t>(seqs[i]);
-    detail::append_neighbors(response, remote_found_[i]);
+  response_.clear();
+  for (std::size_t i = 0; i < remote_queries_.size(); ++i) {
+    response_.put<std::uint64_t>(remote_queries_.id(i));
+    detail::append_neighbors(response_, remote_found_[i]);
   }
-  return response.take();
+  return response_.bytes();
 }
 
 void AllKnnEngine::run_pipelined(const data::PointSet& queries,
@@ -240,7 +246,7 @@ void AllKnnEngine::run_pipelined(const data::PointSet& queries,
       auto& expected = expected_requests[static_cast<std::size_t>(s)];
       while (expected > 0 && comm_.poll(s, kTagBulkRequest)) {
         const auto payload = comm_.recv<std::byte>(s, kTagBulkRequest);
-        auto response = answer_requests(payload, config, st);
+        const auto response = answer_requests(payload, config, st);
         st.response_messages += 1;
         st.response_bytes += response.size();
         st.model_comm_seconds +=

@@ -27,8 +27,10 @@
 // For the bulk self-KNN workload stage 1 vanishes: after redistribution
 // every rank already holds exactly the points of its own region, so
 // each rank's queries are its local points and never move. All scratch
-// (workspaces, tables, request staging) is engine-owned and reused, so
-// repeated runs make no per-query allocations in the local stages.
+// (workspaces, tables, request and response staging, returned lists) is
+// engine-owned and reused, so repeated runs make no per-query
+// allocations in the local stages, and stages 4-5 allocate per message
+// and per round, never per query or per returned list.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +43,7 @@
 #include "core/query_workspace.hpp"
 #include "data/point_set.hpp"
 #include "dist/dist_kdtree.hpp"
+#include "dist/wire.hpp"
 #include "net/comm.hpp"
 
 namespace panda::dist {
@@ -132,16 +135,18 @@ class AllKnnEngine {
                   LocalPass& pass, AllKnnStats& st);
 
   /// Packs the KnnRequest records of the given block query indices
-  /// into one coalesced message payload.
-  std::vector<std::byte> pack_requests(
+  /// into one coalesced message payload (a view of request_, valid
+  /// until the next pack).
+  std::span<const std::byte> pack_requests(
       const data::PointSet& queries, const LocalPass& pass,
-      std::span<const std::uint64_t> indices) const;
+      std::span<const std::uint64_t> indices);
 
   /// Answers one packed request payload with one batched
-  /// radius-limited pass; returns the packed response.
-  std::vector<std::byte> answer_requests(std::span<const std::byte> payload,
-                                         const AllKnnConfig& config,
-                                         AllKnnStats& st);
+  /// radius-limited pass; returns the packed response (a view of
+  /// response_, valid until the next answer).
+  std::span<const std::byte> answer_requests(
+      std::span<const std::byte> payload, const AllKnnConfig& config,
+      AllKnnStats& st);
 
   /// Folds one packed response payload into the block's result rows
   /// with the streaming stage-5 merge.
@@ -158,13 +163,24 @@ class AllKnnEngine {
   net::Comm& comm_;
   const DistKdTree& tree_;
 
-  // Reusable cross-run scratch: batch workspaces for the local and
-  // remote passes, the remote-answer staging (query set + result
-  // table), the stage-3 pass state, and the stage-5 merge buffer.
+  // Reusable cross-message and cross-run scratch, so stages 4-5
+  // allocate per message at most, never per query or per returned
+  // list: batch workspaces for the local and remote passes, one
+  // request message staged as a query set with its bounds and answered
+  // into a result table, one query's coordinates, the packed request
+  // and response payloads, the stage-3 pass state, one returned list
+  // and the stage-5 merge buffer.
   core::BatchWorkspace local_ws_;
   core::BatchWorkspace remote_ws_;
+  data::PointSet remote_queries_;
+  std::vector<float> remote_radius2_;
+  std::vector<std::uint64_t> remote_bound_id_;
   core::NeighborTable remote_found_;
+  std::vector<float> coords_;
+  detail::WireWriter request_;
+  detail::WireWriter response_;
   LocalPass pass_;
+  std::vector<core::Neighbor> returned_;
   std::vector<core::Neighbor> merge_scratch_;
 };
 

@@ -42,6 +42,10 @@ class WireWriter {
   bool empty() const { return buffer_.empty(); }
   std::span<const std::byte> bytes() const { return buffer_; }
   std::vector<std::byte> take() { return std::move(buffer_); }
+  /// Empties the payload and keeps its capacity, so a writer reused
+  /// message after message stops allocating once it has held the
+  /// largest.
+  void clear() { buffer_.clear(); }
 
  private:
   std::vector<std::byte> buffer_;

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -84,6 +85,31 @@ TEST(AllocFree, QuerySqBatchDifferentKReusesWorkspace) {
   f.tree->query_sq_batch(f.points, 5, *f.pool, results, ws);
   f.tree->query_sq_batch(f.points, 16, *f.pool, results, ws);
   EXPECT_EQ(panda::testing::alloc_count() - before, 0u);
+}
+
+TEST(AllocFree, QuerySqBatchAboveAndBelowTheOrderedSizeSteadyState) {
+  // One warm workspace alternates a batch large enough to run in Morton
+  // order (its keys and their radix-sort scratch live in the
+  // workspace) with one that keeps the caller's order.
+  Fixture f(20000, 4);
+  const std::uint64_t big = 3 * core::kOrderedKnnBatch + 7;
+  const std::uint64_t small = core::kOrderedKnnBatch - 1;
+  std::vector<std::uint64_t> rows(big);
+  for (std::uint64_t i = 0; i < big; ++i) rows[i] = i * 5;
+  const data::PointSet wide = f.points.extract(rows);
+  rows.resize(small);
+  const data::PointSet narrow = f.points.extract(rows);
+  core::NeighborTable results;
+  core::BatchWorkspace ws;
+  f.tree->query_sq_batch(wide, 8, *f.pool, results, ws);
+  f.tree->query_sq_batch(narrow, 8, *f.pool, results, ws);
+  const std::uint64_t before = panda::testing::alloc_count();
+  for (int round = 0; round < 3; ++round) {
+    f.tree->query_sq_batch(wide, 8, *f.pool, results, ws);
+    f.tree->query_sq_batch(narrow, 8, *f.pool, results, ws);
+  }
+  EXPECT_EQ(panda::testing::alloc_count() - before, 0u);
+  EXPECT_EQ(results.size(), narrow.size());
 }
 
 TEST(AllocFree, SingleQueryIntoSteadyState) {
@@ -325,9 +351,9 @@ TEST(AllocDist, StageThreeAllocatesNothingPerQuery) {
   // and offsets buffers that a thread range reuses; a fresh pair per
   // query made about 2.1 allocator calls per point in the bulk engine
   // and 2.3 per routed query. What is left per run is per round and
-  // per message (request staging, packed payloads) and one returned
-  // list per remote (query, rank) pair. The count covers both ranks'
-  // threads: everything between the barriers around one warm run.
+  // per message (the next test bounds it). The count covers both
+  // ranks' threads: everything between the barriers around one warm
+  // run.
   const std::uint64_t n_points = 20000;
   const std::uint64_t n_queries = 10000;
   net::ClusterConfig config;
@@ -374,6 +400,67 @@ TEST(AllocDist, StageThreeAllocatesNothingPerQuery) {
                                       << " points on 2 ranks";
   EXPECT_LT(routed_calls, n_queries / 2)
       << "routed engine, " << n_queries << " queries on rank 0";
+}
+
+TEST(AllocDist, RemoteStagesAllocatePerMessageNotPerList) {
+  // Stages 4-5 stage every request message in engine-owned buffers and
+  // read every returned list into one, so a warm run's allocator calls
+  // follow its messages (payloads sent and received, per-round
+  // exchange buffers), not its ball overlaps or queries. A fresh query
+  // set, three vectors and a query buffer per message, and a fresh
+  // vector per returned list, made 1,902 calls per warm bulk run here
+  // (731 overlaps, 20 request messages) and 2,449 per routed run. The
+  // count covers both ranks' threads, as in the test above.
+  const std::uint64_t n_points = 20000;
+  const std::uint64_t n_queries = 10000;
+  net::ClusterConfig config;
+  config.ranks = 2;
+  net::Cluster cluster(config);
+  std::atomic<std::uint64_t> messages[2] = {0, 0};
+  std::uint64_t calls[2] = {0, 0};
+  std::atomic<std::uint64_t> overlaps{0};
+  cluster.run([&](net::Comm& comm) {
+    const auto gen = data::make_generator("plasma", 20260803);
+    const dist::DistKdTree tree = dist::DistKdTree::build(
+        comm, gen->generate_slice(n_points, comm.rank(), comm.size()),
+        dist::DistBuildConfig{});
+    data::PointSet queries(tree.dims());
+    if (comm.rank() == 0) {
+      gen->generate(n_points, n_points + n_queries, queries);
+    }
+    // Allocator calls and messages of every rank over one warm run.
+    auto warm_run = [&](int engine, const auto& run) {
+      run();
+      run();
+      comm.barrier();
+      const std::uint64_t before = panda::testing::alloc_count();
+      const std::uint64_t sent = comm.stats().messages_sent;
+      comm.barrier();
+      run();
+      messages[engine] += comm.stats().messages_sent - sent;
+      comm.barrier();
+      if (comm.rank() == 0) {
+        calls[engine] = panda::testing::alloc_count() - before;
+      }
+      comm.barrier();
+    };
+    core::NeighborTable rows;
+    dist::AllKnnEngine bulk(comm, tree);
+    dist::AllKnnStats st;
+    warm_run(0, [&] { bulk.run_into({.k = 6}, rows, &st); });
+    overlaps += st.ball_overlaps;
+    dist::DistQueryEngine routed(comm, tree);
+    warm_run(1, [&] { routed.run_into(queries, {.k = 5}, rows); });
+  });
+  ASSERT_GT(overlaps.load(), 100u);
+  for (int engine = 0; engine < 2; ++engine) {
+    const std::uint64_t sent = messages[engine].load();
+    ASSERT_GT(sent, 0u);
+    EXPECT_LT(calls[engine], 4 * sent + 128)
+        << (engine == 0 ? "bulk" : "routed") << " engine: " << sent
+        << " messages; the bulk run has " << overlaps.load()
+        << " ball overlaps";
+  }
 }
 
 // Sanity: the probe actually counts.

@@ -1378,5 +1378,75 @@ TEST(MutableBoundedKnn, MatchesLocalAndBruteForceAcrossTiesAtTheBound) {
                panda::Error);
 }
 
+// ---------------------------------------------------------------------
+// Batch order: a knn_batch of at least kOrderedKnnBatch queries runs in
+// Morton order and writes each row at its caller position, so a batch
+// and any shuffle of it answer every query with the same row.
+// ---------------------------------------------------------------------
+
+TEST(MutableBatchOrder, RowsDoNotDependOnQueryOrder) {
+  const auto gen = data::make_generator("gmm", /*seed=*/2029);
+  for (const int threads : {1, 4}) {
+    auto pool = std::make_shared<parallel::ThreadPool>(threads);
+    LiveOracle oracle(3);
+    const auto forest = make_self_join_forest(pool, oracle);
+    const MutableIndex& index = *forest;
+    const MutationStats stats = index.stats();
+    ASSERT_GE(stats.trees, 3u);
+    ASSERT_GT(stats.buffered_points, 0u);
+    ASSERT_GT(stats.tombstones, 0u);
+    NeighborTable in_order;
+    NeighborTable in_shuffle;
+    ForestWorkspace ws;
+    const std::size_t k = 6;
+    for (const std::uint64_t n :
+         {kOrderedKnnBatch - 1, kOrderedKnnBatch, 3 * kOrderedKnnBatch + 7}) {
+      PointSet queries(gen->dims());
+      gen->generate(70000, 70000 + n, queries);
+      std::vector<std::uint64_t> perm(n);
+      for (std::uint64_t i = 0; i < n; ++i) perm[i] = i;
+      Rng rng(derive_seed(0x0DE5, n));
+      for (std::size_t i = perm.size() - 1; i > 0; --i) {
+        std::swap(perm[i], perm[rng.uniform_index(i + 1)]);
+      }
+      const PointSet shuffled = queries.extract(perm);
+      std::vector<std::vector<Neighbor>> want(n);
+      std::vector<float> q(gen->dims());
+      for (std::uint64_t i = 0; i < n; ++i) {
+        queries.copy_point(i, q.data());
+        want[i] = oracle.knn(q, k);
+      }
+      // Unbounded, then a radius near the median k-th distance, which
+      // cuts about half the rows short.
+      std::vector<float> kth(n);
+      for (std::uint64_t i = 0; i < n; ++i) kth[i] = want[i].back().dist2;
+      std::nth_element(kth.begin(), kth.begin() + n / 2, kth.end());
+      for (const float radius : {std::numeric_limits<float>::infinity(),
+                                 std::sqrt(kth[n / 2])}) {
+        const std::string at = "pool " + std::to_string(threads) + ", " +
+                               std::to_string(n) + " queries, r=" +
+                               std::to_string(radius);
+        index.knn_batch(queries, k, in_order, ws, radius);
+        index.knn_batch(shuffled, k, in_shuffle, ws, radius);
+        ASSERT_EQ(in_order.size(), n) << at;
+        ASSERT_EQ(in_shuffle.size(), n) << at;
+        for (std::uint64_t j = 0; j < n; ++j) {
+          const std::uint64_t i = perm[j];
+          std::vector<Neighbor> cut = want[i];
+          while (!cut.empty() && !(cut.back().dist2 < radius * radius)) {
+            cut.pop_back();
+          }
+          const std::string row = at + " query " + std::to_string(i);
+          expect_row_identical(in_order[i], cut, row + " vs brute force");
+          const auto same = in_order[i];
+          expect_row_identical(in_shuffle[j],
+                               std::vector<Neighbor>(same.begin(), same.end()),
+                               row + " shuffled");
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace panda::core

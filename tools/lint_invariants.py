@@ -76,6 +76,8 @@ WAIVER_RE = re.compile(r"panda-lint:\s*allow\(([a-z, ]+)\)")
 # allocate per query. Paths relative to src/.
 HOT_PATH_FILES = (
     "common/sampling.hpp",
+    "core/batch_order.cpp",
+    "core/batch_order.hpp",
     "core/id_set.hpp",
     "core/kdtree_query.cpp",
     "core/knn_heap.hpp",
