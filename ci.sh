@@ -292,7 +292,9 @@ if [[ "$MODE" == "tsan" ]]; then
   # QueryService) — and test_wal covers the log's own append/sync
   # surface. test_kdtree builds trees on pools of up to 8 threads:
   # phase-1 batches and phase-2 subtrees run split selection (its
-  # stack-held sampling state) concurrently on disjoint index ranges.
+  # stack-held sampling state, each pool thread's select_kth buffer and
+  # the partition's scatter into scratch) concurrently on disjoint
+  # index ranges.
   # test_all_knn drives the Dist all-KNN engine across ranks, whose
   # local pass is the packed-leaf self-join (query_self_batch: scattered
   # row writes with a one-ahead prefetch) on every rank's pool at once;

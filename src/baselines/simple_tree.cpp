@@ -219,7 +219,9 @@ void SimpleKdTree::search(std::uint32_t v, const float* q,
   const float old_offset = offsets[node.dim];
   const float far_dist2 =
       region_dist2 - old_offset * old_offset + diff * diff;
-  if (far_dist2 <= heap.bound() * core::kBoundSlack) {
+  // Not `<=`: once the squares overflow, inf - inf is NaN, and a NaN
+  // bound must visit the region, as in core::KdTree::search_exact.
+  if (!(far_dist2 > heap.bound() * core::kBoundSlack)) {
     offsets[node.dim] = diff;
     search(far, q, heap, far_dist2, offsets, stats);
     offsets[node.dim] = old_offset;

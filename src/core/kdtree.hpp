@@ -77,8 +77,10 @@ struct BuildConfig {
   /// time by up to 43 % — Section III-A1); RoundRobin cycles the
   /// dimensions by depth, the cheap classical alternative measured in
   /// bench_ablation. Here one sampling pass scores every dimension, and
-  /// a pool-of-1 MaxVariance build takes 1.20–1.40x RoundRobin's time
-  /// on 10-D points and 0.98–1.05x on 3-D points (2.51–2.69x and
+  /// a pool-of-1 MaxVariance build takes 1.41–1.60x RoundRobin's time
+  /// on 10-D points and 0.98–1.13x on 3-D points: the branch-free split
+  /// kernels made selection cheaper and left the Welford pass as it
+  /// was (1.22–1.37x and 0.93–1.03x before them; 2.51–2.69x and
   /// 1.24–1.30x with one pass per dimension; DESIGN.md §3).
   enum class DimensionPolicy { MaxVariance, RoundRobin };
   DimensionPolicy dim_policy = DimensionPolicy::MaxVariance;
@@ -95,7 +97,8 @@ struct BuildConfig {
   /// fewer breadth-first levels on sub-threshold (serial) splits.
   std::uint32_t thread_switch_factor = 4;
   /// Subtrees at or below this size use the exact positional median
-  /// (nth_element) instead of sampling.
+  /// (select_kth, core/median.hpp) instead of sampling; each pool
+  /// thread's selection buffer holds twice this many entries.
   std::uint64_t exact_median_threshold = 4096;
   /// Frontier nodes smaller than this are split serially during the
   /// breadth-first phase: below it, cooperative (all-thread) histogram

@@ -60,6 +60,7 @@ class KdTreeBuilder {
     idx_.resize(points_.size());
     for (std::uint64_t i = 0; i < points_.size(); ++i) idx_[i] = i;
     scratch_.resize(points_.size());
+    split_keys_.resize(static_cast<std::size_t>(pool_.size()));
 
     WallTimer watch;
 
@@ -100,10 +101,11 @@ class KdTreeBuilder {
     std::vector<std::vector<BuildNode>> subtrees(frontier.size());
     parallel::parallel_for_dynamic(
         pool_, 0, frontier.size(), 1,
-        [&](int, std::uint64_t a, std::uint64_t b) {
+        [&](int tid, std::uint64_t a, std::uint64_t b) {
+          auto& keys = split_keys_[static_cast<std::size_t>(tid)];
           for (std::uint64_t s = a; s < b; ++s) {
             const Frontier& f = frontier[s];
-            build_serial(subtrees[s], f.lo, f.hi, f.depth);
+            build_serial(subtrees[s], f.lo, f.hi, f.depth, keys);
           }
         });
     // Merge subtree node arrays into the global array. Local index 0
@@ -192,28 +194,41 @@ class KdTreeBuilder {
 
   /// Positional (exact) median split — the degeneracy-proof fallback:
   /// both sides are non-empty for any input, including all-identical
-  /// coordinates.
+  /// coordinates. select_kth orders the node's (coordinate, offset)
+  /// keys in `keys`, the calling pool thread's buffer, and idx_[lo, hi)
+  /// takes their order (scratch_[lo, hi) holds the old one meanwhile).
   SplitDecision positional_split(std::uint64_t lo, std::uint64_t hi,
-                                 std::size_t dim) {
+                                 std::size_t dim,
+                                 std::vector<SplitKey>& keys) {
+    const std::uint64_t n = hi - lo;
+    if (keys.size() < 2 * n) {
+      // Once per thread: room for the largest exact-median node, or
+      // for a degenerate node above the threshold that needs more.
+      keys.resize(2 * std::max(n, std::min<std::uint64_t>(
+                                      config_.exact_median_threshold,
+                                      points_.size())));
+    }
     SplitDecision d;
     d.dim = dim;
-    d.mid = lo + (hi - lo) / 2;
-    const auto coords = points_.coordinate(dim);
-    std::nth_element(idx_.begin() + static_cast<std::ptrdiff_t>(lo),
-                     idx_.begin() + static_cast<std::ptrdiff_t>(d.mid),
-                     idx_.begin() + static_cast<std::ptrdiff_t>(hi),
-                     [&coords](std::uint64_t a, std::uint64_t b) {
-                       return coords[a] < coords[b];
-                     });
-    d.split = coords[idx_[d.mid]];
+    d.mid = lo + n / 2;
+    d.split = select_kth(points_.coordinate(dim), idx_span(lo, hi), n / 2,
+                         keys);
+    std::copy(idx_.begin() + static_cast<std::ptrdiff_t>(lo),
+              idx_.begin() + static_cast<std::ptrdiff_t>(hi),
+              scratch_.begin() + static_cast<std::ptrdiff_t>(lo));
+    for (std::uint64_t j = 0; j < n; ++j) {
+      idx_[lo + j] = scratch_[lo + keys[j].offset];
+    }
     return d;
   }
 
   /// Serial split of one node: sampled variance for the dimension,
   /// sampled median for the value, positional fallback on degeneracy.
-  /// Thread-safe for disjoint [lo, hi) ranges.
+  /// Thread-safe for disjoint [lo, hi) ranges: it touches idx_ and
+  /// scratch_ only inside the range, and `keys` is the thread's own.
   SplitDecision decide_split_serial(std::uint64_t lo, std::uint64_t hi,
-                                    std::uint32_t depth) {
+                                    std::uint32_t depth,
+                                    std::vector<SplitKey>& keys) {
     const std::uint64_t n = hi - lo;
     double variance = 0.0;
     const std::size_t dim = choose_dimension(lo, hi, depth, &variance);
@@ -224,15 +239,11 @@ class KdTreeBuilder {
       d.dim = dim;
       const auto coords = points_.coordinate(dim);
       d.split = sample_median(coords, idx_span(lo, hi), config_.median_samples);
-      auto* first = idx_.data() + lo;
-      auto* last = idx_.data() + hi;
-      auto* pivot = std::partition(first, last, [&](std::uint64_t p) {
-        return coords[p] < d.split;
-      });
-      d.mid = lo + static_cast<std::uint64_t>(pivot - first);
+      d.mid = lo + partition_below(coords, {idx_.data() + lo, n}, d.split,
+                                   {scratch_.data() + lo, n});
       if (d.mid != lo && d.mid != hi) return d;
     }
-    return positional_split(lo, hi, dim);
+    return positional_split(lo, hi, dim, keys);
   }
 
   /// Allocates child nodes and records the split (single-threaded
@@ -273,7 +284,8 @@ class KdTreeBuilder {
       d.mid = parallel_partition(f.lo, f.hi, dim, d.split);
       ok = (d.mid != f.lo && d.mid != f.hi);
     }
-    if (!ok) d = positional_split(f.lo, f.hi, dim);
+    // Between fan-outs no pool thread holds its buffer.
+    if (!ok) d = positional_split(f.lo, f.hi, dim, split_keys_[0]);
 
     const std::uint32_t left = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back(BuildNode{});
@@ -296,10 +308,11 @@ class KdTreeBuilder {
     std::vector<SplitDecision> decisions(batch.size());
     parallel::parallel_for_dynamic(
         pool_, 0, batch.size(), 1,
-        [&](int, std::uint64_t a, std::uint64_t b) {
+        [&](int tid, std::uint64_t a, std::uint64_t b) {
+          auto& keys = split_keys_[static_cast<std::size_t>(tid)];
           for (std::uint64_t i = a; i < b; ++i) {
             decisions[i] = decide_split_serial(batch[i].lo, batch[i].hi,
-                                               batch[i].depth);
+                                               batch[i].depth, keys);
           }
         });
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -401,7 +414,8 @@ class KdTreeBuilder {
   /// to `out` (root is out[initial size]) and returns the root's local
   /// index.
   std::uint32_t build_serial(std::vector<BuildNode>& out, std::uint64_t lo,
-                             std::uint64_t hi, std::uint32_t depth) {
+                             std::uint64_t hi, std::uint32_t depth,
+                             std::vector<SplitKey>& keys) {
     const std::uint64_t n = hi - lo;
     const std::uint32_t me = static_cast<std::uint32_t>(out.size());
     out.push_back(BuildNode{});
@@ -410,11 +424,11 @@ class KdTreeBuilder {
       return me;
     }
 
-    const SplitDecision d = decide_split_serial(lo, hi, depth);
+    const SplitDecision d = decide_split_serial(lo, hi, depth, keys);
     out[me].dim = static_cast<std::uint32_t>(d.dim);
     out[me].split = d.split;
-    const std::uint32_t left = build_serial(out, lo, d.mid, depth + 1);
-    const std::uint32_t right = build_serial(out, d.mid, hi, depth + 1);
+    const std::uint32_t left = build_serial(out, lo, d.mid, depth + 1, keys);
+    const std::uint32_t right = build_serial(out, d.mid, hi, depth + 1, keys);
     out[me].left = left;
     out[me].right = right;
     return me;
@@ -545,6 +559,9 @@ class KdTreeBuilder {
   std::uint32_t depth_limit_ = 64;
   std::vector<std::uint64_t> idx_;
   std::vector<std::uint64_t> scratch_;
+  /// select_kth's buffer of each pool thread, sized at its first
+  /// positional split: 2 x exact_median_threshold entries.
+  std::vector<std::vector<SplitKey>> split_keys_;
   std::vector<BuildNode> nodes_;
 };
 

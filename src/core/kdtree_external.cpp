@@ -230,6 +230,14 @@ class ExternalBuilder {
     return sample;
   }
 
+  /// The sample's index order and the buffers of the two split kernels
+  /// (core/median.hpp), allocated once per splitter.
+  struct SplitterScratch {
+    std::vector<std::uint64_t> idx;
+    std::vector<std::uint64_t> partition;
+    std::vector<SplitKey> keys;
+  };
+
   /// Complete binary splitter tree over the sample, level-order
   /// (node i's children at 2i+1 / 2i+2), 2^levels leaves = chunks.
   /// Reuses the in-RAM build's heuristics: max-variance dimension,
@@ -240,47 +248,35 @@ class ExternalBuilder {
     const std::size_t internal = (std::size_t{1} << levels) - 1;
     split_dims_.assign(internal, 0);
     split_values_.assign(internal, 0.0f);
-    std::vector<std::uint64_t> idx(sample.size());
-    for (std::uint64_t i = 0; i < sample.size(); ++i) idx[i] = i;
-    split_range(sample, idx, 0, idx.size(), 0, levels);
+    SplitterScratch scratch;
+    scratch.idx.resize(sample.size());
+    for (std::uint64_t i = 0; i < sample.size(); ++i) scratch.idx[i] = i;
+    scratch.partition.resize(sample.size());
+    scratch.keys.resize(2 * sample.size());
+    split_range(sample, scratch, 0, sample.size(), 0, levels);
   }
 
-  void split_range(const data::PointSet& sample,
-                   std::vector<std::uint64_t>& idx, std::uint64_t lo,
-                   std::uint64_t hi, std::size_t node, std::size_t depth) {
+  void split_range(const data::PointSet& sample, SplitterScratch& scratch,
+                   std::uint64_t lo, std::uint64_t hi, std::size_t node,
+                   std::size_t depth) {
     if (depth == 0) return;
+    const std::span<std::uint64_t> range(scratch.idx.data() + lo, hi - lo);
     std::size_t dim = 0;
-    if (hi > lo) {
-      dim = choose_dimension_by_variance(
-          data::PointSetView(sample),
-          std::span<const std::uint64_t>(idx.data() + lo, hi - lo),
-          config_.variance_samples, nullptr);
-    }
-    std::uint64_t mid = lo + (hi - lo) / 2;
+    std::uint64_t mid = lo;
     float split = 0.0f;
     if (hi > lo) {
+      dim = choose_dimension_by_variance(data::PointSetView(sample), range,
+                                         config_.variance_samples, nullptr);
       const auto coords = sample.coordinate(dim);
-      std::nth_element(idx.begin() + static_cast<std::ptrdiff_t>(lo),
-                       idx.begin() + static_cast<std::ptrdiff_t>(mid),
-                       idx.begin() + static_cast<std::ptrdiff_t>(hi),
-                       [&coords](std::uint64_t a, std::uint64_t b) {
-                         return coords[a] < coords[b];
-                       });
-      split = coords[idx[mid]];
-      // Route by coord < split: points equal to the median go right,
-      // so idx positions below mid that equal it belong right too —
-      // re-partition for exact child sample ranges.
-      auto* first = idx.data() + lo;
-      auto* last = idx.data() + hi;
-      auto* pivot = std::partition(first, last, [&](std::uint64_t p) {
-        return coords[p] < split;
-      });
-      mid = lo + static_cast<std::uint64_t>(pivot - first);
+      split = select_kth(coords, range, range.size() / 2, scratch.keys);
+      // Points route by coord < split, so the points equal to the
+      // median go right: the child sample ranges are that partition.
+      mid = lo + partition_below(coords, range, split, scratch.partition);
     }
     split_dims_[node] = dim;
     split_values_[node] = split;
-    split_range(sample, idx, lo, mid, 2 * node + 1, depth - 1);
-    split_range(sample, idx, mid, hi, 2 * node + 2, depth - 1);
+    split_range(sample, scratch, lo, mid, 2 * node + 1, depth - 1);
+    split_range(sample, scratch, mid, hi, 2 * node + 2, depth - 1);
   }
 
   /// Chunk index for one point: descend the level-order splitter.

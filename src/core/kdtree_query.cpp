@@ -226,11 +226,14 @@ void KdTree::search_exact(const float* query, Sink& sink, QueryWorkspace& ws,
       // tied candidate with a smaller id must still be found
       // (DESIGN.md §5). This push-time check only skips entries the
       // authoritative pop-time check below would discard anyway (the
-      // bound tightens monotonically).
+      // bound tightens monotonically). Far from every point the squares
+      // overflow to +inf and inf - inf is NaN; both checks are written
+      // as !(bound > pruning_bound) so a NaN bound visits the region
+      // instead of pruning candidates that tie at +inf.
       const float old_offset = offsets[node.dim];
       const float far_dist2 =
           region_dist2 - old_offset * old_offset + diff * diff;
-      if (far_dist2 <= pruning_bound) {
+      if (!(far_dist2 > pruning_bound)) {
         __builtin_prefetch(nodes + far);
         *sp++ = {far, far_dist2, node.dim, diff,
                  static_cast<std::uint32_t>(up - undo_base)};
@@ -250,7 +253,7 @@ void KdTree::search_exact(const float* query, Sink& sink, QueryWorkspace& ws,
         --up;
         offsets[up->dim] = up->offset;
       }
-      if (e.dist2 <= pruning_bound) {
+      if (!(e.dist2 > pruning_bound)) {
         *up++ = {e.dim, offsets[e.dim]};
         offsets[e.dim] = e.offset;
         cur = e.node;

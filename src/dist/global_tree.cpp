@@ -105,7 +105,10 @@ void GlobalTree::collect_ball(std::int32_t node_index, const float* center,
   const float far_dist2 =
       region_dist2 - old_offset * old_offset + diff * diff;
   const float widened = radius2 * core::kBoundSlack;
-  const bool overlaps = closed ? far_dist2 <= widened : far_dist2 < widened;
+  // Negated so that a NaN bound (inf - inf once the squares overflow,
+  // far from every split) counts as overlapping.
+  const bool overlaps =
+      closed ? !(far_dist2 > widened) : !(far_dist2 >= widened);
   // Visit children in tree order (left, right) so the collected ranks
   // come out ascending; near/far order would interleave them.
   for (const std::int32_t child : {node.left, node.right}) {

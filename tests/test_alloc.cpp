@@ -238,27 +238,40 @@ TEST(AllocFree, MutableRadiusBatchSteadyState) {
 
 TEST(AllocBuild, NoPerNodeAllocation) {
   // Split selection reads its sample positions in place and keeps its
-  // per-dimension state on the stack; what remains are the build's
-  // arrays, its phase bookkeeping and one sample per large node. So 4x
-  // the points add ~3,000 splits but only a few allocator calls: one
-  // allocation per split would break the bound many times over.
-  const auto gen = data::make_generator("dayabay", 20260730);
-  const data::PointSet small = gen->generate_all(20000);
-  const data::PointSet large = gen->generate_all(80000);
-  parallel::ThreadPool pool(1);
-  for (const auto policy : {core::BuildConfig::DimensionPolicy::MaxVariance,
-                            core::BuildConfig::DimensionPolicy::RoundRobin}) {
-    core::BuildConfig config;
-    config.dim_policy = policy;
-    auto build_calls = [&](const data::PointSet& points) {
-      const std::uint64_t before = panda::testing::alloc_count();
-      const core::KdTree tree = core::KdTree::build(points, config, pool);
-      return panda::testing::alloc_count() - before;
-    };
-    const std::uint64_t calls_20k = build_calls(small);
-    const std::uint64_t calls_80k = build_calls(large);
-    EXPECT_LT(calls_80k, calls_20k + 256)
-        << "20k points: " << calls_20k << " calls, 80k points: " << calls_80k;
+  // per-dimension state on the stack, and the exact median's selection
+  // buffer belongs to the pool thread, not the node; what remains are
+  // the build's arrays, its phase bookkeeping and one sample per large
+  // node. So 4x the points add ~3,000 splits but only a few allocator
+  // calls: one allocation per split would break the bound many times
+  // over. The 3-D cosmology pair takes every split path: the
+  // cooperative root split (100k points), sampled serial splits and
+  // positional splits.
+  struct Pair {
+    const char* dataset;
+    std::uint64_t small;
+    std::uint64_t large;
+  };
+  for (const Pair pair : {Pair{"dayabay", 20000, 80000},
+                          Pair{"cosmo", 25000, 100000}}) {
+    const auto gen = data::make_generator(pair.dataset, 20260730);
+    const data::PointSet small = gen->generate_all(pair.small);
+    const data::PointSet large = gen->generate_all(pair.large);
+    parallel::ThreadPool pool(1);
+    for (const auto policy : {core::BuildConfig::DimensionPolicy::MaxVariance,
+                              core::BuildConfig::DimensionPolicy::RoundRobin}) {
+      core::BuildConfig config;
+      config.dim_policy = policy;
+      auto build_calls = [&](const data::PointSet& points) {
+        const std::uint64_t before = panda::testing::alloc_count();
+        const core::KdTree tree = core::KdTree::build(points, config, pool);
+        return panda::testing::alloc_count() - before;
+      };
+      const std::uint64_t calls_small = build_calls(small);
+      const std::uint64_t calls_large = build_calls(large);
+      EXPECT_LT(calls_large, calls_small + 256)
+          << pair.dataset << ": " << pair.small << " points: " << calls_small
+          << " calls, " << pair.large << " points: " << calls_large;
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include "api/index.hpp"
 #include "baselines/brute_force.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/kdtree.hpp"
 #include "data/generators.hpp"
 #include "ml/knn_classifier.hpp"
@@ -178,6 +179,130 @@ TEST(FacadeRadius, EveryAdapterMatchesOraclePrefix) {
       queries.copy_point(0, q.data());
       const auto single = index->radius_search(q, radii[0]);
       expect_row_equals(results[0], single, name + " uniform radius");
+    }
+  }
+}
+
+/// `count` points uniform in [0, 1)^3 with ids first_id, first_id + 1,
+/// ..., except those listed in `far`, which take the given coordinates.
+data::PointSet unit_cube_points(
+    std::uint64_t first_id, std::uint64_t count, std::uint64_t seed,
+    const std::vector<std::pair<std::uint64_t, std::vector<float>>>& far) {
+  data::PointSet out(3);
+  Rng rng(seed);
+  std::vector<float> p(3);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    for (float& c : p) c = rng.uniform_float();
+    for (const auto& [id, coords] : far) {
+      if (id == first_id + i) p = coords;
+    }
+    out.push_point(p, first_id + i);
+  }
+  return out;
+}
+
+TEST(FacadeFarQueries, OverflowingDistancesStayExactOnEveryTreeAdapter) {
+  // Far from every point the squared distances overflow to +inf, and
+  // the descent's far-region bound region - old_offset^2 + diff^2
+  // becomes inf - inf = NaN. A `bound <= limit` test then pruned the
+  // regions whose candidates tie at +inf with smaller ids: 5,000 unit
+  // cube points, k = 5, query (1e20, 0.5, 0.5) returned ids 1, 2, 4, 5,
+  // 7 (SimpleTree 1, 2, 4, 5, 13) against brute force's 0, 1, 2, 3, 4.
+  // The Mutable forest gets the points in four calls: a seed tree, two
+  // sealed batches (one holds a far point) and a buffered run (the
+  // other far point), so the self-KNN rows of the far points, all of
+  // whose neighbors but themselves lie at +inf, cross every container.
+  const std::vector<float> far_a = {1e20f, 0.5f, 0.5f};
+  const std::vector<float> far_b = {-3e38f, 0.5f, 0.5f};
+  const std::vector<data::PointSet> parts = {
+      unit_cube_points(0, 5000, 41, {}),
+      unit_cube_points(5000, 300, 42, {{5123, far_a}}),
+      unit_cube_points(5300, 300, 43, {}),
+      unit_cube_points(5600, 40, 44, {{5617, far_b}})};
+  data::PointSet all(3);
+  std::vector<float> p(3);
+  for (const data::PointSet& part : parts) {
+    for (std::uint64_t i = 0; i < part.size(); ++i) {
+      part.copy_point(i, p.data());
+      all.push_point(p, part.id(i));
+    }
+  }
+
+  data::PointSet queries(3);
+  for (std::size_t d = 0; d < 3; ++d) {
+    for (const float far : {1e19f, 1e20f, 1e30f, 3e38f}) {
+      for (const float sign : {1.0f, -1.0f}) {
+        std::vector<float> q = {0.5f, 0.5f, 0.5f};
+        q[d] = sign * far;
+        queries.push_point(q, queries.size());
+      }
+    }
+  }
+
+  std::vector<std::pair<std::string, IndexOptions>> adapters;
+  {
+    IndexOptions o;
+    o.threads = 2;
+    adapters.emplace_back("local", o);
+  }
+  for (const int ranks : {2, 4}) {
+    IndexOptions o;
+    o.engine = IndexOptions::Engine::Dist;
+    o.cluster.ranks = ranks;
+    adapters.emplace_back("dist-r" + std::to_string(ranks), o);
+  }
+  {
+    IndexOptions o;
+    o.engine = IndexOptions::Engine::SimpleTree;
+    adapters.emplace_back("simple-tree", o);
+  }
+  {
+    IndexOptions o;
+    o.engine = IndexOptions::Engine::Mutable;
+    o.threads = 2;
+    o.mutable_config.buffer_capacity = 256;
+    o.mutable_config.merge_fan_in = 4;
+    adapters.emplace_back("mutable", o);
+  }
+
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{5}, std::size_t{32}}) {
+    std::vector<std::vector<Neighbor>> want_knn(queries.size());
+    for (std::uint64_t i = 0; i < queries.size(); ++i) {
+      queries.copy_point(i, p.data());
+      want_knn[i] = baselines::brute_force_knn(all, p, k);
+    }
+    for (const auto& [name, options] : adapters) {
+      std::shared_ptr<Index> index;
+      if (options.engine == IndexOptions::Engine::Mutable) {
+        index = Index::build(parts[0], options);
+        for (std::size_t part = 1; part < parts.size(); ++part) {
+          index->insert(parts[part]);
+        }
+      } else {
+        index = Index::build(all, options);
+      }
+      ASSERT_EQ(index->size(), all.size()) << name;
+      SearchParams params;
+      params.k = k;
+      core::NeighborTable results;
+      SearchWorkspace ws;
+      index->knn_into(queries, params, results, ws);
+      ASSERT_EQ(results.size(), queries.size()) << name;
+      for (std::uint64_t i = 0; i < queries.size(); ++i) {
+        expect_row_equals(results[i], want_knn[i],
+                          name + " k=" + std::to_string(k) + " far query " +
+                              std::to_string(i));
+      }
+      index->self_knn_into(params, results, ws);
+      ASSERT_EQ(results.size(), all.size()) << name;
+      for (const std::uint64_t row : {std::uint64_t{5123}, std::uint64_t{5617},
+                                      std::uint64_t{0}}) {
+        all.copy_point(row, p.data());
+        expect_row_equals(results[row], baselines::brute_force_knn(all, p, k),
+                          name + " k=" + std::to_string(k) + " self row " +
+                              std::to_string(row));
+      }
     }
   }
 }

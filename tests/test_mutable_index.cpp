@@ -1448,5 +1448,62 @@ TEST(MutableBatchOrder, RowsDoNotDependOnQueryOrder) {
   }
 }
 
+TEST(MutableFarQueries, OverflowingDistancesStayExactAcrossTheForest) {
+  // The forest shape of FacadeFarQueries (tests/test_index.cpp), pinned
+  // here: a far point in a sealed tree and one in a buffered run, so
+  // queries whose squared distances overflow to +inf descend several
+  // trees and scan the run, and the far points' own self-KNN rows tie
+  // at +inf with every other point.
+  Harness h;
+  MutableIndex index = h.make(3, 256, 4);
+  LiveOracle oracle(3);
+  Rng rng(derive_seed(0xFA4, 1));
+  std::uint64_t next_id = 0;
+  auto add = [&](std::uint64_t count, std::uint64_t far_at,
+                 std::vector<float> far) {
+    PointSet batch(3);
+    std::vector<float> p(3);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      for (float& c : p) c = rng.uniform_float();
+      batch.push_point(i == far_at ? far : p, next_id++);
+    }
+    index.insert(batch);
+    oracle.insert(batch);
+  };
+  const std::uint64_t none = ~std::uint64_t{0};
+  add(5000, none, {});
+  add(300, 123, {1e20f, 0.5f, 0.5f});
+  add(300, none, {});
+  index.quiesce();
+  add(40, 17, {-3e38f, 0.5f, 0.5f});
+  const MutationStats stats = index.stats();
+  ASSERT_GE(stats.trees, 2u);
+  ASSERT_GT(stats.buffered_points, 0u);
+
+  PointSet queries(3);
+  for (std::size_t d = 0; d < 3; ++d) {
+    for (const float far : {1e19f, 1e20f, 1e30f, 3e38f}) {
+      for (const float sign : {1.0f, -1.0f}) {
+        std::vector<float> q = {0.5f, 0.5f, 0.5f};
+        q[d] = sign * far;
+        queries.push_point(q, queries.size());
+      }
+    }
+  }
+  std::vector<float> q(3);
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{5}, std::size_t{32}}) {
+    const std::string at = "k=" + std::to_string(k);
+    index.knn_batch(queries, k, h.results, h.ws);
+    ASSERT_EQ(h.results.size(), queries.size()) << at;
+    for (std::uint64_t i = 0; i < queries.size(); ++i) {
+      queries.copy_point(i, q.data());
+      expect_row_identical(h.results[i], oracle.knn(q, k),
+                           at + " far query " + std::to_string(i));
+    }
+    expect_self_knn_matches(index, oracle, k, h.results, h.ws, at);
+  }
+}
+
 }  // namespace
 }  // namespace panda::core

@@ -79,6 +79,7 @@ HOT_PATH_FILES = (
     "core/batch_order.cpp",
     "core/batch_order.hpp",
     "core/id_set.hpp",
+    "core/kdtree_build.cpp",
     "core/kdtree_query.cpp",
     "core/knn_heap.hpp",
     "core/knn_heap.cpp",
