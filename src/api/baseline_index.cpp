@@ -10,6 +10,7 @@
 // Engine and measure, not for production traffic.
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "api/adapters.hpp"
@@ -37,7 +38,7 @@ class BaselineIndex : public Index {
     PANDA_CHECK_MSG(params.k >= 1, "k must be >= 1");
     PANDA_CHECK_MSG(params.radius >= 0.0f, "radius must be non-negative");
     results.reset_topk(queries.size(), params.k);
-    std::vector<float>& q = staging(ws);
+    const std::span<float> q = staging(ws);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       queries.copy_point(i, q.data());
       const auto row = query_one(q, params.k);
@@ -54,7 +55,7 @@ class BaselineIndex : public Index {
     PANDA_CHECK_MSG(radii.size() == queries.size(),
                     "one radius per query required");
     results.reset_rows(queries.size());
-    std::vector<float>& q = staging(ws);
+    const std::span<float> q = staging(ws);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       PANDA_CHECK_MSG(radii[i] >= 0.0f, "radius must be non-negative");
       queries.copy_point(i, q.data());
@@ -71,7 +72,7 @@ class BaselineIndex : public Index {
                      SearchWorkspace& ws, SearchStats* stats) override {
     PANDA_CHECK_MSG(params.k >= 1, "k must be >= 1");
     results.reset_topk(points_.size(), params.k);
-    std::vector<float>& q = staging(ws);
+    const std::span<float> q = staging(ws);
     for (std::size_t i = 0; i < points_.size(); ++i) {
       points_.copy_point(i, q.data());
       results.assign_row(i, radius_prefix(query_one(q, params.k),
@@ -89,10 +90,12 @@ class BaselineIndex : public Index {
                                                 std::size_t k) = 0;
 
   /// AoS gather buffer for one query point, borrowed from the
-  /// workspace (QueryWorkspace::query is exactly this buffer).
-  std::vector<float>& staging(SearchWorkspace& ws) {
+  /// workspace (QueryWorkspace::query is exactly this buffer). The
+  /// buffer is grow-only and may be longer after a call on an index of
+  /// more dims, so the view is cut to dims().
+  std::span<float> staging(SearchWorkspace& ws) {
     ws.batch.prepare(1, dims());
-    return ws.batch.per_thread[0].query;
+    return {ws.batch.per_thread[0].query.data(), dims()};
   }
 
   data::PointSet points_;

@@ -18,8 +18,8 @@
 // (packed offset + live count) lives in a separate cold LeafInfo
 // array touched only when a bucket is actually scanned. Querying
 // implements Algorithm 1 as one explicit-stack iterative descent with
-// near-child-first ordering, lower-bound pruning, and a prefetch of
-// each admitted far-child record. A small sink decides what a leaf
+// near-child-first ordering, lower-bound pruning, and a branch-free
+// push of each far child. A small sink decides what a leaf
 // keeps, which bound prunes and when to stop, so the same loop answers
 // KNN (a bounded candidate heap), radius search (rows), the
 // leaf-budgeted approximate query, and the live forest's per-tree
@@ -499,8 +499,8 @@ class KdTree {
   // and every instantiation live in kdtree_query.cpp).
 
   /// The one exact descent: iterative explicit-stack traversal from
-  /// the root with far-child prefetch; visit order, pruning decisions
-  /// and stats are identical to the classic recursion.
+  /// the root with a branch-free far-child push; visit order, pruning
+  /// decisions and stats are identical to the classic recursion.
   template <typename Sink>
   void search_exact(const float* query, Sink& sink, QueryWorkspace& ws,
                     QueryStats& stats, std::uint32_t skip_node = kNoNode) const;

@@ -3,20 +3,24 @@
 // One descent answers every query: search_exact, an explicit-stack
 // iterative DFS over the hot node array (DESIGN.md §9). The near-child
 // chain is walked inline, admitted far children are pushed as FarEntry
-// records (with a prefetch of their hot node) and re-checked against
-// the tightened bound when popped — the pop-time check is exactly the
-// recursion's post-near-subtree check, so visit order, pruning
-// decisions, stats and results are identical to the classic recursive
-// formulation. The Arya–Mount offsets array is maintained with an undo
-// log: each far entry records the log level at push time; popping
-// unwinds the log to that level before applying its own plane
-// replacement.
+// records (an unconditional store and a conditional stack increment)
+// and re-checked against the tightened bound when popped — the
+// pop-time check is exactly the recursion's post-near-subtree check,
+// so visit order, pruning decisions, stats and results are identical
+// to the classic recursive formulation. The Arya–Mount offsets array
+// is maintained with an undo log: each far entry records the log level
+// at push time; popping unwinds the log to that level before applying
+// its own plane replacement.
 //
 // The descent is templated on a sink that decides what a leaf keeps,
 // which bound prunes and when to stop: a KNN heap (with a sorted
 // dead-id list the forest passes), the same heap with a leaf budget
 // (query_approx), or radius rows. search_paper, the printed
 // Algorithm 1 kept for the ablation, takes the same sinks.
+//
+// A leaf scan offers only the lanes that pass the sink's bound; the
+// first bucket of a KNN query, scanned under an unbounded heap, offers
+// its k nearest lanes first (scan_leaf, DESIGN.md §9).
 //
 // All scratch (heap, offsets, stacks, SIMD distance buffer, AoS query
 // copy) lives in the caller's QueryWorkspace; the std::vector shims
@@ -52,6 +56,10 @@ QueryWorkspace& shim_workspace() {
 // The sinks of the one descent (search_exact, search_paper, scan_leaf):
 //   admit_bound() — the leaf scan offers the lanes with d2 <= it
 //                   (+inf: every lane, no mask);
+//   keeps()       — while admit_bound() is +inf, the most lanes of one
+//                   scan the sink can keep (a KNN heap's k), so a scan
+//                   with more lanes offers its keeps() nearest first
+//                   when keeps() is at most simd::kUnrolledSelect;
 //   prune_bound() — a region whose lower bound is <= it is visited;
 //   offer(d2, id) — one lane that passed admit_bound();
 //   leaf_done()   — asked after every leaf the descent opens; true
@@ -67,6 +75,7 @@ struct KnnSink {
   std::span<const std::uint64_t> dead;
 
   float admit_bound() const { return heap.bound(); }
+  std::size_t keeps() const { return heap.k(); }
   float prune_bound() const { return heap.bound() * kBoundSlack; }
   void offer(float d2, std::uint64_t id) {
     if (!dead.empty() && heap.admits(d2, id) &&
@@ -99,6 +108,9 @@ struct RadiusSink {
   std::span<const std::uint64_t> dead;
 
   float admit_bound() const { return admit; }
+  static constexpr std::size_t keeps() {
+    return std::numeric_limits<std::size_t>::max();
+  }
   float prune_bound() const { return prune; }
   void offer(float d2, std::uint64_t id) {
     if (!dead.empty() && std::binary_search(dead.begin(), dead.end(), id)) {
@@ -108,6 +120,30 @@ struct RadiusSink {
   }
   static constexpr bool leaf_done() { return false; }
 };
+
+/// Offers, in lane order, the lanes i < count of one leaf scan whose
+/// bit is set in lanes(d2s + base, n), a mask over each word of up to
+/// simd::kMaskWord lanes. Buckets the traversal opens border the query
+/// ball, so a per-lane admission branch mispredicts constantly; the
+/// bound test runs as a SIMD compare instead and only set lanes are
+/// offered. A bound is read once — a heap offer re-validates against
+/// the tightening bound, so the admitted set is unchanged. Non-strict:
+/// a candidate exactly at the bound can still win its tie by id —
+/// KnnHeap::offer applies the full (dist², id) comparison.
+template <typename Sink, typename Lanes>
+void offer_lanes(const float* d2s, const std::uint64_t* ids,
+                 std::uint64_t count, Lanes lanes, Sink& sink) {
+  for (std::uint64_t base = 0; base < count; base += simd::kMaskWord) {
+    const std::size_t n =
+        std::min<std::uint64_t>(simd::kMaskWord, count - base);
+    for (std::uint64_t mask = lanes(d2s + base, n); mask != 0;
+         mask &= mask - 1) {
+      const std::uint64_t i = base + static_cast<std::uint64_t>(
+                                         std::countr_zero(mask));
+      sink.offer(d2s[i], ids[i]);
+    }
+  }
+}
 
 /// Dynamic-scheduling grain: caps at `max_grain` (64 queries, or 8
 /// leaves for the self-join) but splits small batches across the pool
@@ -141,34 +177,48 @@ void KdTree::scan_leaf(const LeafInfo& leaf, const float* query, Sink& sink,
                                  ws.dist.data());
   stats.leaves_visited += 1;
   stats.points_scanned += leaf.count;
-  const float bound = sink.admit_bound();
   const float* d2s = ws.dist.data();
+  // The first bucket of a query is scanned while the sink is unbounded.
+  // A heap keeps at most k of its lanes, so with more lanes than that
+  // the scan offers only the lanes at most T, the k-th smallest
+  // distance, and the rest never reach the heap's data-dependent
+  // compare. Only k up to simd::kUnrolledSelect select (the network
+  // costs count * k compare-exchanges).
+  float bound = sink.admit_bound();
+  const std::size_t k = sink.keeps();
+  const bool first =
+      bound == kInf && k <= simd::kUnrolledSelect && leaf.count > k;
+  if (first) bound = simd::kth_smallest(d2s, leaf.count, k);
   if (bound == kInf) {
-    // Unbounded heap (first bucket of an unseeded query): every lane
-    // passes, so the mask would be pure overhead.
+    // Still unbounded (a larger k, a bucket of at most k lanes, or a
+    // k-th lane at +inf): every lane passes, so the mask would be pure
+    // overhead, and the heap ends as if every lane had been offered.
     for (std::uint64_t i = 0; i < leaf.count; ++i) {
       sink.offer(d2s[i], ids[i]);
     }
     return;
   }
-  // Bitmask selection: buckets the traversal opens border the query
-  // ball, so a per-lane admission branch mispredicts constantly; the
-  // bound test runs as a SIMD compare instead and only set lanes are
-  // offered, in lane order. The bound is read once — a heap offer
-  // re-validates against the tightening bound, so the admitted set is
-  // unchanged. Non-strict: a candidate exactly at the bound can still
-  // win its tie by id — KnnHeap::offer applies the full (dist², id)
-  // comparison.
-  for (std::uint64_t base = 0; base < leaf.count; base += simd::kMaskWord) {
-    const std::size_t n =
-        std::min<std::uint64_t>(simd::kMaskWord, leaf.count - base);
-    for (std::uint64_t mask = simd::lanes_at_most(d2s + base, n, bound);
-         mask != 0; mask &= mask - 1) {
-      const std::uint64_t i = base + static_cast<std::uint64_t>(
-                                         std::countr_zero(mask));
-      sink.offer(d2s[i], ids[i]);
-    }
-  }
+  offer_lanes(d2s, ids, leaf.count,
+              [bound](const float* d2, std::size_t n) {
+                return simd::lanes_at_most(d2, n, bound);
+              },
+              sink);
+  if (!first) return;
+  // The first pass offered at least k lanes, all at most T, so unless
+  // the sink skipped dead ids among them the heap is now full with a
+  // bound at most T, whatever it held before, and this returns. A
+  // skipped dead id (or a wrong T) leaves the bound above T: then the
+  // lanes in (T, bound] for the bound after the first pass are offered
+  // too, each lane once, so the heap ends as if every lane had been
+  // offered, whatever T was.
+  const float after = sink.admit_bound();
+  if (!(after > bound)) return;
+  offer_lanes(d2s, ids, leaf.count,
+              [bound, after](const float* d2, std::size_t n) {
+                return simd::lanes_at_most(d2, n, after) &
+                       ~simd::lanes_at_most(d2, n, bound);
+              },
+              sink);
 }
 
 template <typename Sink>
@@ -230,14 +280,15 @@ void KdTree::search_exact(const float* query, Sink& sink, QueryWorkspace& ws,
       // overflow to +inf and inf - inf is NaN; both checks are written
       // as !(bound > pruning_bound) so a NaN bound visits the region
       // instead of pruning candidates that tie at +inf.
+      // The push is branch-free: the entry is always written, and the
+      // stack grows over it only when the region is admitted (the slot
+      // past the top is inside depth_cap).
       const float old_offset = offsets[node.dim];
       const float far_dist2 =
           region_dist2 - old_offset * old_offset + diff * diff;
-      if (!(far_dist2 > pruning_bound)) {
-        __builtin_prefetch(nodes + far);
-        *sp++ = {far, far_dist2, node.dim, diff,
-                 static_cast<std::uint32_t>(up - undo_base)};
-      }
+      *sp = {far, far_dist2, node.dim, diff,
+             static_cast<std::uint32_t>(up - undo_base)};
+      sp += static_cast<std::ptrdiff_t>(!(far_dist2 > pruning_bound));
       cur = near;
     }
     // Pop the next admissible far subtree. The bound check here is the

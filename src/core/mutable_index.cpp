@@ -304,13 +304,7 @@ void MutableIndex::insert(const data::PointSet& points) {
     // process death; a failed append rolls the admission back so
     // neither memory nor log keeps a trace.
     try {
-      std::vector<std::uint64_t> ids(points.ids().begin(),
-                                     points.ids().end());
-      std::vector<float> coords(points.size() * dims_);
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        points.copy_point(p, coords.data() + p * dims_);
-      }
-      wal_->append_insert(ids, coords);
+      wal_->append_insert(points);
     } catch (...) {
       for (std::size_t p = 0; p < points.size(); ++p) {
         live_.erase(points.id(p));

@@ -218,11 +218,12 @@ Wal::~Wal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Wal::append_frame(FrameType type, std::span<const std::uint64_t> ids,
-                       std::span<const float> coords) {
+unsigned char* Wal::begin_frame(FrameType type,
+                                std::span<const std::uint64_t> ids,
+                                std::size_t coord_count) {
   const std::uint64_t count = ids.size();
   const std::size_t payload_len =
-      9 + ids.size_bytes() + coords.size() * sizeof(float);
+      9 + ids.size_bytes() + coord_count * sizeof(float);
   PANDA_CHECK_MSG(payload_len <= kMaxPayloadBytes,
                   "WAL frame too large (" << payload_len << " bytes)");
   buffer_.resize(8 + payload_len);
@@ -230,10 +231,12 @@ void Wal::append_frame(FrameType type, std::span<const std::uint64_t> ids,
   p[0] = static_cast<unsigned char>(type);
   std::memcpy(p + 1, &count, sizeof(count));
   std::memcpy(p + 9, ids.data(), ids.size_bytes());
-  if (!coords.empty()) {
-    std::memcpy(p + 9 + ids.size_bytes(), coords.data(),
-                coords.size() * sizeof(float));
-  }
+  return p + 9 + ids.size_bytes();
+}
+
+void Wal::write_frame() {
+  const std::size_t payload_len = buffer_.size() - 8;
+  const unsigned char* p = buffer_.data() + 8;
   const auto len32 = static_cast<std::uint32_t>(payload_len);
   const std::uint32_t crc = crc32c(p, payload_len);
   std::memcpy(buffer_.data(), &len32, sizeof(len32));
@@ -258,15 +261,34 @@ void Wal::append_insert(std::span<const std::uint64_t> ids,
                         std::span<const float> coords) {
   PANDA_CHECK_MSG(coords.size() == ids.size() * dims_,
                   "WAL insert frame needs count * dims coords");
-  append_frame(FrameType::Insert, ids, coords);
+  unsigned char* out = begin_frame(FrameType::Insert, ids, coords.size());
+  if (!coords.empty()) std::memcpy(out, coords.data(), coords.size_bytes());
+  write_frame();
+}
+
+void Wal::append_insert(const data::PointSet& points) {
+  PANDA_CHECK_MSG(points.dims() == dims_,
+                  "WAL insert frame needs points of the log's dims");
+  const std::size_t n = points.size();
+  unsigned char* out = begin_frame(FrameType::Insert, points.ids(), n * dims_);
+  for (std::size_t d = 0; d < dims_; ++d) {
+    const std::span<const float> column = points.coordinate(d);
+    for (std::size_t p = 0; p < n; ++p) {
+      std::memcpy(out + (p * dims_ + d) * sizeof(float), &column[p],
+                  sizeof(float));
+    }
+  }
+  write_frame();
 }
 
 void Wal::append_erase(std::span<const std::uint64_t> ids) {
-  append_frame(FrameType::Erase, ids, {});
+  begin_frame(FrameType::Erase, ids, 0);
+  write_frame();
 }
 
 void Wal::append_tombstones(std::span<const std::uint64_t> ids) {
-  append_frame(FrameType::Tombstones, ids, {});
+  begin_frame(FrameType::Tombstones, ids, 0);
+  write_frame();
 }
 
 void Wal::sync() {

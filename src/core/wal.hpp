@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "data/point_set.hpp"
+
 namespace panda::core {
 
 class Wal {
@@ -88,6 +90,9 @@ class Wal {
   /// next replay discards.
   void append_insert(std::span<const std::uint64_t> ids,
                      std::span<const float> coords);
+  /// The same frame for a point set of the log's dims, its coordinates
+  /// copied straight into the frame with no staging buffer.
+  void append_insert(const data::PointSet& points);
   void append_erase(std::span<const std::uint64_t> ids);
   void append_tombstones(std::span<const std::uint64_t> ids);
 
@@ -103,8 +108,13 @@ class Wal {
   Wal(std::string path, int fd, std::uint32_t dims)
       : path_(std::move(path)), fd_(fd), dims_(dims) {}
 
-  void append_frame(FrameType type, std::span<const std::uint64_t> ids,
-                    std::span<const float> coords);
+  /// Sizes buffer_ for one frame, writes its type, count and ids, and
+  /// returns where its coord_count coordinates go (point-major).
+  unsigned char* begin_frame(FrameType type,
+                             std::span<const std::uint64_t> ids,
+                             std::size_t coord_count);
+  /// Seals the frame in buffer_ with its length and CRC and appends it.
+  void write_frame();
 
   std::string path_;
   int fd_ = -1;

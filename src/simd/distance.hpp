@@ -14,6 +14,11 @@
 // bound test into a bitmask, 64 lanes per word, so only the winning
 // lanes reach the heap.
 //
+// k-th smallest lane. A leaf scan whose heap is still unbounded can
+// keep at most k of its lanes, so kth_smallest() finds the k-th
+// smallest distance, for k up to 8, with a branch-free min/max network
+// and the scan offers only the lanes at most that threshold.
+//
 // ISA variants. Dims 1–4 run inline at the call site on the baseline
 // ISA. Every other call goes out of line to the variant chosen once
 // from CPUID: AVX2 on x86-64 hosts that report it, otherwise the
@@ -33,8 +38,10 @@
 // taken only at API boundaries that ask for metric distances.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #if defined(__x86_64__)
@@ -233,6 +240,51 @@ inline std::uint64_t lanes_at_most(const float* d2, std::size_t count,
   }
 #endif
   return mask;
+}
+
+/// kth_smallest selects through an unrolled network for k up to this.
+inline constexpr std::size_t kUnrolledSelect = 8;
+
+namespace detail {
+
+/// kth_smallest for a compile-time k. r[0..K) holds the K smallest
+/// lanes seen so far, ascending, in registers; each lane sinks from the
+/// top through K min/max compare-exchanges and the largest of the
+/// K + 1 values falls off the end. No step branches on the data.
+template <std::size_t K>
+[[gnu::always_inline]] inline float kth_smallest_fixed(const float* v,
+                                                       std::size_t count) {
+  float r[K];
+  for (float& x : r) x = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < count; ++i) {
+    float x = v[i];
+    for (std::size_t j = 0; j < K; ++j) {
+      const float lo = std::min(r[j], x);
+      x = std::max(r[j], x);
+      r[j] = lo;
+    }
+  }
+  return r[K - 1];
+}
+
+}  // namespace detail
+
+/// The k-th smallest of v[0..count) (k = 1: the minimum) for non-NaN
+/// values and 1 <= k <= kUnrolledSelect, through one switch over the
+/// unrolled networks. +inf, a threshold every lane passes, when k >
+/// count or k is outside that range.
+inline float kth_smallest(const float* v, std::size_t count, std::size_t k) {
+  switch (k) {
+    case 1: return detail::kth_smallest_fixed<1>(v, count);
+    case 2: return detail::kth_smallest_fixed<2>(v, count);
+    case 3: return detail::kth_smallest_fixed<3>(v, count);
+    case 4: return detail::kth_smallest_fixed<4>(v, count);
+    case 5: return detail::kth_smallest_fixed<5>(v, count);
+    case 6: return detail::kth_smallest_fixed<6>(v, count);
+    case 7: return detail::kth_smallest_fixed<7>(v, count);
+    case 8: return detail::kth_smallest_fixed<8>(v, count);
+    default: return std::numeric_limits<float>::infinity();
+  }
 }
 
 }  // namespace panda::simd

@@ -435,6 +435,65 @@ TEST(KdTreeQuery, OfferKnnFeedsAHeapHoldingOtherCandidates) {
   }
 }
 
+/// The first bucket a KNN descent opens is scanned under an unbounded
+/// heap, so for k up to simd::kUnrolledSelect scan_leaf offers its k
+/// nearest lanes first and then the lanes up to the bound that pass
+/// leaves. That second pass runs only when dead ids were skipped among
+/// those k nearest, and it is what keeps such a query exact. Each query
+/// sits on a tree point, so its home bucket holds its nearest ids; the
+/// dead list takes the nearest and the third nearest. The carried heap
+/// (up to k - 1 entries from elsewhere, half of them beyond every
+/// bucket lane the answer needs) never reaches the second pass on its
+/// own: the first pass fills the heap with a bound at most the bucket's
+/// k-th lane. It checks that a part-full heap stays exact. k above
+/// kUnrolledSelect checks the scan that offers every lane.
+TEST(KdTreeQuery, FirstBucketStaysExactWithDeadNearestAndACarriedHeap) {
+  parallel::ThreadPool pool(2);
+  const auto gen = data::make_generator("uniform", 83);
+  const PointSet points = gen->generate_all(4000);
+  const KdTree tree = KdTree::build(points, BuildConfig{}, pool);
+  QueryWorkspace ws;
+  std::vector<float> q(points.dims());
+  constexpr std::uint64_t kElsewhere = 1u << 30;  // ids outside the tree
+  for (const std::size_t k : {1, 2, 5, 8, 9, 16, 31}) {
+    for (std::uint64_t i = 0; i < points.size(); i += 37) {
+      points.copy_point(i, q.data());
+      const std::vector<Neighbor> all =
+          baselines::brute_force_knn(points, q, k + 3);
+      for (const bool carry : {false, true}) {
+        for (const bool kill : {false, true}) {
+          std::vector<std::uint64_t> dead;
+          if (kill) dead = {all[0].id, all[2].id};
+          std::sort(dead.begin(), dead.end());
+          std::vector<Neighbor> expected;
+          for (const Neighbor& n : all) {
+            if (!std::binary_search(dead.begin(), dead.end(), n.id)) {
+              expected.push_back(n);
+            }
+          }
+          ws.heap.reset(k);
+          if (carry) {
+            // Half just past the k-th live answer, half inside it.
+            const float far = expected[k - 1].dist2 * 1.5f + 1e-6f;
+            for (std::uint64_t c = 0; c + 1 < k; ++c) {
+              const Neighbor n{c % 2 == 0 ? far : expected[0].dist2,
+                               kElsewhere + c};
+              ws.heap.offer(n.dist2, n.id);
+              expected.push_back(n);
+            }
+          }
+          std::sort(expected.begin(), expected.end());
+          expected.resize(k);
+          tree.offer_knn(q, ws.heap, ws, dead);
+          const std::vector<Neighbor> got = ws.heap.take_sorted();
+          ASSERT_EQ(got, expected) << "k=" << k << " query point " << i
+                                   << " carry " << carry << " kill " << kill;
+        }
+      }
+    }
+  }
+}
+
 TEST(KdTreeQuery, AppendRadiusAppendsUnsortedLiveRows) {
   parallel::ThreadPool pool(2);
   const auto gen = data::make_generator("dupes", 73);

@@ -1,8 +1,9 @@
 // Unit tests for src/simd: distance kernels validated against the
 // scalar reference over a parameter sweep, padding semantics, the ISA
 // variants and the live-lane call checked bit for bit against the
-// oracle's arithmetic, the lane mask against the scalar predicate, and
-// the sub-interval searcher checked against std::upper_bound.
+// oracle's arithmetic, the lane mask against the scalar predicate, the
+// k-th-smallest network against std::nth_element, and the sub-interval
+// searcher checked against std::upper_bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -249,6 +250,72 @@ TEST(LanesAtMost, EqualsScalarPredicate) {
         ASSERT_EQ(set[i], d2[i] <= bound)
             << "count=" << count << " bound=" << bound << " lane " << i
             << " d2=" << d2[i];
+      }
+    }
+  }
+}
+
+/// Lane patterns for the k-th-smallest network: the first-bucket scan
+/// feeds it kernel distances, which can tie, sit at +inf once squares
+/// overflow, or be 0 and denormal near a duplicate.
+std::vector<float> select_lanes(int pattern, std::size_t count,
+                                std::size_t k, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> v(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const float u = rng.uniform_float();
+    switch (pattern) {
+      case 0: v[i] = u; break;                                // uniform
+      case 1: v[i] = 0.75f; break;                            // all equal
+      case 2: v[i] = u < 0.5f ? 1.0f : 2.0f; break;           // two-valued
+      case 3: v[i] = static_cast<float>(i); break;            // sorted
+      case 4: v[i] = static_cast<float>(count - i); break;    // reversed
+      case 5: v[i] = u < 0.4f ? inf : u; break;               // +inf lanes
+      case 6: v[i] = u < 0.4f ? 0.0f : u; break;              // 0.0 lanes
+      case 7:                                                 // denormals
+        v[i] = denorm * static_cast<float>(1 + rng.uniform_index(64));
+        break;
+      default: v[i] = u; break;
+    }
+  }
+  if (pattern == 8) {
+    // Tied at the k-th: the k-th smallest and up to two lanes either
+    // side of it in sorted order share one value.
+    std::vector<std::size_t> order(count);
+    for (std::size_t i = 0; i < count; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+    const float tie = v[order[k - 1]];
+    for (std::size_t r = k - 1 >= 2 ? k - 3 : 0;
+         r < std::min(count, k + 2); ++r) {
+      v[order[r]] = tie;
+    }
+  }
+  return v;
+}
+
+TEST(KthSmallest, MatchesNthElement) {
+  // Every k up to every count up to 64: each unrolled network sees
+  // counts at and past its k, and any k past kUnrolledSelect reads
+  // +inf, a threshold every lane passes.
+  Rng rng(2626);
+  for (int pattern = 0; pattern <= 8; ++pattern) {
+    for (std::size_t count = 1; count <= 64; ++count) {
+      for (std::size_t k = 1; k <= count; ++k) {
+        const std::vector<float> v = select_lanes(pattern, count, k, rng);
+        const float got = kth_smallest(v.data(), count, k);
+        if (k > kUnrolledSelect) {
+          ASSERT_EQ(got, std::numeric_limits<float>::infinity())
+              << "pattern " << pattern << " count " << count << " k " << k;
+          continue;
+        }
+        std::vector<float> sorted = v;
+        std::nth_element(sorted.begin(),
+                         sorted.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                         sorted.end());
+        ASSERT_EQ(got, sorted[k - 1])
+            << "pattern " << pattern << " count " << count << " k " << k;
       }
     }
   }

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "core/wal.hpp"
+#include "data/point_set.hpp"
 
 namespace panda::core {
 namespace {
@@ -304,6 +306,33 @@ TEST_F(WalTest, InsertCoordCountIsValidated) {
     EXPECT_NE(std::string(e.what()).find("count * dims coords"),
               std::string::npos);
   }
+}
+
+/// The PointSet append writes the frame the span append writes: the
+/// set's columns land point-major, byte for byte.
+TEST_F(WalTest, PointSetInsertWritesTheSpanInsertFrame) {
+  data::PointSet points(kDims, insert_ids_.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    points.set_id(p, insert_ids_[p]);
+    for (std::size_t d = 0; d < kDims; ++d) {
+      points.set(p, d, insert_coords_[p * kDims + d]);
+    }
+  }
+  const std::string span_path = (dir_ / "span.log").string();
+  {
+    Wal wal = Wal::create(span_path, kDims);
+    wal.append_insert(insert_ids_, insert_coords_);
+  }
+  {
+    Wal wal = Wal::create(path_, kDims);
+    wal.append_insert(points);
+    EXPECT_THROW(wal.append_insert(data::PointSet(kDims + 1, 1)), Error);
+  }
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(read(path_), read(span_path));
 }
 
 }  // namespace
